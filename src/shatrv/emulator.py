@@ -10,15 +10,21 @@ hypercall ABI selected by a7:
     3: emit_digest   guest address in a0, byte length in a1
 
 Hypercall ecalls count globally (category "other") but never toward open
-region counters. Decoded instructions are cached by pc, so self-modifying
-code is not supported.
+region counters. Decoded instructions are cached by pc, so the loaded code
+is read-only: a store that overlaps it raises MemoryFault.
+
+A stock machine decodes only RV64I+Zicsr and has no CSRs. shatr.attach()
+fills its one round-unit slot, which brings the shatr instruction and the
+lane CSRs 0x800..0x818, the only CSRs the machine has.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import isa
 from .isa import (
-    CATEGORIES, CATEGORY_INDEX, CUSTOM, DecodeError, DecodedInstruction,
+    CATEGORIES, CATEGORY_INDEX, CUSTOM, LANE_CSR_BASE, LANE_CSR_LAST,
+    MEM_READ, MEM_WRITE, DecodeError,
 )
 
 __all__ = [
@@ -156,9 +162,19 @@ _BRANCH_COND = {
 
 _LOAD_SIGNED = {"lb", "lh", "lw", "ld"}
 
+# new CSR value from (old value, operand); the immediate forms share the
+# register forms' semantics
+_CSR_RMW = {
+    "csrrw": lambda old, v: v,
+    "csrrs": lambda old, v: old | v,
+    "csrrc": lambda old, v: old & ~v,
+}
+_CSR_RMW.update({name + "i": rmw for name, rmw in tuple(_CSR_RMW.items())})
 
-def _build_executor(inst):
-    """Compile one decoded instruction to a closure mutating the machine."""
+
+def _build_executor(inst, unit):
+    """Compile one decoded instruction to a closure mutating the machine.
+    `unit` is the machine's round unit, or None on a stock machine."""
     name = inst.mnemonic
     rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
 
@@ -214,6 +230,9 @@ def _build_executor(inst):
             if addr + size > len(mem):
                 raise MemoryFault(
                     f"store outside memory at {addr:#x} (pc={m.pc:#x})")
+            if addr < m._code_end and addr + size > CODE_BASE:
+                raise MemoryFault(
+                    f"store into loaded code at {addr:#x} (pc={m.pc:#x})")
             mem[addr:addr + size] = (m.regs[rs2] & ((1 << (size * 8)) - 1)) \
                 .to_bytes(size, "little")
             m.pc += 4
@@ -263,16 +282,22 @@ def _build_executor(inst):
             m.pc += 4
         return ex
 
-    if name in isa._CSR_REG or name in isa._CSR_IMM:
-        csr_op = {"csrrw": "swap", "csrrs": "set", "csrrc": "clear",
-                  "csrrwi": "swap", "csrrsi": "set", "csrrci": "clear"}[name]
+    rmw = _CSR_RMW.get(name)
+    if rmw is not None:
+        if unit is None or not LANE_CSR_BASE <= inst.csr <= LANE_CSR_LAST:
+            raise CsrFault(f"unclaimed csr {inst.csr:#x}")
         reg_form = name in isa._CSR_REG
-        addr = inst.csr
-        def ex(m, rd=rd, rs1=rs1, imm=imm, addr=addr, csr_op=csr_op, reg_form=reg_form):
-            operand = m.regs[rs1] if reg_form else imm
-            old = m._csr_access(addr, csr_op, operand)
+        def ex(m, rd=rd, rs1=rs1, imm=imm, index=inst.csr - LANE_CSR_BASE,
+               rmw=rmw, reg_form=reg_form, access=unit.csr_access):
+            old = access(index, rmw, m.regs[rs1] if reg_form else imm)
             if rd:
                 m.regs[rd] = old
+            m.pc += 4
+        return ex
+
+    if inst.category == CUSTOM:
+        def ex(m, inst=inst, execute=unit.execute):
+            execute(m, inst)
             m.pc += 4
         return ex
 
@@ -291,37 +316,18 @@ class Machine:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.stats = ExecutionStats()
         self.emitted = []
-        self.csrs = {}
-        self._extensions = []
-        self._custom = {}
-        self._csr_ranges = []
+        self.round_unit = None
+        self._code_end = CODE_BASE
         self._icache = {}
         self._open_regions = {}
         self._active = []
 
     # -- construction ------------------------------------------------------
 
-    def register_extension(self, extension):
-        """Attach an execution-unit extension. The extension must expose
-        custom_opcode, csr_range (inclusive lo/hi or None), decode(word),
-        execute(machine, inst), and csr_access(machine, addr, op, operand)."""
-        opcode = extension.custom_opcode
-        if opcode in self._custom:
-            raise RegistrationError(f"opcode {opcode:#04x} already claimed")
-        csr_range = extension.csr_range
-        if csr_range is not None:
-            lo, hi = csr_range
-            for xlo, xhi, _ in self._csr_ranges:
-                if lo <= xhi and xlo <= hi:
-                    raise RegistrationError(
-                        f"csr range {lo:#x}..{hi:#x} overlaps {xlo:#x}..{xhi:#x}")
-            self._csr_ranges.append((lo, hi, extension))
-        self._custom[opcode] = extension
-        self._extensions.append(extension)
-
     def load_program(self, image, entry_offset=None):
         """Place an assembled image (or raw code bytes) into memory, point pc
-        at the entry, and set sp to the 16-byte aligned top of memory."""
+        at the entry, and set sp to the 16-byte aligned top of memory. Data
+        segments may not overlap the code."""
         if isinstance(image, (bytes, bytearray)):
             code, segments, entry = bytes(image), [], 0
         else:
@@ -329,29 +335,36 @@ class Machine:
         if entry_offset is not None:
             entry = entry_offset
         mem = self.memory
-        if CODE_BASE + len(code) > len(mem):
+        code_end = CODE_BASE + len(code)
+        if code_end > len(mem):
             raise LoadError(f"code ({len(code)} bytes) exceeds memory")
-        mem[CODE_BASE:CODE_BASE + len(code)] = code
+        if not 0 <= entry < len(code):
+            raise LoadError(f"entry offset {entry:#x} outside code")
+        # check every segment before writing anything, so a rejected image
+        # leaves memory and the decode cache consistent
         for addr, blob in segments:
             if addr < 0 or addr + len(blob) > len(mem):
                 raise LoadError(f"data segment at {addr:#x} exceeds memory")
+            if addr < code_end and addr + len(blob) > CODE_BASE:
+                raise LoadError(f"data segment at {addr:#x} overlaps the code")
+        mem[CODE_BASE:code_end] = code
+        for addr, blob in segments:
             mem[addr:addr + len(blob)] = blob
-        if not 0 <= entry < len(code):
-            raise LoadError(f"entry offset {entry:#x} outside code")
         self.pc = CODE_BASE + entry
         self.regs[2] = len(mem) & ~0xF
         self.halted = False
+        self._code_end = code_end
         self._icache.clear()
 
     # -- decode ------------------------------------------------------------
 
     def decode(self, word):
-        """Decode against the base ISA plus whatever extensions are attached;
-        unclaimed custom opcodes are decode errors."""
-        ext = self._custom.get(word & 0x7F)
-        if ext is not None:
-            return ext.decode(word)
-        return isa.decode(word, allow_custom=False)
+        """Decode one word; shatr is a decode error unless a round unit is
+        attached."""
+        inst = isa.decode(word)
+        if inst.category == CUSTOM and self.round_unit is None:
+            raise DecodeError(f"custom-0 opcode not claimed: {word:#010x}")
+        return inst
 
     def _build(self, pc):
         if pc & 3:
@@ -361,19 +374,14 @@ class Machine:
         word = int.from_bytes(self.memory[pc:pc + 4], "little")
         try:
             inst = self.decode(word)
-        except DecodeError as e:
-            raise DecodeError(f"at pc={pc:#x}: {e}") from None
+            ex = _build_executor(inst, self.round_unit)
+        except (DecodeError, CsrFault) as e:
+            raise type(e)(f"at pc={pc:#x}: {e}") from None
         cost = self.cost_model.base_cycles_per_instruction
         if inst.category == CUSTOM:
-            ext = self._custom[word & 0x7F]
-            def ex(m, ext=ext, inst=inst):
-                ext.execute(m, inst)
-                m.pc += 4
             cost = self.cost_model.shatr_cycles
-        else:
-            ex = _build_executor(inst)
-            if inst.category in ("mem_read", "mem_write"):
-                cost += self.cost_model.extra_mem_access_cycles
+        elif inst.category in (MEM_READ, MEM_WRITE):
+            cost += self.cost_model.extra_mem_access_cycles
         entry = (ex, CATEGORY_INDEX[inst.category], cost)
         self._icache[pc] = entry
         return entry
@@ -403,7 +411,7 @@ class Machine:
             self._active = list(self._open_regions.values())
         elif fn == 3:
             addr, length = a0, self.regs[11]
-            if length < 0 or addr + length > len(self.memory):
+            if addr + length > len(self.memory):
                 raise HypercallFault(
                     f"emit of {length} bytes at {addr:#x} outside memory")
             self.emitted.append(bytes(self.memory[addr:addr + length]))
@@ -416,30 +424,26 @@ class Machine:
         """Fetch, decode, execute, and account exactly one instruction."""
         if self.halted:
             raise EmulatorError("machine is halted")
-        entry = self._icache.get(self.pc)
-        if entry is None:
-            entry = self._build(self.pc)
-        ex, cat, cost = entry
-        ex(self)
-        stats = self.stats
-        stats._counts[cat] += 1
-        stats.total_cycles += cost
-        if self._active and cat != _OTHER_IDX:
-            for counts in self._active:
-                counts[cat] += 1
+        self._execute(1)
 
     def run(self, max_instructions=None):
         """Run until the guest exits; returns the exit status. Raises
         BudgetExceeded once max_instructions have retired without an exit."""
+        self._execute(math.inf if max_instructions is None else max_instructions)
+        if not self.halted:
+            raise BudgetExceeded(
+                f"budget of {max_instructions} instructions exhausted "
+                f"(pc={self.pc:#x})")
+        return self.exit_status
+
+    def _execute(self, budget):
+        """Fetch, decode, execute, and account instructions until the guest
+        halts or `budget` of them have retired."""
         icache = self._icache
         stats = self.stats
         counts = stats._counts
         retired = 0
-        while not self.halted:
-            if max_instructions is not None and retired >= max_instructions:
-                raise BudgetExceeded(
-                    f"budget of {max_instructions} instructions exhausted "
-                    f"(pc={self.pc:#x})")
+        while retired < budget and not self.halted:
             entry = icache.get(self.pc)
             if entry is None:
                 entry = self._build(self.pc)
@@ -451,21 +455,3 @@ class Machine:
             if self._active and cat != _OTHER_IDX:
                 for rc in self._active:
                     rc[cat] += 1
-        return self.exit_status
-
-    # -- csr routing -------------------------------------------------------
-
-    def _csr_access(self, addr, op, operand):
-        for lo, hi, ext in self._csr_ranges:
-            if lo <= addr <= hi:
-                return ext.csr_access(self, addr, op, operand)
-        if addr in self.csrs:
-            old = self.csrs[addr]
-            if op == "swap":
-                self.csrs[addr] = operand
-            elif op == "set":
-                self.csrs[addr] = old | operand
-            elif op == "clear":
-                self.csrs[addr] = old & ~operand & _M64
-            return old
-        raise CsrFault(f"unclaimed csr {addr:#x} (pc={self.pc:#x})")

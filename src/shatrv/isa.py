@@ -26,6 +26,10 @@ CATEGORY_INDEX = {name: i for i, name in enumerate(CATEGORIES)}
 OPCODE_CUSTOM0 = 0x0B
 SHATR_MNEMONIC = "shatr"
 ECALL_WORD = 0x00000073
+# the shatr unit's lane register file: lane i (state index 5*y + x) is CSR
+# LANE_CSR_BASE + i
+LANE_CSR_BASE = 0x800
+LANE_CSR_LAST = LANE_CSR_BASE + 24
 
 
 class DecodeError(Exception):
@@ -109,7 +113,7 @@ def _imm_j(word):
     return sign_extend(v, 21)
 
 
-def decode(word, *, allow_custom=True):
+def decode(word):
     """Decode one 32-bit word. Raises DecodeError for anything outside the
     supported set; never raises anything else on arbitrary 32-bit input."""
     if not 0 <= word < (1 << 32):
@@ -187,8 +191,6 @@ def decode(word, *, allow_custom=True):
             return DecodedInstruction(word, name, CSR, rd=rd, imm=rs1, csr=csr)
         raise DecodeError(f"bad system funct3 {f3}: {word:#010x}")
     if opcode == OPCODE_CUSTOM0:
-        if not allow_custom:
-            raise DecodeError(f"custom-0 opcode not claimed: {word:#010x}")
         if f3 != 0 or f7 != 0 or rd != 0 or rs2 != 0:
             raise DecodeError(f"bad {SHATR_MNEMONIC} funct/rd/rs2 bits: {word:#010x}")
         return DecodedInstruction(word, SHATR_MNEMONIC, CUSTOM, rs1=rs1)

@@ -13,10 +13,14 @@ Encoding sheet (R-type on the custom-0 opcode):
 CSR map: lane i (state index 5*y + x) is CSR 0x800 + i, for i = 0..24.
 The lanes are ordinary 64-bit CSRs: csrrw swaps a whole lane, csrrs/csrrc
 set and clear bits, and the usual rs1=x0 forms give pure reads.
+
+The encoding and the lane CSR range are defined in isa; this module
+re-exports them under the unit's names.
 """
 
 from . import isa
-from .emulator import IllegalOperand
+from .emulator import IllegalOperand, RegistrationError
+from .isa import LANE_CSR_BASE, LANE_CSR_LAST, OPCODE_CUSTOM0 as SHATR_OPCODE
 from .keccak import keccak_round
 
 __all__ = [
@@ -24,28 +28,17 @@ __all__ = [
     "KeccakRoundUnit", "attach", "encode_shatr",
 ]
 
-SHATR_OPCODE = isa.OPCODE_CUSTOM0
-LANE_CSR_BASE = 0x800
-LANE_CSR_LAST = LANE_CSR_BASE + 24
-
 
 def encode_shatr(rs1):
     return isa.encode("shatr", rs1=rs1)
 
 
 class KeccakRoundUnit:
-    """The lane register file plus the shatr executor, attachable to a
-    Machine via register_extension (or the attach() helper)."""
-
-    custom_opcode = SHATR_OPCODE
-    csr_range = (LANE_CSR_BASE, LANE_CSR_LAST)
+    """The lane register file plus the shatr executor; attach() gives a
+    Machine its one unit."""
 
     def __init__(self):
         self.lanes = [0] * 25
-
-    def decode(self, word):
-        # isa.decode enforces the zero funct7/rs2/funct3/rd constraint
-        return isa.decode(word)
 
     def execute(self, machine, inst):
         round_index = machine.regs[inst.rs1]
@@ -55,20 +48,17 @@ class KeccakRoundUnit:
                 f"(pc={machine.pc:#x})")
         self.lanes = keccak_round(self.lanes, round_index)
 
-    def csr_access(self, machine, addr, op, operand):
-        i = addr - LANE_CSR_BASE
-        old = self.lanes[i]
-        if op == "swap":
-            self.lanes[i] = operand
-        elif op == "set":
-            self.lanes[i] = old | operand
-        elif op == "clear":
-            self.lanes[i] = old & ~operand
+    def csr_access(self, index, rmw, operand):
+        """Replace lane `index` with rmw(old, operand); returns the old value."""
+        old = self.lanes[index]
+        self.lanes[index] = rmw(old, operand)
         return old
 
 
 def attach(machine):
-    """Create a fresh unit, register it on the machine, and return it."""
-    unit = KeccakRoundUnit()
-    machine.register_extension(unit)
+    """Give the machine a fresh unit and return it. A machine holds at most
+    one unit, so a second attach raises RegistrationError."""
+    if machine.round_unit is not None:
+        raise RegistrationError("a round unit is already attached")
+    machine.round_unit = unit = KeccakRoundUnit()
     return unit

@@ -238,6 +238,14 @@ def test_criterion_7_benchmark_determinism(bench_twice):
     _ok(7, "two full benchmark runs emit byte-identical JSON")
 
 
+def test_bundled_report_hash_is_golden(bench_twice):
+    # A change to the bundled report's bytes must be deliberate: update this
+    # hash only together with a CHANGES.md line that explains the new bytes.
+    blob = bench_twice[1]
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "594879a709106d4667e28c62bb482324c9ce0a8ee5fc05931c042ef527415704"
+
+
 def test_criterion_8_suite_runtime():
     elapsed = time.monotonic() - _T0
     assert elapsed < 300.0, f"acceptance suite took {elapsed:.1f}s"

@@ -9,8 +9,8 @@ from shatrv import isa
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError,
     EmulatorError, HypercallFault, LoadError, Machine, MemoryFault,
-    RegistrationError,
 )
+from shatrv.shatr import attach
 
 MEM = 1 << 16  # plenty for unit tests, cheap to allocate
 
@@ -304,6 +304,43 @@ class TestMemorySemantics:
             m.run()
         assert "0xfffffffffffffff8" in str(e.value)
 
+    def test_store_over_executed_code_faults(self):
+        # patch the already-run first instruction to addi a0, zero, 7 and
+        # jump back to it: cached decodes would run the stale addi a0, zero, 1
+        patch = addi(10, 0, 7)
+        ws = [
+            addi(10, 0, 1),                           # 0x1000: a0 = 1
+            enc_u(0x37, 5, patch >> 12),              # t0 = patch word
+            addi(5, 5, patch & 0xFFF),
+            enc_u(0x37, 6, CODE_BASE >> 12),          # t1 = CODE_BASE
+            enc_s(0x23, 2, 6, 5, 0),                  # sw t0, 0(t1)
+            enc_j(0x6F, 0, -20),                      # j 0x1000
+        ]
+        m = Machine(memory_size=MEM)
+        m.load_program(image(ws))
+        with pytest.raises(MemoryFault, match="code"):
+            m.run(max_instructions=100)
+        assert m.pc == CODE_BASE + 16
+        assert m.memory[CODE_BASE:CODE_BASE + 4] == image(ws[:1])
+
+    @pytest.mark.parametrize("f3, offset, faults", [
+        (3, -8, False),     # sd ending right at CODE_BASE
+        (0, -1, False),     # sb on the byte below CODE_BASE
+        (0, 0, True),       # sb on the first code byte
+        (3, 24, True),      # sd over the last two code words
+        (2, 32, False),     # sw on the first word after the code
+    ])
+    def test_store_faults_exactly_on_code_overlap(self, f3, offset, faults):
+        ws = [enc_u(0x37, 1, CODE_BASE >> 12), enc_s(0x23, f3, 1, 0, offset),
+              addi(5, 0, 0), addi(5, 0, 0), addi(5, 0, 0)] + exit_seq()
+        m = Machine(memory_size=MEM)
+        m.load_program(image(ws))
+        if faults:
+            with pytest.raises(MemoryFault, match="code"):
+                m.run()
+        else:
+            assert m.run() == 0
+
     def test_fetch_outside_memory_faults(self):
         m = Machine(memory_size=MEM)
         # jump way past the end of memory
@@ -536,6 +573,28 @@ class TestLoader:
         m = Machine(memory_size=MEM)
         with pytest.raises(LoadError):
             m.load_program(Img())
+        assert not any(m.memory)
+
+    @pytest.mark.parametrize("addr, size, overlaps", [
+        (CODE_BASE - 8, 8, False),
+        (CODE_BASE - 4, 8, True),
+        (CODE_BASE + 8, 1, True),
+        (CODE_BASE + 12, 8, False),
+    ])
+    def test_data_segment_overlapping_code(self, addr, size, overlaps):
+        class Img:
+            code = image(exit_seq())          # 12 bytes
+            data_segments = [(addr, b"\x5A" * size)]
+            entry_offset = 0
+
+        m = Machine(memory_size=MEM)
+        if overlaps:
+            with pytest.raises(LoadError, match="overlaps the code"):
+                m.load_program(Img())
+            assert not any(m.memory)        # a rejected image loads nothing
+        else:
+            m.load_program(Img())
+            assert m.memory[addr:addr + size] == b"\x5A" * size
 
     def test_run_is_deterministic(self):
         ws = [addi(1, 0, 5), enc_u(0x37, 2, 2), enc_s(0x23, 3, 2, 1, 0),
@@ -553,17 +612,20 @@ class TestCsrAndExtensions:
         with pytest.raises(CsrFault):
             m.run()
 
-    def test_machine_owned_csr_swap_set_clear(self):
-        def setup(m):
-            m.csrs[0x700] = 0b1100
+    def test_lane_csr_swap_set_clear(self):
+        def setup(m):   # attached after load_program, before the first CSR op
+            attach(m).lanes[5] = 0b1100
 
         ws = [
             addi(2, 0, 0b0110),
-            enc_i(0x73, 1, 1, 2, 0x700),   # csrrw x1 (old 1100), write 0110
-            enc_i(0x73, 3, 2, 0, 0x700),   # csrrs x3 read-only (rs1=x0)
-            enc_i(0x73, 4, 6, 1, 0x700),   # csrrsi set 0b00001
-            enc_i(0x73, 5, 7, 2, 0x700),   # csrrci clear 0b00010
-            enc_i(0x73, 6, 2, 0, 0x700),   # read back
+            enc_i(0x73, 1, 1, 2, 0x805),   # csrrw x1 (old 1100), write 0110
+            enc_i(0x73, 3, 2, 0, 0x805),   # csrrs x3 read-only (rs1=x0)
+            enc_i(0x73, 4, 6, 1, 0x805),   # csrrsi set 0b00001
+            enc_i(0x73, 5, 7, 2, 0x805),   # csrrci clear 0b00010
+            enc_i(0x73, 6, 2, 0, 0x805),   # read back
+            addi(7, 0, 0b0100),
+            enc_i(0x73, 8, 3, 7, 0x805),   # csrrc clear 0b00100
+            enc_i(0x73, 9, 5, 3, 0x805),   # csrrwi x9 (old 0001), write 0b00011
         ] + exit_seq()
         m = run_words(ws, setup=setup)
         assert m.regs[1] == 0b1100
@@ -571,25 +633,9 @@ class TestCsrAndExtensions:
         assert m.regs[4] == 0b0110
         assert m.regs[5] == 0b0111
         assert m.regs[6] == 0b0101
-
-    def test_extension_claim_conflicts(self):
-        class Ext:
-            custom_opcode = 0x0B
-            csr_range = (0x800, 0x818)
-            def decode(self, word): raise DecodeError("stub")
-            def execute(self, machine, inst): pass
-            def csr_access(self, machine, addr, op, operand): return 0
-
-        class Overlapping(Ext):
-            custom_opcode = 0x2B
-            csr_range = (0x810, 0x820)
-
-        m = Machine(memory_size=MEM)
-        m.register_extension(Ext())
-        with pytest.raises(RegistrationError):
-            m.register_extension(Ext())
-        with pytest.raises(RegistrationError):
-            m.register_extension(Overlapping())
+        assert m.regs[8] == 0b0101
+        assert m.regs[9] == 0b0001
+        assert m.round_unit.lanes[5] == 0b0011
 
     def test_step_and_halted_guard(self):
         m = Machine(memory_size=MEM)

@@ -215,21 +215,11 @@ class TestIsolation:
         m.memory[0x4000:0x4010] = bytes(range(16))
         regs_before = list(m.regs)
         mem_before = bytes(m.memory)
-        csrs_before = dict(m.csrs)
         pc_before = m.pc
         m.step()
         assert m.regs == regs_before
         assert bytes(m.memory) == mem_before
-        assert m.csrs == csrs_before
         assert m.pc == pc_before + 4
-
-    def test_lane_csrs_do_not_leak_into_machine_csr_file(self):
-        m, unit = machine_with_unit(
-            [isa.encode("csrrw", rd=0, rs1=6, csr=0x805)] + exit_seq())
-        m.regs[6] = 77
-        m.step()
-        assert m.csrs == {}
-        assert unit.lanes[5] == 77
 
 
 class TestAttachment:
