@@ -1,9 +1,11 @@
 """Benchmark harness: runs known-answer vectors through the guest
 kernels, checks digests, and aggregates instruction statistics.
 
-Every vector runs on a fresh machine per strategy.  A digest mismatch or
-guest fault never aborts the batch; it lands in that vector's outcome and
-the report's pass/fail/error tallies.  Vector classes follow the source
+Every vector runs on a fresh machine per strategy; the machines of one
+run_benchmark call share one translation cache, so each kernel is
+translated once per call.  A digest mismatch or guest fault never aborts
+the batch; it lands in that vector's outcome and the report's
+pass/fail/error tallies.  Vector classes follow the source
 file identity (ShortMsg/LongMsg in the name) when present, else a
 1024-bit threshold on the message length.
 
@@ -16,7 +18,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .emulator import CostModel, EmulatorError, Machine
+from .emulator import CostModel, EmulatorError, Machine, Translations
 from .isa import CATEGORIES
 from .kernels import STRATEGIES, GuestLayout, generate_kernel
 from .shatr import attach
@@ -91,9 +93,11 @@ class BenchReport:
     outcomes: list
 
 
-def _run_one(kernel, strategy, vector, layout, memory_size, cost_model, budget):
+def _run_one(kernel, strategy, vector, layout, memory_size, cost_model, budget,
+             translations):
     """Run one vector on a fresh machine; returns (status, detail, machine)."""
-    m = Machine(memory_size=memory_size, cost_model=cost_model)
+    m = Machine(memory_size=memory_size, cost_model=cost_model,
+                translations=translations)
     if strategy == "shatr":
         attach(m)
     m.load_program(kernel)
@@ -124,12 +128,15 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
     strategies = tuple(s for s in STRATEGIES if s in strategies)
+    if budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget}")
     if cost_model is None:
         cost_model = CostModel()
     if layout is None:
         layout = GuestLayout()
 
     kernels = {}
+    translations = Translations()
     groups = {}
     outcomes = []
     indices = {}
@@ -145,7 +152,7 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                     kernels[key] = generate_kernel(strategy, vs.variant, layout)
                 status, detail, m = _run_one(
                     kernels[key], strategy, vector, layout,
-                    memory_size, cost_model, budget)
+                    memory_size, cost_model, budget, translations)
                 stats = m.stats
                 outcomes.append(VectorOutcome(
                     vs.variant, strategy, msg_class, index, vector.length_bits,

@@ -10,8 +10,17 @@ hypercall ABI selected by a7:
     3: emit_digest   guest address in a0, byte length in a1
 
 Hypercall ecalls count globally (category "other") but never toward open
-region counters. Decoded instructions are cached by pc, so the loaded code
-is read-only: a store that overlaps it raises MemoryFault.
+region counters.
+
+Guest code is translated once and run one basic block at a time. A block
+is the executor closures from its entry pc through the first branch, jump
+or ecall; it carries its per-category counts and cycle sum, which are
+added once per run of the block. Regions change only at an ecall, which
+ends a block, so region counts stay exact. A Translations cache maps each
+instruction word to its executor and each (code bytes, unit attached,
+cost model) to its blocks by pc; machines that share one share the work.
+That is sound because guest code is fixed: instructions are fetched only
+from the loaded code, and a store that overlaps it raises MemoryFault.
 
 A stock machine decodes only RV64I+Zicsr and has no CSRs. shatr.attach()
 fills its one round-unit slot, which brings the shatr instruction and the
@@ -19,26 +28,29 @@ lane CSRs 0x800..0x818, the only CSRs the machine has.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import isa
 from .isa import (
-    CATEGORIES, CATEGORY_INDEX, CUSTOM, LANE_CSR_BASE, LANE_CSR_LAST,
-    MEM_READ, MEM_WRITE, DecodeError,
+    BRANCH, CATEGORIES, CATEGORY_INDEX, CUSTOM, LANE_CSR_BASE, LANE_CSR_LAST,
+    MEM_READ, MEM_WRITE, OTHER, DecodeError,
 )
 
 __all__ = [
     "CODE_BASE", "DEFAULT_MEMORY_SIZE", "CostModel", "ExecutionStats",
-    "Machine", "EmulatorError", "DecodeError", "MemoryFault", "CsrFault",
-    "HypercallFault", "IllegalOperand", "RegistrationError", "LoadError",
-    "BudgetExceeded",
+    "Machine", "Translations", "EmulatorError", "DecodeError", "MemoryFault",
+    "CsrFault", "HypercallFault", "IllegalOperand", "RegistrationError",
+    "LoadError", "BudgetExceeded",
 ]
 
 CODE_BASE = 0x1000
 DEFAULT_MEMORY_SIZE = 16 * 1024 * 1024
 
 _M64 = (1 << 64) - 1
-_OTHER_IDX = CATEGORY_INDEX["other"]
+_OTHER_IDX = CATEGORY_INDEX[OTHER]
+# a block ends after a branch, jal, jalr (category branch) or ecall (other)
+_ENDS_BLOCK = frozenset((CATEGORY_INDEX[BRANCH], _OTHER_IDX))
 
 
 class EmulatorError(Exception):
@@ -73,11 +85,28 @@ class BudgetExceeded(EmulatorError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostModel:
+    """Cycles per retired instruction. Frozen, because translated blocks
+    carry cycle sums and are cached under the model."""
     base_cycles_per_instruction: int = 1
     extra_mem_access_cycles: int = 0
     shatr_cycles: int = 1
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ValueError(f"{f.name} must not be negative, got {value}")
+
+    def category_cycles(self):
+        """Cycles of one instruction of each category, indexed like
+        CATEGORIES: shatr costs shatr_cycles instead of the base."""
+        base = self.base_cycles_per_instruction
+        mem = base + self.extra_mem_access_cycles
+        return tuple(self.shatr_cycles if c == CUSTOM
+                     else mem if c in (MEM_READ, MEM_WRITE) else base
+                     for c in CATEGORIES)
 
 
 class ExecutionStats:
@@ -172,9 +201,11 @@ _CSR_RMW = {
 _CSR_RMW.update({name + "i": rmw for name, rmw in tuple(_CSR_RMW.items())})
 
 
-def _build_executor(inst, unit):
+def _build_executor(inst, attached):
     """Compile one decoded instruction to a closure mutating the machine.
-    `unit` is the machine's round unit, or None on a stock machine."""
+    `attached` says whether the machine has a round unit; the closure
+    reaches the unit through machine.round_unit when it runs, so it holds
+    nothing of one machine and any machine with a unit may run it."""
     name = inst.mnemonic
     rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
 
@@ -284,28 +315,70 @@ def _build_executor(inst, unit):
 
     rmw = _CSR_RMW.get(name)
     if rmw is not None:
-        if unit is None or not LANE_CSR_BASE <= inst.csr <= LANE_CSR_LAST:
+        if not attached or not LANE_CSR_BASE <= inst.csr <= LANE_CSR_LAST:
             raise CsrFault(f"unclaimed csr {inst.csr:#x}")
         reg_form = name in isa._CSR_REG
         def ex(m, rd=rd, rs1=rs1, imm=imm, index=inst.csr - LANE_CSR_BASE,
-               rmw=rmw, reg_form=reg_form, access=unit.csr_access):
-            old = access(index, rmw, m.regs[rs1] if reg_form else imm)
+               rmw=rmw, reg_form=reg_form):
+            old = m.round_unit.csr_access(
+                index, rmw, m.regs[rs1] if reg_form else imm)
             if rd:
                 m.regs[rd] = old
             m.pc += 4
         return ex
 
     if inst.category == CUSTOM:
-        def ex(m, inst=inst, execute=unit.execute):
-            execute(m, inst)
+        def ex(m, inst=inst):
+            m.round_unit.execute(m, inst)
             m.pc += 4
         return ex
 
     raise DecodeError(f"no executor for mnemonic {name!r}")
 
 
+class _Block(NamedTuple):
+    """A translated basic block and what one run of it retires."""
+    executors: tuple
+    categories: tuple       # category index of each instruction
+    length: int
+    cycles: int
+    counts: tuple           # (category index, count) pairs
+    region_counts: tuple    # the same without "other", which regions skip
+
+
+def _block(executors, categories, cycles):
+    """Bundle executors with their accounting; `cycles` is
+    CostModel.category_cycles()."""
+    totals = [0] * len(CATEGORIES)
+    for cat in categories:
+        totals[cat] += 1
+    counts = tuple((cat, n) for cat, n in enumerate(totals) if n)
+    return _Block(tuple(executors), tuple(categories), len(categories),
+                  sum(cycles[cat] for cat in categories), counts,
+                  tuple(c for c in counts if c[0] != _OTHER_IDX))
+
+
+class Translations:
+    """Translation cache for machines that run the same code, such as the
+    machines of one benchmark run. Every (instruction word, unit attached)
+    maps to its (executor, category index), and every (code bytes, unit
+    attached, cost model) to its table of blocks by entry pc. Entries hold
+    nothing of a machine, so any machine whose key matches may run them."""
+
+    def __init__(self):
+        self.words = {}
+        self._tables = {}
+
+    def blocks(self, code, attached, cost_model):
+        """The table of blocks, by entry pc, for this key."""
+        return self._tables.setdefault((code, attached, cost_model), {})
+
+
 class Machine:
-    def __init__(self, memory_size=DEFAULT_MEMORY_SIZE, cost_model=None):
+    def __init__(self, memory_size=DEFAULT_MEMORY_SIZE, cost_model=None,
+                 translations=None):
+        """`translations` shares a Translations cache with other machines;
+        by default the machine gets a private one."""
         if memory_size < CODE_BASE + 4:
             raise ValueError(f"memory too small: {memory_size}")
         self.memory = bytearray(memory_size)
@@ -317,8 +390,10 @@ class Machine:
         self.stats = ExecutionStats()
         self.emitted = []
         self.round_unit = None
+        self._translations = (translations if translations is not None
+                              else Translations())
+        self._code = b""
         self._code_end = CODE_BASE
-        self._icache = {}
         self._open_regions = {}
         self._active = []
 
@@ -341,7 +416,7 @@ class Machine:
         if not 0 <= entry < len(code):
             raise LoadError(f"entry offset {entry:#x} outside code")
         # check every segment before writing anything, so a rejected image
-        # leaves memory and the decode cache consistent
+        # leaves memory as it was
         for addr, blob in segments:
             if addr < 0 or addr + len(blob) > len(mem):
                 raise LoadError(f"data segment at {addr:#x} exceeds memory")
@@ -353,8 +428,8 @@ class Machine:
         self.pc = CODE_BASE + entry
         self.regs[2] = len(mem) & ~0xF
         self.halted = False
+        self._code = code
         self._code_end = code_end
-        self._icache.clear()
 
     # -- decode ------------------------------------------------------------
 
@@ -367,24 +442,46 @@ class Machine:
         return inst
 
     def _build(self, pc):
+        """Fetch the word at pc and translate it to (executor, category
+        index), decoding only words the cache has not seen. Only the
+        loaded code can be fetched."""
         if pc & 3:
             raise MemoryFault(f"misaligned instruction fetch at {pc:#x}")
-        if pc + 4 > len(self.memory):
-            raise MemoryFault(f"instruction fetch outside memory at {pc:#x}")
-        word = int.from_bytes(self.memory[pc:pc + 4], "little")
-        try:
-            inst = self.decode(word)
-            ex = _build_executor(inst, self.round_unit)
-        except (DecodeError, CsrFault) as e:
-            raise type(e)(f"at pc={pc:#x}: {e}") from None
-        cost = self.cost_model.base_cycles_per_instruction
-        if inst.category == CUSTOM:
-            cost = self.cost_model.shatr_cycles
-        elif inst.category in (MEM_READ, MEM_WRITE):
-            cost += self.cost_model.extra_mem_access_cycles
-        entry = (ex, CATEGORY_INDEX[inst.category], cost)
-        self._icache[pc] = entry
+        if pc < CODE_BASE or pc + 4 > self._code_end:
+            raise MemoryFault(
+                f"instruction fetch outside the loaded code at {pc:#x}")
+        # the loaded code, which the cache is keyed by, equals memory there
+        # since stores into it fault
+        offset = pc - CODE_BASE
+        word = int.from_bytes(self._code[offset:offset + 4], "little")
+        attached = self.round_unit is not None
+        words = self._translations.words
+        entry = words.get((word, attached))
+        if entry is None:
+            try:
+                inst = self.decode(word)
+                ex = _build_executor(inst, attached)
+            except (DecodeError, CsrFault) as e:
+                raise type(e)(f"at pc={pc:#x}: {e}") from None
+            entry = words[word, attached] = (ex, CATEGORY_INDEX[inst.category])
         return entry
+
+    def _translate(self, pc, cycles):
+        """Translate the block at pc: through the first branch, jump or
+        ecall, and short of a word that does not fetch or decode (it
+        faults once the guest reaches it)."""
+        executors, cats = [], []
+        ex, cat = self._build(pc)
+        while True:
+            executors.append(ex)
+            cats.append(cat)
+            if cat in _ENDS_BLOCK:
+                return _block(executors, cats, cycles)
+            pc += 4
+            try:
+                ex, cat = self._build(pc)
+            except (MemoryFault, CsrFault, DecodeError):
+                return _block(executors, cats, cycles)
 
     # -- hypercalls --------------------------------------------------------
 
@@ -437,21 +534,47 @@ class Machine:
         return self.exit_status
 
     def _execute(self, budget):
-        """Fetch, decode, execute, and account instructions until the guest
-        halts or `budget` of them have retired."""
-        icache = self._icache
+        """Run blocks until the guest halts or `budget` instructions have
+        retired. Once the next block would overrun the budget, go on one
+        instruction at a time, so the budget stops at the same instruction
+        as a run of step()s; a budget of one never needs a block, so
+        step() builds none."""
+        cycles = self.cost_model.category_cycles()
+        blocks = self._translations.blocks(
+            self._code, self.round_unit is not None, self.cost_model)
         stats = self.stats
         counts = stats._counts
         retired = 0
+        stepping = budget <= 1
         while retired < budget and not self.halted:
-            entry = icache.get(self.pc)
-            if entry is None:
-                entry = self._build(self.pc)
-            ex, cat, cost = entry
-            ex(self)
-            counts[cat] += 1
-            stats.total_cycles += cost
-            retired += 1
-            if self._active and cat != _OTHER_IDX:
-                for rc in self._active:
-                    rc[cat] += 1
+            start = self.pc
+            if stepping:
+                ex, cat = self._build(start)
+                block = _block((ex,), (cat,), cycles)
+            else:
+                block = blocks.get(start)
+                if block is None:
+                    block = blocks[start] = self._translate(start, cycles)
+                if block.length > budget - retired:
+                    stepping = True
+                    continue
+            # regions change only at the ecall that ends a block
+            active = self._active
+            try:
+                for ex in block.executors:
+                    ex(self)
+            except BaseException:
+                # an executor faults before it moves pc: account only the
+                # instructions before the faulting one
+                done = (self.pc - start) >> 2
+                block = _block(block.executors[:done],
+                               block.categories[:done], cycles)
+                raise
+            finally:
+                retired += block.length
+                stats.total_cycles += block.cycles
+                for cat, n in block.counts:
+                    counts[cat] += n
+                for rc in active:
+                    for cat, n in block.region_counts:
+                        rc[cat] += n

@@ -114,6 +114,19 @@ class TestBench:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--shatr-cycles", "-5"], "shatr_cycles"),
+        (["--mem-latency", "-1"], "extra_mem_access_cycles"),
+        (["--budget", "-1"], "budget"),
+    ])
+    def test_negative_cost_or_budget_exits_2(self, capsys, good_rsp, flags, field):
+        rc = main(["bench", "--vectors", str(good_rsp), "--strategy", "shatr",
+                   "--variant", "sha3-256"] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err and "negative" in captured.err
+
 
 class TestGenKernels:
     def test_writes_all_combinations(self, capsys, tmp_path):

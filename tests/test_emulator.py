@@ -1,6 +1,7 @@
 """RV64 interpreter: decode fields against hand-packed words, semantics
 against hand-computed values, accounting and fault behavior."""
 
+import dataclasses
 import random
 
 import pytest
@@ -348,6 +349,33 @@ class TestMemorySemantics:
         with pytest.raises(MemoryFault):
             m.run()
 
+    def test_fetch_from_a_data_segment_faults(self):
+        # a function in a data segment (addi a0, zero, 1; ret), called,
+        # patched to addi a0, zero, 7 and called again would exit 1 from a
+        # pc-keyed cache; only the loaded code can be fetched
+        patch = addi(10, 0, 7)
+
+        class Img:
+            code = image([
+                enc_u(0x37, 5, 0x8000 >> 12),         # t0 = 0x8000
+                enc_i(0x67, 1, 0, 5, 0),              # call t0
+                enc_u(0x37, 6, patch >> 12),          # t1 = patch word
+                addi(6, 6, patch & 0xFFF),
+                enc_s(0x23, 2, 5, 6, 0),              # sw t1, 0(t0)
+                enc_i(0x67, 1, 0, 5, 0),              # call t0 again
+                addi(17, 0, 0), ECALL,                # exit a0
+            ])
+            data_segments = [(0x8000, image([addi(10, 0, 1),
+                                             enc_i(0x67, 0, 0, 1, 0)]))]
+            entry_offset = 0
+
+        m = Machine(memory_size=MEM)
+        m.load_program(Img())
+        with pytest.raises(MemoryFault, match="0x8000"):
+            m.run()
+        assert m.pc == 0x8000
+        assert m.stats.total_retired == 2
+
 
 class TestControlFlow:
     def test_branch_taken_and_not(self):
@@ -532,6 +560,15 @@ class TestAccounting:
         ws += exit_seq()
         m = run_words(ws, cost=CostModel(extra_mem_access_cycles=3))
         assert m.stats.total_cycles == m.stats.total_retired + 3 * 2
+
+    @pytest.mark.parametrize("field", [
+        "base_cycles_per_instruction", "extra_mem_access_cycles", "shatr_cycles"])
+    def test_cost_model_is_frozen_and_rejects_negatives(self, field):
+        with pytest.raises(ValueError, match=field):
+            CostModel(**{field: -1})
+        cm = CostModel(**{field: 0})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cm, field, 2)
 
     def test_budget_exhaustion(self):
         m = Machine(memory_size=MEM)
