@@ -28,13 +28,15 @@ lane CSRs 0x800..0x818, the only CSRs the machine has.
 """
 
 import math
+import operator
+import struct
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import isa
 from .isa import (
     BRANCH, CATEGORIES, CATEGORY_INDEX, CUSTOM, LANE_CSR_BASE, LANE_CSR_LAST,
-    MEM_READ, MEM_WRITE, OTHER, DecodeError,
+    MEM_READ, MEM_WRITE, OTHER, DecodeError, EmulatorError,
 )
 
 __all__ = [
@@ -51,10 +53,6 @@ _M64 = (1 << 64) - 1
 _OTHER_IDX = CATEGORY_INDEX[OTHER]
 # a block ends after a branch, jal, jalr (category branch) or ecall (other)
 _ENDS_BLOCK = frozenset((CATEGORY_INDEX[BRANCH], _OTHER_IDX))
-
-
-class EmulatorError(Exception):
-    """Base for everything the machine can raise while running."""
 
 
 class MemoryFault(EmulatorError):
@@ -152,11 +150,11 @@ _ALU_REG = {
     "sll": lambda a, b: (a << (b & 63)) & _M64,
     "slt": lambda a, b: 1 if _signed(a) < _signed(b) else 0,
     "sltu": lambda a, b: 1 if a < b else 0,
-    "xor": lambda a, b: a ^ b,
+    "xor": operator.xor,
     "srl": lambda a, b: a >> (b & 63),
     "sra": lambda a, b: (_signed(a) >> (b & 63)) & _M64,
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
+    "or": operator.or_,
+    "and": operator.and_,
     "addw": lambda a, b: _wrap32(a + b),
     "subw": lambda a, b: _wrap32(a - b),
     "sllw": lambda a, b: _wrap32(a << (b & 31)),
@@ -164,15 +162,16 @@ _ALU_REG = {
     "sraw": lambda a, b: _wrap32(_signed32(a) >> (b & 31)),
 }
 
+# the immediate reaches op as its 64-bit image, masked once at build time
 _ALU_IMM = {
     "addi": lambda a, imm: (a + imm) & _M64,
-    "slti": lambda a, imm: 1 if _signed(a) < imm else 0,
-    "sltiu": lambda a, imm: 1 if a < (imm & _M64) else 0,
-    "xori": lambda a, imm: (a ^ imm) & _M64,
-    "ori": lambda a, imm: (a | imm) & _M64,
-    "andi": lambda a, imm: (a & imm) & _M64,
+    "slti": lambda a, imm: 1 if _signed(a) < _signed(imm) else 0,
+    "sltiu": lambda a, imm: 1 if a < imm else 0,
+    "xori": operator.xor,
+    "ori": operator.or_,
+    "andi": operator.and_,
     "slli": lambda a, imm: (a << imm) & _M64,
-    "srli": lambda a, imm: a >> imm,
+    "srli": operator.rshift,
     "srai": lambda a, imm: (_signed(a) >> imm) & _M64,
     "addiw": lambda a, imm: _wrap32(a + imm),
     "slliw": lambda a, imm: _wrap32(a << imm),
@@ -189,7 +188,16 @@ _BRANCH_COND = {
     "bgeu": lambda a, b: a >= b,
 }
 
-_LOAD_SIGNED = {"lb", "lh", "lw", "ld"}
+# one little-endian struct per access width; the signed formats sign-extend
+# and `& _M64` gives the register image
+_LOAD_STRUCT = {name: struct.Struct(fmt) for name, fmt in (
+    ("lb", "<b"), ("lh", "<h"), ("lw", "<i"), ("ld", "<Q"),
+    ("lbu", "<B"), ("lhu", "<H"), ("lwu", "<I"))}
+_STORE_STRUCT = {name: struct.Struct(fmt) for name, fmt in (
+    ("sb", "<B"), ("sh", "<H"), ("sw", "<I"), ("sd", "<Q"))}
+# struct's errors for an access past the end of memory; from 2**63 up,
+# unpack_from raises OverflowError and pack_into IndexError
+_OUTSIDE_MEMORY = (struct.error, OverflowError, IndexError)
 
 # new CSR value from (old value, operand); the immediate forms share the
 # register forms' semantics
@@ -221,7 +229,7 @@ def _build_executor(inst, attached):
 
     op = _ALU_IMM.get(name)
     if op is not None:
-        def ex(m, rd=rd, rs1=rs1, imm=imm, op=op):
+        def ex(m, rd=rd, rs1=rs1, imm=imm & _M64, op=op):
             r = m.regs
             v = op(r[rs1], imm)
             if rd:
@@ -229,43 +237,44 @@ def _build_executor(inst, attached):
             m.pc += 4
         return ex
 
-    if name in isa._LOADS:
-        size = isa.load_size(name)
-        signed = name in _LOAD_SIGNED
-        sbit = 1 << (size * 8 - 1)
-        def ex(m, rd=rd, rs1=rs1, imm=imm, size=size, signed=signed, sbit=sbit):
+    load = _LOAD_STRUCT.get(name)
+    if load is not None:
+        def ex(m, rd=rd, rs1=rs1, imm=imm, size=load.size, align=load.size - 1,
+               unpack=load.unpack_from):
             addr = (m.regs[rs1] + imm) & _M64
-            if addr % size:
+            if addr & align:
                 raise MemoryFault(
                     f"misaligned {size}-byte load at {addr:#x} (pc={m.pc:#x})")
-            mem = m.memory
-            if addr + size > len(mem):
+            try:
+                v = unpack(m.memory, addr)[0] & _M64
+            except _OUTSIDE_MEMORY:
                 raise MemoryFault(
-                    f"load outside memory at {addr:#x} (pc={m.pc:#x})")
-            v = int.from_bytes(mem[addr:addr + size], "little")
-            if signed and v & sbit:
-                v = (v - (sbit << 1)) & _M64
+                    f"load outside memory at {addr:#x} (pc={m.pc:#x})") from None
             if rd:
                 m.regs[rd] = v
             m.pc += 4
         return ex
 
-    if name in isa._STORES:
-        size = isa.store_size(name)
-        def ex(m, rs1=rs1, rs2=rs2, imm=imm, size=size):
-            addr = (m.regs[rs1] + imm) & _M64
-            if addr % size:
+    store = _STORE_STRUCT.get(name)
+    if store is not None:
+        def ex(m, rs1=rs1, rs2=rs2, imm=imm, size=store.size,
+               align=store.size - 1, mask=(1 << 8 * store.size) - 1,
+               pack=store.pack_into):
+            r = m.regs
+            addr = (r[rs1] + imm) & _M64
+            if addr & align:
                 raise MemoryFault(
                     f"misaligned {size}-byte store at {addr:#x} (pc={m.pc:#x})")
-            mem = m.memory
-            if addr + size > len(mem):
-                raise MemoryFault(
-                    f"store outside memory at {addr:#x} (pc={m.pc:#x})")
-            if addr < m._code_end and addr + size > CODE_BASE:
+            # CODE_BASE and addr are size-aligned, so a store overlapping the
+            # code starts in it (one also past the end of memory is outside)
+            if CODE_BASE <= addr < m._code_end and addr + size <= len(m.memory):
                 raise MemoryFault(
                     f"store into loaded code at {addr:#x} (pc={m.pc:#x})")
-            mem[addr:addr + size] = (m.regs[rs2] & ((1 << (size * 8)) - 1)) \
-                .to_bytes(size, "little")
+            try:
+                pack(m.memory, addr, r[rs2] & mask)
+            except _OUTSIDE_MEMORY:
+                raise MemoryFault(
+                    f"store outside memory at {addr:#x} (pc={m.pc:#x})") from None
             m.pc += 4
         return ex
 

@@ -32,7 +32,11 @@ LANE_CSR_BASE = 0x800
 LANE_CSR_LAST = LANE_CSR_BASE + 24
 
 
-class DecodeError(Exception):
+class EmulatorError(Exception):
+    """Base for everything the machine can raise while running."""
+
+
+class DecodeError(EmulatorError):
     """Word does not encode a supported instruction."""
 
 
@@ -73,9 +77,6 @@ _SHIFT_IMM = {"slli": (1, 0x00), "srli": (5, 0x00), "srai": (5, 0x10)}
 _SHIFT_IMM_32 = {"slliw": (1, 0x00), "srliw": (5, 0x00), "sraiw": (5, 0x20)}
 _CSR_REG = {"csrrw": 1, "csrrs": 2, "csrrc": 3}
 _CSR_IMM = {"csrrwi": 5, "csrrsi": 6, "csrrci": 7}
-
-_LOAD_SIZES = {"lb": 1, "lh": 2, "lw": 4, "ld": 8, "lbu": 1, "lhu": 2, "lwu": 4}
-_STORE_SIZES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
 _BY_F3 = lambda table: {v: k for k, v in table.items()}
 _BRANCH_BY_F3 = _BY_F3(_BRANCHES)
@@ -287,11 +288,3 @@ def encode(mnemonic, rd=0, rs1=0, rs2=0, imm=0, csr=None):
     if mnemonic == SHATR_MNEMONIC:
         return (rs1 << 15) | OPCODE_CUSTOM0
     raise ValueError(f"unknown mnemonic: {mnemonic}")
-
-
-def load_size(mnemonic):
-    return _LOAD_SIZES[mnemonic]
-
-
-def store_size(mnemonic):
-    return _STORE_SIZES[mnemonic]

@@ -2,12 +2,14 @@
 deterministic report serialization."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
+from shatrv import bench
 from shatrv.bench import BenchReport, emit_report, run_benchmark
 from shatrv.cavp import CavpVector, CavpVectorSet, load_bundled
 from shatrv.emulator import CostModel
@@ -80,6 +82,25 @@ class TestRunBenchmark:
         assert statuses.count("pass") == 1
         g = report.groups[0]
         assert (g.passed, g.failed, g.errors) == (1, 1, 0)
+
+    def test_undecodable_word_is_an_error_not_an_abort(self, monkeypatch):
+        # the sha3-224 kernel starts with a word no decoder accepts; the
+        # sha3-256 vectors after it still run
+        real = bench.generate_kernel
+
+        def kernel(strategy, variant, layout=None):
+            k = real(strategy, variant, layout)
+            if variant == "sha3-224":
+                k = dataclasses.replace(k, code=bytes(4) + k.code[4:])
+            return k
+
+        monkeypatch.setattr(bench, "generate_kernel", kernel)
+        broken = make_set("sha3-224", [0, 17])
+        report = run_benchmark([broken, SMALL], strategies=("sw-mem",))
+        statuses = [(o.variant, o.status) for o in report.outcomes]
+        assert statuses == [("sha3-224", "error")] * 2 + [("sha3-256", "pass")] * 3
+        assert all("unsupported opcode" in o.detail
+                   for o in report.outcomes if o.status == "error")
 
     def test_budget_exhaustion_is_an_error_outcome(self):
         report = run_benchmark([SMALL], strategies=("sw-mem",), budget=100)
