@@ -13,12 +13,16 @@ Hypercall ecalls count globally (category "other") but never toward open
 region counters.
 
 Guest code is translated once and run one basic block at a time. A block
-is the executor closures from its entry pc through the first branch, jump
-or ecall; it carries its per-category counts and cycle sum, which are
-added once per run of the block. Regions change only at an ecall, which
-ends a block, so region counts stay exact. A Translations cache maps each
-instruction word to its executor and each (code bytes, unit attached,
-cost model) to its blocks by pc; machines that share one share the work.
+holds the instructions from its entry pc through the first branch, jump
+or ecall; each straight-line run of ALU, lui, load and store instructions
+in it is one executor that loops over their entries (step() runs one as
+a run of one), and every other instruction is a closure. A fault inside
+a run leaves pc at the faulting instruction and raises what a step()
+there would. A block carries its per-category counts and cycle sum, added
+once per run of the block. Regions change only at an ecall, which ends a
+block, so region counts stay exact. A Translations cache maps each word
+to its closure or entry and each (code bytes, unit attached, cost model)
+to its blocks by pc; machines that share one share the work.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -144,15 +148,16 @@ def _wrap32(v):
     return (v | 0xFFFFFFFF00000000) if v & (1 << 31) else v
 
 
+# raw results: a straight-line run masks each with `& _M64`
 _ALU_REG = {
-    "add": lambda a, b: (a + b) & _M64,
-    "sub": lambda a, b: (a - b) & _M64,
-    "sll": lambda a, b: (a << (b & 63)) & _M64,
-    "slt": lambda a, b: 1 if _signed(a) < _signed(b) else 0,
-    "sltu": lambda a, b: 1 if a < b else 0,
+    "add": operator.add,
+    "sub": operator.sub,
+    "sll": lambda a, b: a << (b & 63),
+    "slt": lambda a, b: _signed(a) < _signed(b),
+    "sltu": operator.lt,
     "xor": operator.xor,
     "srl": lambda a, b: a >> (b & 63),
-    "sra": lambda a, b: (_signed(a) >> (b & 63)) & _M64,
+    "sra": lambda a, b: _signed(a) >> (b & 63),
     "or": operator.or_,
     "and": operator.and_,
     "addw": lambda a, b: _wrap32(a + b),
@@ -164,15 +169,15 @@ _ALU_REG = {
 
 # the immediate reaches op as its 64-bit image, masked once at build time
 _ALU_IMM = {
-    "addi": lambda a, imm: (a + imm) & _M64,
-    "slti": lambda a, imm: 1 if _signed(a) < _signed(imm) else 0,
-    "sltiu": lambda a, imm: 1 if a < imm else 0,
+    "addi": operator.add,
+    "slti": lambda a, imm: _signed(a) < _signed(imm),
+    "sltiu": operator.lt,
     "xori": operator.xor,
     "ori": operator.or_,
     "andi": operator.and_,
-    "slli": lambda a, imm: (a << imm) & _M64,
+    "slli": operator.lshift,
     "srli": operator.rshift,
-    "srai": lambda a, imm: (_signed(a) >> imm) & _M64,
+    "srai": lambda a, imm: _signed(a) >> imm,
     "addiw": lambda a, imm: _wrap32(a + imm),
     "slliw": lambda a, imm: _wrap32(a << imm),
     "srliw": lambda a, imm: _wrap32((a & 0xFFFFFFFF) >> imm),
@@ -209,74 +214,103 @@ _CSR_RMW = {
 _CSR_RMW.update({name + "i": rmw for name, rmw in tuple(_CSR_RMW.items())})
 
 
-def _build_executor(inst, attached):
-    """Compile one decoded instruction to a closure mutating the machine.
-    `attached` says whether the machine has a round unit; the closure
-    reaches the unit through machine.round_unit when it runs, so it holds
-    nothing of one machine and any machine with a unit may run it."""
-    name = inst.mnemonic
-    rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
+_REG, _IMM, _LOAD, _STORE = range(4)   # kinds of a straight-line entry
 
+
+def _entry(inst):
+    """The pc-free straight-line entry of an ALU, lui, load or store, else
+    None: (kind, op, dest, rs1, operand, align, mask, at), where dest is
+    rs2 for a store, operand is rs2 for a register ALU op, else the
+    immediate, and at is 0 (a run sets an access's offset in it). An ALU
+    write to x0 changes nothing, so its entry is empty; a load into x0 is
+    kept, as its access can fault."""
+    name = inst.mnemonic
+    rd, rs1, imm = inst.rd, inst.rs1, inst.imm
     op = _ALU_REG.get(name)
     if op is not None:
-        def ex(m, rd=rd, rs1=rs1, rs2=rs2, op=op):
-            r = m.regs
-            v = op(r[rs1], r[rs2])
-            if rd:
-                r[rd] = v
-            m.pc += 4
-        return ex
-
+        return (_REG, op, rd, rs1, inst.rs2, 0, 0, 0) if rd else ()
     op = _ALU_IMM.get(name)
     if op is not None:
-        def ex(m, rd=rd, rs1=rs1, imm=imm & _M64, op=op):
-            r = m.regs
-            v = op(r[rs1], imm)
-            if rd:
-                r[rd] = v
-            m.pc += 4
-        return ex
-
+        return (_IMM, op, rd, rs1, imm & _M64, 0, 0, 0) if rd else ()
+    if name == "lui":   # x0 + the constant
+        value = (isa.sign_extend(imm, 20) << 12) & _M64
+        return (_IMM, operator.add, rd, 0, value, 0, 0, 0) if rd else ()
     load = _LOAD_STRUCT.get(name)
     if load is not None:
-        def ex(m, rd=rd, rs1=rs1, imm=imm, size=load.size, align=load.size - 1,
-               unpack=load.unpack_from):
-            addr = (m.regs[rs1] + imm) & _M64
-            if addr & align:
-                raise MemoryFault(
-                    f"misaligned {size}-byte load at {addr:#x} (pc={m.pc:#x})")
-            try:
-                v = unpack(m.memory, addr)[0] & _M64
-            except _OUTSIDE_MEMORY:
-                raise MemoryFault(
-                    f"load outside memory at {addr:#x} (pc={m.pc:#x})") from None
-            if rd:
-                m.regs[rd] = v
-            m.pc += 4
-        return ex
-
+        return (_LOAD, load.unpack_from, rd, rs1, imm, load.size - 1, 0, 0)
     store = _STORE_STRUCT.get(name)
     if store is not None:
-        def ex(m, rs1=rs1, rs2=rs2, imm=imm, size=store.size,
-               align=store.size - 1, mask=(1 << 8 * store.size) - 1,
-               pack=store.pack_into):
-            r = m.regs
-            addr = (r[rs1] + imm) & _M64
-            if addr & align:
-                raise MemoryFault(
-                    f"misaligned {size}-byte store at {addr:#x} (pc={m.pc:#x})")
-            # CODE_BASE and addr are size-aligned, so a store overlapping the
-            # code starts in it (one also past the end of memory is outside)
-            if CODE_BASE <= addr < m._code_end and addr + size <= len(m.memory):
-                raise MemoryFault(
-                    f"store into loaded code at {addr:#x} (pc={m.pc:#x})")
-            try:
-                pack(m.memory, addr, r[rs2] & mask)
-            except _OUTSIDE_MEMORY:
-                raise MemoryFault(
-                    f"store outside memory at {addr:#x} (pc={m.pc:#x})") from None
-            m.pc += 4
-        return ex
+        return (_STORE, store.pack_into, inst.rs2, rs1, imm, store.size - 1,
+                (1 << 8 * store.size) - 1, 0)
+
+
+def _memory_fault(m, pc, kind, size, addr):
+    """Point m at the access at pc that faulted and build its MemoryFault,
+    judging the checks in the order of the run: alignment, then for a store
+    the loaded code, then the end of memory."""
+    m.pc = pc
+    what = "store" if kind == _STORE else "load"
+    if addr & (size - 1):
+        why = f"misaligned {size}-byte {what}"
+    elif (kind == _STORE and CODE_BASE <= addr < m._code_end
+          and addr + size <= len(m.memory)):
+        why = "store into loaded code"
+    else:
+        why = f"{what} outside memory"
+    return MemoryFault(f"{why} at {addr:#x} (pc={pc:#x})")
+
+
+def _run(entries):
+    """One executor for a straight-line run: the entry of each instruction,
+    in order. It loads registers and memory once, executes the entries and
+    moves pc once, past the run; a fault leaves pc at the faulting access,
+    whose entry is copied to hold its offset (ALU entries are shared)."""
+    body = tuple([e if e[0] < _LOAD else e[:-1] + (4 * i,)
+                  for i, e in enumerate(entries) if e])
+    def ex(m, body=body, length=4 * len(entries)):
+        r = m.regs
+        mem = m.memory
+        pc = m.pc
+        for kind, op, d, s, x, align, mask, at in body:
+            if kind == _REG:
+                r[d] = op(r[s], r[x]) & _M64
+            elif kind == _IMM:
+                r[d] = op(r[s], x) & _M64
+            elif kind == _LOAD:
+                addr = (r[s] + x) & _M64
+                if addr & align:
+                    break
+                try:
+                    v = op(mem, addr)[0] & _M64
+                except _OUTSIDE_MEMORY:
+                    break
+                if d:
+                    r[d] = v
+            else:
+                addr = (r[s] + x) & _M64
+                # CODE_BASE and addr are size-aligned, so a store that
+                # overlaps the code starts in it
+                if addr & align or CODE_BASE <= addr < m._code_end:
+                    break
+                try:
+                    op(mem, addr, r[d] & mask)
+                except _OUTSIDE_MEMORY:
+                    break
+        else:
+            m.pc = pc + length
+            return
+        raise _memory_fault(m, pc + at, kind, align + 1, addr)
+    return ex
+
+
+def _closure(inst, attached):
+    """Compile an instruction without a straight-line entry to a closure
+    mutating the machine. `attached` says whether the machine has a round
+    unit; the closure reaches the unit through machine.round_unit when it
+    runs, so it holds nothing of one machine and any machine with a unit
+    may run it."""
+    name = inst.mnemonic
+    rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
 
     cond = _BRANCH_COND.get(name)
     if cond is not None:
@@ -298,14 +332,6 @@ def _build_executor(inst, attached):
             if rd:
                 m.regs[rd] = (m.pc + 4) & _M64
             m.pc = target
-        return ex
-
-    if name == "lui":
-        value = (isa.sign_extend(imm, 20) << 12) & _M64
-        def ex(m, rd=rd, value=value):
-            if rd:
-                m.regs[rd] = value
-            m.pc += 4
         return ex
 
     if name == "auipc":
@@ -347,7 +373,7 @@ def _build_executor(inst, attached):
 
 class _Block(NamedTuple):
     """A translated basic block and what one run of it retires."""
-    executors: tuple
+    executors: tuple        # one per straight-line run or other instruction
     categories: tuple       # category index of each instruction
     length: int
     cycles: int
@@ -370,9 +396,10 @@ def _block(executors, categories, cycles):
 class Translations:
     """Translation cache for machines that run the same code, such as the
     machines of one benchmark run. Every (instruction word, unit attached)
-    maps to its (executor, category index), and every (code bytes, unit
-    attached, cost model) to its table of blocks by entry pc. Entries hold
-    nothing of a machine, so any machine whose key matches may run them."""
+    maps to its (closure or None, category index, straight-line entry or
+    None), one of the two set, and every (code bytes, unit attached, cost
+    model) to its table of blocks by entry pc. Entries hold nothing of a
+    machine, so any machine whose key matches may run them."""
 
     def __init__(self):
         self.words = {}
@@ -451,9 +478,9 @@ class Machine:
         return inst
 
     def _build(self, pc):
-        """Fetch the word at pc and translate it to (executor, category
-        index), decoding only words the cache has not seen. Only the
-        loaded code can be fetched."""
+        """Fetch the word at pc and translate it to (closure or None,
+        category index, straight-line entry or None), decoding only words
+        the cache has not seen. Only the loaded code can be fetched."""
         if pc & 3:
             raise MemoryFault(f"misaligned instruction fetch at {pc:#x}")
         if pc < CODE_BASE or pc + 4 > self._code_end:
@@ -465,32 +492,41 @@ class Machine:
         word = int.from_bytes(self._code[offset:offset + 4], "little")
         attached = self.round_unit is not None
         words = self._translations.words
-        entry = words.get((word, attached))
-        if entry is None:
+        cached = words.get((word, attached))
+        if cached is None:
             try:
                 inst = self.decode(word)
-                ex = _build_executor(inst, attached)
+                entry = _entry(inst)
+                ex = _closure(inst, attached) if entry is None else None
             except (DecodeError, CsrFault) as e:
                 raise type(e)(f"at pc={pc:#x}: {e}") from None
-            entry = words[word, attached] = (ex, CATEGORY_INDEX[inst.category])
-        return entry
+            cached = words[word, attached] = (
+                ex, CATEGORY_INDEX[inst.category], entry)
+        return cached
 
     def _translate(self, pc, cycles):
         """Translate the block at pc: through the first branch, jump or
         ecall, and short of a word that does not fetch or decode (it
-        faults once the guest reaches it)."""
-        executors, cats = [], []
-        ex, cat = self._build(pc)
+        faults once the guest reaches it). Each stretch of instructions
+        with a straight-line entry becomes one run executor."""
+        executors, cats, run = [], [], []
+        ex, cat, entry = self._build(pc)
         while True:
-            executors.append(ex)
+            if entry is None:
+                executors += [_run(run), ex] if run else [ex]
+                run = []
+            else:
+                run.append(entry)
             cats.append(cat)
             if cat in _ENDS_BLOCK:
-                return _block(executors, cats, cycles)
+                break
             pc += 4
             try:
-                ex, cat = self._build(pc)
+                ex, cat, entry = self._build(pc)
             except (MemoryFault, CsrFault, DecodeError):
-                return _block(executors, cats, cycles)
+                break
+        return _block(executors + [_run(run)] if run else executors, cats,
+                      cycles)
 
     # -- hypercalls --------------------------------------------------------
 
@@ -528,13 +564,16 @@ class Machine:
 
     def step(self):
         """Fetch, decode, execute, and account exactly one instruction."""
-        if self.halted:
-            raise EmulatorError("machine is halted")
         self._execute(1)
 
     def run(self, max_instructions=None):
         """Run until the guest exits; returns the exit status. Raises
-        BudgetExceeded once max_instructions have retired without an exit."""
+        BudgetExceeded once max_instructions have retired without an exit;
+        max_instructions is None (no limit) or an int of at least 0."""
+        if max_instructions is not None and not (
+                isinstance(max_instructions, int) and max_instructions >= 0):
+            raise ValueError(f"budget must be None or an int >= 0, got "
+                             f"{max_instructions!r}")
         self._execute(math.inf if max_instructions is None else max_instructions)
         if not self.halted:
             raise BudgetExceeded(
@@ -547,7 +586,9 @@ class Machine:
         retired. Once the next block would overrun the budget, go on one
         instruction at a time, so the budget stops at the same instruction
         as a run of step()s; a budget of one never needs a block, so
-        step() builds none."""
+        step() builds none. A halted machine raises EmulatorError."""
+        if self.halted:
+            raise EmulatorError("machine is halted")
         cycles = self.cost_model.category_cycles()
         blocks = self._translations.blocks(
             self._code, self.round_unit is not None, self.cost_model)
@@ -558,8 +599,8 @@ class Machine:
         while retired < budget and not self.halted:
             start = self.pc
             if stepping:
-                ex, cat = self._build(start)
-                block = _block((ex,), (cat,), cycles)
+                ex, cat, entry = self._build(start)
+                block = _block((ex or _run((entry,)),), (cat,), cycles)
             else:
                 block = blocks.get(start)
                 if block is None:
@@ -573,11 +614,10 @@ class Machine:
                 for ex in block.executors:
                     ex(self)
             except BaseException:
-                # an executor faults before it moves pc: account only the
-                # instructions before the faulting one
+                # an executor faults with pc at the faulting instruction:
+                # account only the instructions before it
                 done = (self.pc - start) >> 2
-                block = _block(block.executors[:done],
-                               block.categories[:done], cycles)
+                block = _block((), block.categories[:done], cycles)
                 raise
             finally:
                 retired += block.length

@@ -577,6 +577,14 @@ class TestAccounting:
             m.run(max_instructions=1000)
         assert m.stats.total_retired == 1000
 
+    @pytest.mark.parametrize("budget", [-1, 1.5, "3"])
+    def test_run_rejects_a_bad_budget(self, budget):
+        m = Machine(memory_size=MEM)
+        m.load_program(image([enc_j(0x6F, 0, 0)]))
+        with pytest.raises(ValueError, match="budget"):
+            m.run(max_instructions=budget)
+        assert (m.pc, m.stats.total_retired) == (CODE_BASE, 0)
+
     def test_region_counters_never_exceed_global(self):
         ws = [addi(10, 0, 1), addi(17, 0, 1), ECALL]
         ws += [addi(5, 5, 1)] * 7
@@ -684,3 +692,15 @@ class TestCsrAndExtensions:
         assert m.halted
         with pytest.raises(EmulatorError):
             m.step()
+
+    def test_run_on_a_halted_machine_raises_until_reloaded(self):
+        m = Machine(memory_size=MEM)
+        program = image(exit_seq(3))
+        m.load_program(program)
+        assert m.run() == 3
+        retired = m.stats.total_retired
+        with pytest.raises(EmulatorError, match="machine is halted"):
+            m.run()
+        assert m.stats.total_retired == retired
+        m.load_program(program)
+        assert m.run() == 3

@@ -133,27 +133,50 @@ def _enc(mnemonic, **fields):
 
 
 DATA = 0x8000
-# straight-line instructions that never fault: x5 holds DATA, x29 a valid
-# round index, a7 a bad hypercall number; bne x0, x0 is never taken but
-# still ends a block
+# straight-line instructions that never fault: x5 holds DATA, x27 a value
+# wider than any narrow store, x29 a valid round index, a7 a bad hypercall
+# number; bne x0, x0 is never taken but still ends a block
 _SAFE = st.sampled_from([
     _enc("addi", rd=6, rs1=6, imm=5),
     _enc("add", rd=8, rs1=6, rs2=9),
     _enc("xor", rd=9, rs1=8, rs2=6),
+    _enc("add", rd=0, rs1=6, rs2=9),      # ALU writes to x0
+    _enc("xori", rd=0, rs1=8, imm=-1),
+    _enc("lui", rd=8, imm=0xFEDCB),
+    # reads the register the instruction before it wrote
+    _enc("addi", rd=7, rs1=6, imm=-3) + _enc("sub", rd=6, rs1=7, rs2=9),
+    _enc("slli", rd=9, rs1=8, imm=13),
+    _enc("srai", rd=8, rs1=9, imm=7),
+    _enc("addiw", rd=6, rs1=8, imm=-1000),
     _enc("ld", rd=6, rs1=5, imm=8),
+    _enc("lb", rd=9, rs1=5, imm=19),
+    _enc("lh", rd=8, rs1=5, imm=-6),
+    _enc("lwu", rd=6, rs1=5, imm=20),
+    _enc("ld", rd=0, rs1=5, imm=16),      # a load into x0
     _enc("sd", rs1=5, rs2=8, imm=16),
+    _enc("sb", rs1=5, rs2=27, imm=19),    # stores of a wider value
+    _enc("sh", rs1=5, rs2=27, imm=-6),
+    _enc("sw", rs1=5, rs2=27, imm=20),
     _enc("csrrw", rd=9, rs1=6, csr=isa.LANE_CSR_BASE + 3),
     _enc("shatr", rs1=29),
     _enc("bne", rs1=0, rs2=0, imm=8),
 ])
+# x30 holds the end of memory, x31 CODE_BASE
 _FAULTING = st.sampled_from([
     _enc("ld", rd=6, rs1=5, imm=4),       # misaligned load
+    _enc("lw", rd=0, rs1=5, imm=2),       # misaligned load into x0
     _enc("sw", rs1=5, rs2=6, imm=2),      # misaligned store
+    _enc("sd", rs1=31, rs2=6, imm=16),    # store into the loaded code
+    _enc("ld", rd=6, rs1=30),             # load past the end of memory
     _enc("shatr", rs1=28),                # round index 99
     _enc("ecall"),                        # unknown hypercall 9
 ])
+_MEMORY_SIZE = 1 << 16
 _PROLOGUE = b"".join([
     _enc("lui", rd=5, imm=DATA >> 12),
+    _enc("lui", rd=27, imm=0x87654), _enc("addi", rd=27, rs1=27, imm=0x321),
+    _enc("lui", rd=30, imm=_MEMORY_SIZE >> 12),
+    _enc("lui", rd=31, imm=CODE_BASE >> 12),
     _enc("addi", rd=28, imm=99),
     _enc("addi", rd=29, imm=3),
     _enc("addi", rd=10, imm=1), _enc("addi", rd=17, imm=1), _enc("ecall"),
@@ -172,14 +195,15 @@ def test_a_fault_inside_a_block_leaves_what_steps_leave(
         + _enc("addi", rd=17) + _enc("ecall")
 
     def machine():
-        m = Machine(memory_size=1 << 16, cost_model=cost_model)
+        m = Machine(memory_size=_MEMORY_SIZE, cost_model=cost_model)
         attach(m)
         m.load_program(code)
         return m
 
     stepped = _fault(machine(), _step_forever)
     assert _fault(machine(), Machine.run) == stepped
-    assert stepped[2][1] == CODE_BASE + len(_PROLOGUE) + 4 * len(before)
+    assert stepped[2][1] == CODE_BASE + len(_PROLOGUE) + len(b"".join(before))
+    assert stepped[2][2][0] == 0
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -411,11 +435,16 @@ _operands = st.one_of(
 
 
 def _alu(word, a, b=0):
-    """rd of `word` (rd x7, rs1 x5, rs2 x6) run with x5 = a, x6 = b."""
+    """rd of `word` (rd x7, rs1 x5, rs2 x6) with x5 = a, x6 = b, run inside
+    a straight-line run that writes its operands just before it and reads
+    its result just after it."""
     m = Machine(memory_size=1 << 13)
-    m.load_program(word + _enc("ecall"))
-    m.regs[5], m.regs[6] = a, b
+    m.load_program(b"".join([
+        _enc("add", rd=5, rs1=15), _enc("or", rd=6, rs1=16), word,
+        _enc("xor", rd=8, rs1=7), _enc("ecall")]))
+    m.regs[15], m.regs[16] = a, b
     assert m.run() == 0
+    assert m.regs[8] == m.regs[7]
     return m.regs[7]
 
 
