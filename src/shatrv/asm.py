@@ -17,9 +17,21 @@ mv, j, ret, nop.  .org chooses the placement address for what follows in
 .data and is required before the first data byte.  .word emits a raw
 32-bit code word and is what the disassembler falls back to for words it
 cannot decode.
+
+The first pass encodes every instruction whose words depend on neither
+its address nor a symbol, which is all but branches and jal/j; the
+second pass resolves those against the labels and joins the words.  The
+encoding of a statement's text (after its comment and labels are
+stripped) is memoised for the life of the process in a bounded LRU
+memo, so each distinct statement is parsed and encoded once however
+many programs repeat it.  Failures are never memoised: a statement that
+does not encode takes the unmemoised path and its error is raised where
+it always was, so sources with several errors report the same one.
 """
 
+import functools
 import re
+import struct
 from dataclasses import dataclass, field
 
 from . import isa
@@ -203,17 +215,43 @@ def _li_signed(rd, v):
     return seq
 
 
+def _li_words(ops):
+    _arity("li", ops, 2)
+    rd = _parse_reg(ops[0])
+    return tuple(isa.encode(mnemonic, **kwargs)
+                 for mnemonic, kwargs in _li_sequence(rd, _parse_int(ops[1])))
+
+
+@functools.lru_cache(maxsize=8192)
+def _statement_words(text):
+    """Code words of one label-free instruction or pseudo-instruction, or
+    None for a branch or jal, whose words depend on its address.  Raises
+    ValueError on a malformed statement; lru_cache keeps no exception, so
+    only successes are memoised."""
+    name, ops = _split_statement(text)
+    if name == "li":
+        return _li_words(ops)
+    name, ops = _rewrite_pseudo(name, ops)
+    if name in isa._BRANCHES or name == "jal":
+        return None
+    return (_encode_statement(name, ops, 0, {}),)
+
+
 _NOP_WORD = 0x00000013
 
 
 class _Assembler:
     def __init__(self):
         self.symbols = {}
-        self.items = []          # (line_no, addr, kind, payload)
-        self.text_addr = CODE_BASE
+        self.words = []          # code words, None where a deferred statement goes
+        self.deferred = []       # (line_no, word index, name, ops)
         self.section = "text"
         self.segments = []       # [address, bytearray] pairs
         self.data_addr = None
+
+    @property
+    def text_addr(self):
+        return CODE_BASE + 4 * len(self.words)
 
     def fail(self, line_no, msg):
         raise AsmError(f"line {line_no}: {msg}")
@@ -226,10 +264,6 @@ class _Assembler:
     def emit_data(self, line_no, blob):
         self.data_buffer(line_no).extend(blob)
         self.data_addr += len(blob)
-
-    def emit_word(self, line_no, word):
-        self.items.append((line_no, self.text_addr, "raw", word))
-        self.text_addr += 4
 
     def define_label(self, line_no, name):
         if name in self.symbols:
@@ -264,14 +298,14 @@ class _Assembler:
             if self.section != "text":
                 self.fail(line_no, ".word is only valid in the .text section")
             for tok in ops:
-                self.emit_word(line_no, _parse_int(tok) & 0xFFFFFFFF)
+                self.words.append(_parse_int(tok) & 0xFFFFFFFF)
         elif name == ".align":
             if len(ops) != 1:
                 self.fail(line_no, ".align expects one power-of-two exponent")
             step = 1 << _parse_int(ops[0])
             if self.section == "text":
                 while self.text_addr % step:
-                    self.emit_word(line_no, _NOP_WORD)
+                    self.words.append(_NOP_WORD)
             else:
                 pad = -self.data_addr % step if self.data_addr is not None else 0
                 self.emit_data(line_no, bytes(pad))
@@ -282,19 +316,16 @@ class _Assembler:
         if self.section != "text":
             self.fail(line_no, "instruction outside the .text section")
         if name == "li":
-            _arity(name, ops, 2)
-            rd = _parse_reg(ops[0])
-            for mnemonic, kwargs in _li_sequence(rd, _parse_int(ops[1])):
-                self.emit_word(line_no, isa.encode(mnemonic, **kwargs))
+            self.words.extend(_li_words(ops))
             return
         name, ops = _rewrite_pseudo(name, ops)
-        self.items.append((line_no, self.text_addr, "inst", (name, ops)))
-        self.text_addr += 4
+        self.deferred.append((line_no, len(self.words), name, ops))
+        self.words.append(None)
 
     def first_pass(self, source):
         for line_no, raw in enumerate(source.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
-            while True:
+            while ":" in line:
                 m = _LABEL_RE.match(line)
                 if not m:
                     break
@@ -302,6 +333,14 @@ class _Assembler:
                 line = line[m.end():].strip()
             if not line:
                 continue
+            if self.section == "text" and line[0] != ".":
+                try:
+                    words = _statement_words(line)
+                except ValueError:
+                    words = None    # the path below raises or defers the error
+                if words is not None:
+                    self.words.extend(words)
+                    continue
             try:
                 name, ops = _split_statement(line)
                 if name.startswith("."):
@@ -314,18 +353,14 @@ class _Assembler:
                 self.fail(line_no, str(e))
 
     def second_pass(self):
-        code = bytearray()
-        for line_no, addr, kind, payload in self.items:
-            if kind == "raw":
-                word = payload
-            else:
-                name, ops = payload
-                try:
-                    word = _encode_statement(name, ops, addr, self.symbols)
-                except ValueError as e:
-                    self.fail(line_no, str(e))
-            code += word.to_bytes(4, "little")
-        return bytes(code)
+        words = self.words
+        for line_no, index, name, ops in self.deferred:
+            try:
+                words[index] = _encode_statement(
+                    name, ops, CODE_BASE + 4 * index, self.symbols)
+            except ValueError as e:
+                self.fail(line_no, str(e))
+        return struct.pack(f"<{len(words)}I", *words)
 
 
 def assemble(source):

@@ -4,8 +4,8 @@ Files carry Len/Msg/MD record triples, # comments, and bracketed headers
 of which only [L = bits] is meaningful (it names the digest size).  A
 Len of 0 means an empty message regardless of the Msg placeholder, per
 the CAVP convention.  Records whose bit length is not a whole number of
-bytes are skipped with a warning by default since the byte-oriented
-kernels cannot absorb them; pass on_odd_length="error" to refuse them.
+bytes are skipped with a warning, since the byte-oriented kernels cannot
+absorb them.
 """
 
 import re
@@ -45,15 +45,13 @@ class CavpVectorSet:
     vectors: list = field(default_factory=list)
 
 
-def parse_rsp(text, *, variant=None, source="<string>", on_odd_length="skip"):
+def parse_rsp(text, *, variant=None, source="<string>"):
     """Parse .rsp file contents into a CavpVectorSet.
 
     The variant comes from the argument, else the [L = bits] header, else
     the first digest's length; disagreement between any of these is an
     error.  Raises CavpError with a line number on malformed input.
     """
-    if on_odd_length not in ("skip", "error"):
-        raise ValueError(f"on_odd_length must be 'skip' or 'error': {on_odd_length!r}")
     if variant is not None and variant not in keccak.VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -114,8 +112,6 @@ def parse_rsp(text, *, variant=None, source="<string>", on_odd_length="skip"):
                 fail(line_no, f"bad digest hex {value!r}")
             bits = pending["bits"]
             if bits % 8:
-                if on_odd_length == "error":
-                    fail(pending["line"], f"Len = {bits} is not a whole number of bytes")
                 warnings.warn(
                     f"{source}: line {pending['line']}: Len = {bits} is not a "
                     f"whole number of bytes; record skipped")

@@ -1,4 +1,4 @@
-"""CAVP .rsp parsing: record triples, headers, the odd-length policy,
+"""CAVP .rsp parsing: record triples, headers, skipping odd-length records,
 and the bundled known-answer files."""
 
 import hashlib
@@ -104,10 +104,6 @@ MD = {EMPTY_256}
         with pytest.warns(UserWarning):
             vs = parse_rsp(self.ODD)
         assert [v.length_bits for v in vs.vectors] == [0]
-
-    def test_error_policy_escalates(self):
-        with pytest.raises(CavpError):
-            parse_rsp(self.ODD, on_odd_length="error")
 
 
 class TestBundled:

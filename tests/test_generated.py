@@ -2,14 +2,18 @@
 round-unit slot's decode contract, step() against run() on every
 strategy's kernel and on faulting programs, machines sharing one
 translation cache against machines with a private one, every load and
-store against a reference model, and every ALU instruction against a
-table written from the RISC-V spec. Hypothesis runs derandomized, so the
+store against a reference model, every ALU instruction against a
+table written from the RISC-V spec, and the assembler's statement memo
+against assembling without it. Hypothesis runs derandomized, so the
 suite is reproducible."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shatrv import isa
+from shatrv import asm, isa
+from shatrv.asm import AsmError, assemble
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError, EmulatorError,
     Machine, MemoryFault, Translations,
@@ -474,3 +478,143 @@ def test_immediate_alu_matches_the_spec(mnemonic, a, imm):
         imm %= SHIFT_BITS[mnemonic]
     word = _enc(mnemonic, rd=7, rs1=5, imm=imm)
     assert _alu(word, a) == IMM_SPEC[mnemonic](a, imm)
+
+
+# The assembler memoises each statement's words for the life of the process.
+# Sources mix every statement kind the memo holds (ALU ops, loads, stores, li
+# and pseudo-instructions) with the branches and jumps it leaves to the second
+# pass, to labels and to numeric offsets.
+
+_REGS = st.sampled_from([f"x{i}" for i in range(32)] + ["zero", "ra", "sp", "a0", "t6", "s11", "fp"])
+_LABELS = ("L0", "L1", "L2")
+
+
+def _fmt(template, *parts):
+    return st.tuples(*parts).map(lambda p: template.format(*p))
+
+
+def _statements(targets, jal_targets):
+    return st.one_of(
+        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._OP) + sorted(isa._OP_32)),
+             _REGS, _REGS, _REGS),
+        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._OP_IMM) + ["addiw"]),
+             _REGS, _REGS, st.integers(-2048, 2047)),
+        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._SHIFT_IMM)),
+             _REGS, _REGS, st.integers(0, 63)),
+        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._SHIFT_IMM_32)),
+             _REGS, _REGS, st.integers(0, 31)),
+        _fmt("{} {}, {}({})", st.sampled_from(sorted(isa._LOADS) + sorted(isa._STORES)),
+             _REGS, st.integers(-2048, 2047), _REGS),
+        _fmt("li {}, {}", _REGS, st.integers(-(1 << 63), (1 << 64) - 1).flatmap(
+            lambda v: st.sampled_from([str(v), hex(v)]))),
+        st.sampled_from(["nop", "ret", "ecall"]),
+        _fmt("mv {}, {}", _REGS, _REGS),
+        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._BRANCHES)), _REGS, _REGS, targets),
+        _fmt("jal {}, {}", _REGS, jal_targets),
+        _fmt("j {}", jal_targets),
+    )
+
+
+_label_free = _statements(st.integers(-2048, 2047).map(lambda k: 2 * k),
+                          st.integers(-(1 << 19), (1 << 19) - 1).map(lambda k: 2 * k))
+_any_statement = _statements(
+    st.one_of(st.sampled_from(_LABELS), st.integers(-64, 63).map(lambda k: 2 * k)),
+    st.one_of(st.sampled_from(_LABELS), st.integers(-64, 63).map(lambda k: 2 * k)))
+
+
+@st.composite
+def _programs(draw):
+    lines = draw(st.lists(_any_statement, min_size=1, max_size=30))
+    lines = [line + draw(st.sampled_from(["", "  # note"])) for line in lines]
+    for label in _LABELS:
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = [f"{label}:"] if draw(st.booleans()) else [f"{label}: nop"]
+    if draw(st.booleans()):
+        lines += [".data", ".org 0x8000", "table: .dword 1, -1", ".text", "addi x1, x1, 1"]
+    return "".join(line + "\n" for line in lines)
+
+
+def _without_memo(source):
+    with mock.patch.object(asm, "_statement_words", asm._statement_words.__wrapped__):
+        return assemble(source)
+
+
+@generated(150)
+@given(_programs())
+def test_a_warm_memo_assembles_like_a_cold_one(source):
+    reference = _without_memo(source)
+    asm._statement_words.cache_clear()
+    assert assemble(source) == reference        # cold memo
+    assert assemble(source) == reference        # every statement memoised
+
+
+# (a valid statement, a bad one with the same mnemonic)
+_misuses = st.one_of(
+    _fmt("{0} x5, x6, 7|{0} x5, x6, {1}", st.sampled_from(sorted(isa._OP_IMM)),
+         st.one_of(st.integers(2048, 1 << 40), st.integers(-(1 << 40), -2049))),
+    _fmt("{0} x5, x6, x7|{0} x5, {1}, x7", st.sampled_from(sorted(isa._OP)),
+         st.sampled_from(["x32", "x99", "q7", "a8", "X5"])),
+    _fmt("{0} x5, x6, x7|{0} {1}", st.sampled_from(sorted(isa._OP)),
+         st.sampled_from(["", "x5", "x5, x6", "x5, x6, x7, x8"])),
+    _fmt("{0} x5, x6, 7|{0} {1}", st.sampled_from(sorted(isa._OP_IMM)),
+         st.sampled_from(["", "x5", "x5, x6", "x5, x6, x7", "x5, x6, 7, 8"])),
+    _fmt("{0} x5, 8(x6)|{0} x5, {1}(x6)", st.sampled_from(sorted(isa._LOADS)),
+         st.one_of(st.integers(2048, 1 << 20), st.integers(-(1 << 20), -2049))),
+    _fmt("li x5, 1|li x5, {}", st.one_of(st.integers(1 << 64, 1 << 70),
+                                          st.integers(-(1 << 70), -(1 << 63) - 1))),
+    st.just("li x5, 1|li x5"),
+).map(lambda pair: tuple(pair.split("|")))
+
+
+@generated(150)
+@given(prefix=st.lists(_label_free, max_size=5), misuse=_misuses, shift=st.integers(1, 5))
+def test_a_failure_is_never_memoised(prefix, misuse, shift):
+    valid, bad = misuse
+
+    def error(lines):
+        with pytest.raises(AsmError) as e:
+            assemble("".join(line + "\n" for line in lines))
+        return str(e.value)
+
+    first = error(prefix + [bad])
+    assert first.startswith(f"line {len(prefix) + 1}: ")
+    assert error(prefix + [bad]) == first
+    assemble(valid + "\n")
+    assert error(prefix + [bad]) == first
+    reason = first.split(": ", 1)[1]
+    assert error(["nop"] * shift + prefix + [bad]) == f"line {len(prefix) + 1 + shift}: {reason}"
+
+
+@pytest.mark.parametrize("source, message", [
+    # a bad immediate waits for the second pass, so a first-pass error wins
+    ("addi x1, x1, 99999\nfoo:\nfoo:\n", "line 3: duplicate label 'foo'"),
+    # a memoised statement is still refused outside .text
+    ("addi x1, x1, 1\n.data\naddi x1, x1, 1\n",
+     "line 3: instruction outside the .text section"),
+    ("addi x1, x1, 1\n.data\n.org 0x2000\nlabel: addi x1, x1, 1\n",
+     "line 4: instruction outside the .text section"),
+    # li is checked in the first pass, before any label is resolved
+    ("beq x1, x2, nowhere\nli x5\n", "line 2: li expects 2 operand(s), got 1"),
+    ("addi x1, x1, 99999\nli x5\n", "line 2: li expects 2 operand(s), got 1"),
+    ("lw x1, 4(x99)\nsw x1, 4(x2)\nli x5, 0x1ffffffffffffffff\n",
+     "line 3: li value out of 64-bit range: 0x1ffffffffffffffff"),
+    ("addi x1, x1, 5000\nmv x1\n", "line 2: mv expects 2 operand(s), got 1"),
+    ("csrrw x1, 0x800, x2\nslli x1, x1, 64\n.word 1, 2\nj\n",
+     "line 4: j expects 1 operand(s), got 0"),
+    ("addi x1, x1, 99999\n.org 0x100\n", "line 2: .org is only valid in the .data section"),
+    ("addi x1, x1, 99999\n.data\n.dword 1\n", "line 3: data emitted before any .org address"),
+    ("x: addi x1, x1, 2048\ny: x:\n", "line 2: duplicate label 'x'"),
+    # second-pass errors come in line order
+    ("addi x1, x1, 99999\nadd x1, x2, x99\n", "line 1: imm out of range [-2048, 2047]: 99999"),
+    ("addi x1, x1, 99999\nfoo bar\n", "line 1: imm out of range [-2048, 2047]: 99999"),
+    ("beq x1, x2, nowhere\naddi x3, x3, 4096\n", "line 1: unknown label 'nowhere'"),
+    ("add x1, x2\naddi x1, x1, 1, 2\n", "line 1: add expects 3 operand(s), got 2"),
+    ("add x1, x2, , x3\naddi x1, x1, 99999\n", "line 1: empty operand"),
+])
+def test_the_reported_error_does_not_depend_on_the_memo(source, message):
+    asm._statement_words.cache_clear()
+    for _ in range(2):          # cold memo, then warm
+        with pytest.raises(AsmError) as e:
+            assemble(source)
+        assert str(e.value) == message
+

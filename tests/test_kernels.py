@@ -153,3 +153,41 @@ class TestGeneratorSurface:
         m.regs[10] = len(msg)
         assert m.run(max_instructions=BUDGET) == 0
         assert m.emitted[0] == reference("sha3-256", msg)
+
+
+# SHA-256 of every kernel's code bytes at the default layout.  A change to
+# the assembler or to a generator that moves any byte must be deliberate:
+# update a hash only together with a CHANGES.md line that explains it.
+KERNEL_SHA256 = {
+    ("sw-regopt", "sha3-224"):
+        "b1c83d16c7ed580ff18f741e1766acacf69e5eac6e67d0166917707fe8156dae",
+    ("sw-regopt", "sha3-256"):
+        "38a23949ed1b8dd98d6c3845462f337a8f581d46c3e4b14158022a15ba510e5a",
+    ("sw-regopt", "sha3-384"):
+        "686274a871ec209fc0ec697fe0ed30222c90139ae18118f3cc7efd4d17230387",
+    ("sw-regopt", "sha3-512"):
+        "507fb510d865da526b439649ee7f279ae862e47eee6b4f0d8298ad1c5a1c7167",
+    ("sw-mem", "sha3-224"):
+        "90168d0e08dfa2f5e45907ef9e47793818c8b8bda5bff7ebbbedcd6753c4b1ec",
+    ("sw-mem", "sha3-256"):
+        "a09d32c068d8a0443bb684b6b686636d5269a3e2a10dd6c2437ef71365164cc9",
+    ("sw-mem", "sha3-384"):
+        "2d222edefc64b5bf6fe17896920d4dd3527076e1dba6a8f85a1ce76bb186ec44",
+    ("sw-mem", "sha3-512"):
+        "a61f575930d5906f44c857b9d5666ab8cf94bcbdeab2fef56564982b8f090497",
+    ("shatr", "sha3-224"):
+        "0371305b3471b94790a71df1e13c006e037f20ae4acd48a279760025b01c5202",
+    ("shatr", "sha3-256"):
+        "e13929fcd335cc0229d964067f63cb97882700438a647b97b9327c750899614a",
+    ("shatr", "sha3-384"):
+        "dd4126a0eb815e2d614bf572871e0a9c871b043c3ad5ee617fb4c9b140ca8de7",
+    ("shatr", "sha3-512"):
+        "995ea14ca993e5392845558a301ec3045f620e491fb32cc872662f30b91be015",
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_kernel_image_is_pinned(strategy, variant):
+    code = generate_kernel(strategy, variant).code
+    assert hashlib.sha256(code).hexdigest() == KERNEL_SHA256[strategy, variant]
