@@ -302,10 +302,12 @@ class _Assembler:
         elif name == ".align":
             if len(ops) != 1:
                 self.fail(line_no, ".align expects one power-of-two exponent")
-            step = 1 << _parse_int(ops[0])
+            exponent = _parse_int(ops[0])
+            if not 0 <= exponent <= 16:
+                self.fail(line_no, f".align exponent must be 0..16, got {exponent}")
+            step = 1 << exponent
             if self.section == "text":
-                while self.text_addr % step:
-                    self.words.append(_NOP_WORD)
+                self.words += [_NOP_WORD] * (-self.text_addr % step // 4)
             else:
                 pad = -self.data_addr % step if self.data_addr is not None else 0
                 self.emit_data(line_no, bytes(pad))

@@ -16,7 +16,7 @@ JSON, CSV, and table output.
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .emulator import CostModel, EmulatorError, Machine, Translations
 from .isa import CATEGORIES
@@ -201,12 +201,7 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                     "speedup": round(other / base, 3),
                 })
 
-    cm = {
-        "base_cycles_per_instruction": cost_model.base_cycles_per_instruction,
-        "extra_mem_access_cycles": cost_model.extra_mem_access_cycles,
-        "shatr_cycles": cost_model.shatr_cycles,
-    }
-    return BenchReport(cost_model=cm, groups=sorted_groups,
+    return BenchReport(cost_model=asdict(cost_model), groups=sorted_groups,
                        speedups=speedups, outcomes=outcomes)
 
 

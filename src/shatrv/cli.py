@@ -111,18 +111,19 @@ def _load_sets(args):
     return sets
 
 
-def _cost_model(args):
-    return CostModel(extra_mem_access_cycles=args.mem_latency,
-                     shatr_cycles=args.shatr_cycles)
+def _bench(args):
+    """The benchmark of the selected vectors, strategies and machine flags."""
+    return run_benchmark(
+        _load_sets(args), strategies=tuple(args.strategy or STRATEGIES),
+        cost_model=CostModel(extra_mem_access_cycles=args.mem_latency,
+                             shatr_cycles=args.shatr_cycles),
+        memory_size=args.mem_size, budget=args.budget)
 
 
 def _cmd_validate(args):
-    sets = _load_sets(args)
     failures = 0
     if args.strategy:
-        report = run_benchmark(sets, strategies=tuple(args.strategy),
-                               cost_model=_cost_model(args),
-                               memory_size=args.mem_size, budget=args.budget)
+        report = _bench(args)
         for o in report.outcomes:
             if o.status != "pass":
                 failures += 1
@@ -132,7 +133,7 @@ def _cmd_validate(args):
         checked = "guest " + "/".join(args.strategy)
     else:
         total = 0
-        for vs in sets:
+        for vs in _load_sets(args):
             for i, v in enumerate(vs.vectors):
                 total += 1
                 got = keccak.sha3_digest(v.message, vs.variant)
@@ -146,11 +147,7 @@ def _cmd_validate(args):
 
 
 def _cmd_bench(args):
-    sets = _load_sets(args)
-    strategies = tuple(args.strategy) if args.strategy else STRATEGIES
-    report = run_benchmark(sets, strategies=strategies,
-                           cost_model=_cost_model(args),
-                           memory_size=args.mem_size, budget=args.budget)
+    report = _bench(args)
     text = emit_report(report, args.format)
     if args.out:
         pathlib.Path(args.out).write_text(text)

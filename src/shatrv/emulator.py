@@ -18,11 +18,12 @@ or ecall; each straight-line run of ALU, lui, load and store instructions
 in it is one executor that loops over their entries (step() runs one as
 a run of one), and every other instruction is a closure. A fault inside
 a run leaves pc at the faulting instruction and raises what a step()
-there would. A block carries its per-category counts and cycle sum, added
-once per run of the block. Regions change only at an ecall, which ends a
-block, so region counts stay exact. A Translations cache maps each word
-to its closure or entry and each (code bytes, unit attached, cost model)
-to its blocks by pc; machines that share one share the work.
+there would. A block carries only its per-category counts, added once
+per run of the block; cycles are priced from the counts when read.
+Regions change only at an ecall, which ends a block, so region counts
+stay exact. A Translations cache maps each word to its closure or entry
+and each (code bytes, unit attached) to its blocks by pc; machines that
+share one share the work.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -34,6 +35,7 @@ lane CSRs 0x800..0x818, the only CSRs the machine has.
 import math
 import operator
 import struct
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -89,8 +91,8 @@ class BudgetExceeded(EmulatorError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Cycles per retired instruction. Frozen, because translated blocks
-    carry cycle sums and are cached under the model."""
+    """Cycles per retired instruction. Frozen, because a machine's stats
+    price their counts with the model the machine was built with."""
     base_cycles_per_instruction: int = 1
     extra_mem_access_cycles: int = 0
     shatr_cycles: int = 1
@@ -114,11 +116,11 @@ class CostModel:
 class ExecutionStats:
     """Retired-instruction counters, per category and per open region."""
 
-    def __init__(self):
+    def __init__(self, cost_model):
+        self.cost_model = cost_model        # prices total_cycles
         self._counts = [0] * len(CATEGORIES)
         self._regions = {}
         self.region_entry_count = {}
-        self.total_cycles = 0
 
     @property
     def counts(self):
@@ -131,6 +133,11 @@ class ExecutionStats:
     @property
     def total_retired(self):
         return sum(self._counts)
+
+    @property
+    def total_cycles(self):
+        return sum(map(operator.mul, self._counts,
+                       self.cost_model.category_cycles()))
 
 
 def _signed(v):
@@ -376,20 +383,14 @@ class _Block(NamedTuple):
     executors: tuple        # one per straight-line run or other instruction
     categories: tuple       # category index of each instruction
     length: int
-    cycles: int
     counts: tuple           # (category index, count) pairs
     region_counts: tuple    # the same without "other", which regions skip
 
 
-def _block(executors, categories, cycles):
-    """Bundle executors with their accounting; `cycles` is
-    CostModel.category_cycles()."""
-    totals = [0] * len(CATEGORIES)
-    for cat in categories:
-        totals[cat] += 1
-    counts = tuple((cat, n) for cat, n in enumerate(totals) if n)
-    return _Block(tuple(executors), tuple(categories), len(categories),
-                  sum(cycles[cat] for cat in categories), counts,
+def _block(executors, categories):
+    """Bundle executors with their accounting."""
+    counts = tuple(sorted(Counter(categories).items()))
+    return _Block(tuple(executors), tuple(categories), len(categories), counts,
                   tuple(c for c in counts if c[0] != _OTHER_IDX))
 
 
@@ -397,17 +398,17 @@ class Translations:
     """Translation cache for machines that run the same code, such as the
     machines of one benchmark run. Every (instruction word, unit attached)
     maps to its (closure or None, category index, straight-line entry or
-    None), one of the two set, and every (code bytes, unit attached, cost
-    model) to its table of blocks by entry pc. Entries hold nothing of a
-    machine, so any machine whose key matches may run them."""
+    None), one of the two set, and every (code bytes, unit attached) to its
+    table of blocks by entry pc. Entries hold nothing of a machine, so any
+    machine whose key matches may run them."""
 
     def __init__(self):
         self.words = {}
         self._tables = {}
 
-    def blocks(self, code, attached, cost_model):
+    def blocks(self, code, attached):
         """The table of blocks, by entry pc, for this key."""
-        return self._tables.setdefault((code, attached, cost_model), {})
+        return self._tables.setdefault((code, attached), {})
 
 
 class Machine:
@@ -422,8 +423,7 @@ class Machine:
         self.pc = CODE_BASE
         self.halted = False
         self.exit_status = None
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.stats = ExecutionStats()
+        self.stats = ExecutionStats(cost_model or CostModel())
         self.emitted = []
         self.round_unit = None
         self._translations = (translations if translations is not None
@@ -504,7 +504,7 @@ class Machine:
                 ex, CATEGORY_INDEX[inst.category], entry)
         return cached
 
-    def _translate(self, pc, cycles):
+    def _translate(self, pc):
         """Translate the block at pc: through the first branch, jump or
         ecall, and short of a word that does not fetch or decode (it
         faults once the guest reaches it). Each stretch of instructions
@@ -525,8 +525,7 @@ class Machine:
                 ex, cat, entry = self._build(pc)
             except (MemoryFault, CsrFault, DecodeError):
                 break
-        return _block(executors + [_run(run)] if run else executors, cats,
-                      cycles)
+        return _block(executors + [_run(run)] if run else executors, cats)
 
     # -- hypercalls --------------------------------------------------------
 
@@ -589,22 +588,20 @@ class Machine:
         step() builds none. A halted machine raises EmulatorError."""
         if self.halted:
             raise EmulatorError("machine is halted")
-        cycles = self.cost_model.category_cycles()
-        blocks = self._translations.blocks(
-            self._code, self.round_unit is not None, self.cost_model)
-        stats = self.stats
-        counts = stats._counts
+        blocks = self._translations.blocks(self._code,
+                                           self.round_unit is not None)
+        counts = self.stats._counts
         retired = 0
         stepping = budget <= 1
         while retired < budget and not self.halted:
             start = self.pc
             if stepping:
                 ex, cat, entry = self._build(start)
-                block = _block((ex or _run((entry,)),), (cat,), cycles)
+                block = _block((ex or _run((entry,)),), (cat,))
             else:
                 block = blocks.get(start)
                 if block is None:
-                    block = blocks[start] = self._translate(start, cycles)
+                    block = blocks[start] = self._translate(start)
                 if block.length > budget - retired:
                     stepping = True
                     continue
@@ -617,11 +614,10 @@ class Machine:
                 # an executor faults with pc at the faulting instruction:
                 # account only the instructions before it
                 done = (self.pc - start) >> 2
-                block = _block((), block.categories[:done], cycles)
+                block = _block((), block.categories[:done])
                 raise
             finally:
                 retired += block.length
-                stats.total_cycles += block.cycles
                 for cat, n in block.counts:
                     counts[cat] += n
                 for rc in active:

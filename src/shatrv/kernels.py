@@ -26,10 +26,10 @@ the permute label differs.  Permute may clobber every register, so the
 driver keeps its loop state in scratch spill slots across calls.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import keccak
-from .asm import AssembledProgram, assemble
+from .asm import assemble
 from .shatr import LANE_CSR_BASE
 
 __all__ = ["STRATEGIES", "GuestLayout", "generate_kernel", "kernel_source"]

@@ -160,6 +160,26 @@ class TestAsmErrors:
             assemble(src)
         assert needle in str(e.value)
 
+    @pytest.mark.parametrize("src, message", [
+        ("nop\n.align 40\n", "line 2: .align exponent must be 0..16, got 40"),
+        (".data\n.org 0x2001\n.align 40\n",
+         "line 3: .align exponent must be 0..16, got 40"),
+        ("nop\n.align -1\n", "line 2: .align exponent must be 0..16, got -1"),
+        (".data\n.org 0x2001\n.align -1\n",
+         "line 3: .align exponent must be 0..16, got -1"),
+    ], ids=["text-40", "data-40", "text-minus-1", "data-minus-1"])
+    def test_align_exponent_is_bounded(self, src, message):
+        with pytest.raises(AsmError) as e:
+            assemble(src)
+        assert str(e.value) == message
+
+    def test_align_16_pads_to_64_kib(self):
+        prog = assemble("nop\n.align 16\nnop\n.data\n.org 0x2001\n"
+                        ".align 16\n.byte 1\n")
+        nop = isa.encode("addi", rd=0, rs1=0, imm=0).to_bytes(4, "little")
+        assert prog.code == nop * ((0x10000 - CODE_BASE) // 4 + 1)
+        assert prog.data_segments == [(0x2001, bytes(0x10000 - 0x2001) + b"\x01")]
+
 
 class TestPseudoInstructions:
     def test_nop_mv_j_ret_expansions(self):

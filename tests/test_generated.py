@@ -1,7 +1,9 @@
 """Generated and differential checks: decode over arbitrary words, the
 round-unit slot's decode contract, step() against run() on every
 strategy's kernel and on faulting programs, machines sharing one
-translation cache against machines with a private one, every load and
+translation cache against machines with a private one, cost models
+sharing one cache without translating again, cycles against their closed
+form in the counts, every load and
 store against a reference model, every ALU instruction against a
 table written from the RISC-V spec, and the assembler's statement memo
 against assembling without it. Hypothesis runs derandomized, so the
@@ -227,6 +229,45 @@ def test_cost_models_sharing_a_cache_keep_their_own_cycles(cost_models):
     for cm in cost_models:
         assert _ran(_loaded("shatr", translations=shared, cost_model=cm)) \
             == _ran(_loaded("shatr", cost_model=cm))
+
+
+@generated(10)
+@given(st.lists(_cost_models, min_size=3, max_size=3, unique=True))
+def test_more_cost_models_on_a_shared_cache_build_no_blocks(cost_models):
+    shared = Translations()
+    translate = Machine._translate
+    built = []
+
+    def counted(self, *args):
+        built.append(args[0])
+        return translate(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Machine, "_translate", counted)
+        first, *others = cost_models
+        _ran(_loaded("shatr", translations=shared, cost_model=first))
+        blocks = len(built)
+        assert blocks
+        for cm in others:
+            _ran(_loaded("shatr", translations=shared, cost_model=cm))
+        assert len(built) == blocks
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@generated(5)
+@given(message=st.binary(max_size=300), cost_model=_cost_models)
+def test_total_cycles_is_the_closed_form_of_the_counts(
+        strategy, message, cost_model):
+    m = _loaded(strategy, message, cost_model=cost_model)
+    assert m.run() == 0
+    counts = m.stats.counts
+    base = cost_model.base_cycles_per_instruction
+    extra = cost_model.extra_mem_access_cycles
+    shatr = cost_model.shatr_cycles
+    assert m.stats.total_cycles == (
+        base * m.stats.total_retired
+        + extra * (counts["mem_read"] + counts["mem_write"])
+        + (shatr - base) * counts["custom"])
 
 
 SHATR_FIRST = b"".join([_enc("addi", rd=10), _enc("shatr", rs1=10),
