@@ -130,7 +130,7 @@ def _cmd_validate(args):
                 print(f"{o.variant} {o.msg_class} #{o.index} [{o.strategy}]: "
                       f"{o.status}: {o.detail}")
         total = len(report.outcomes)
-        checked = "guest " + "/".join(args.strategy)
+        checked = "guest " + "/".join(s for s in STRATEGIES if s in args.strategy)
     else:
         total = 0
         for vs in _load_sets(args):

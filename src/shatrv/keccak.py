@@ -3,6 +3,10 @@
 State convention used everywhere in this package: 25 lanes of 64 bits,
 lane (x, y) stored at index 5*y + x. Byte serialization is little-endian
 per lane, lane i occupying bytes 8*i .. 8*i+7.
+
+theta, rho, pi, chi and iota are the readable reference. keccak_round and
+keccak_f run _round, one straight-line round with the five steps written
+out, which the tests check against their composition.
 """
 
 from dataclasses import dataclass
@@ -99,17 +103,78 @@ def iota(lanes, round_index):
     return out
 
 
+def _round(lanes, round_index):
+    """theta..iota written out over 25 locals a0..a24: theta XORs d[x] into
+    each lane of column x; b[d] = rotl(a[s], RHO_OFFSETS[s]) with
+    s = _PI_SOURCE[d] is rho and pi; the returned list is chi and iota.
+    ~b & c is exact because c is never negative."""
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14,
+     a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = lanes
+    c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
+    c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
+    c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
+    c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
+    c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
+    d0 = c4 ^ ((c1 << 1) & _M64 | c1 >> 63)
+    d1 = c0 ^ ((c2 << 1) & _M64 | c2 >> 63)
+    d2 = c1 ^ ((c3 << 1) & _M64 | c3 >> 63)
+    d3 = c2 ^ ((c4 << 1) & _M64 | c4 >> 63)
+    d4 = c3 ^ ((c0 << 1) & _M64 | c0 >> 63)
+    a0, a5, a10, a15, a20 = a0 ^ d0, a5 ^ d0, a10 ^ d0, a15 ^ d0, a20 ^ d0
+    a1, a6, a11, a16, a21 = a1 ^ d1, a6 ^ d1, a11 ^ d1, a16 ^ d1, a21 ^ d1
+    a2, a7, a12, a17, a22 = a2 ^ d2, a7 ^ d2, a12 ^ d2, a17 ^ d2, a22 ^ d2
+    a3, a8, a13, a18, a23 = a3 ^ d3, a8 ^ d3, a13 ^ d3, a18 ^ d3, a23 ^ d3
+    a4, a9, a14, a19, a24 = a4 ^ d4, a9 ^ d4, a14 ^ d4, a19 ^ d4, a24 ^ d4
+    b0 = a0
+    b1 = (a6 << 44) & _M64 | a6 >> 20
+    b2 = (a12 << 43) & _M64 | a12 >> 21
+    b3 = (a18 << 21) & _M64 | a18 >> 43
+    b4 = (a24 << 14) & _M64 | a24 >> 50
+    b5 = (a3 << 28) & _M64 | a3 >> 36
+    b6 = (a9 << 20) & _M64 | a9 >> 44
+    b7 = (a10 << 3) & _M64 | a10 >> 61
+    b8 = (a16 << 45) & _M64 | a16 >> 19
+    b9 = (a22 << 61) & _M64 | a22 >> 3
+    b10 = (a1 << 1) & _M64 | a1 >> 63
+    b11 = (a7 << 6) & _M64 | a7 >> 58
+    b12 = (a13 << 25) & _M64 | a13 >> 39
+    b13 = (a19 << 8) & _M64 | a19 >> 56
+    b14 = (a20 << 18) & _M64 | a20 >> 46
+    b15 = (a4 << 27) & _M64 | a4 >> 37
+    b16 = (a5 << 36) & _M64 | a5 >> 28
+    b17 = (a11 << 10) & _M64 | a11 >> 54
+    b18 = (a17 << 15) & _M64 | a17 >> 49
+    b19 = (a23 << 56) & _M64 | a23 >> 8
+    b20 = (a2 << 62) & _M64 | a2 >> 2
+    b21 = (a8 << 55) & _M64 | a8 >> 9
+    b22 = (a14 << 39) & _M64 | a14 >> 25
+    b23 = (a15 << 41) & _M64 | a15 >> 23
+    b24 = (a21 << 2) & _M64 | a21 >> 62
+    return [
+        b0 ^ (~b1 & b2) ^ ROUND_CONSTANTS[round_index],
+        b1 ^ (~b2 & b3), b2 ^ (~b3 & b4), b3 ^ (~b4 & b0), b4 ^ (~b0 & b1),
+        b5 ^ (~b6 & b7), b6 ^ (~b7 & b8), b7 ^ (~b8 & b9),
+        b8 ^ (~b9 & b5), b9 ^ (~b5 & b6),
+        b10 ^ (~b11 & b12), b11 ^ (~b12 & b13), b12 ^ (~b13 & b14),
+        b13 ^ (~b14 & b10), b14 ^ (~b10 & b11),
+        b15 ^ (~b16 & b17), b16 ^ (~b17 & b18), b17 ^ (~b18 & b19),
+        b18 ^ (~b19 & b15), b19 ^ (~b15 & b16),
+        b20 ^ (~b21 & b22), b21 ^ (~b22 & b23), b22 ^ (~b23 & b24),
+        b23 ^ (~b24 & b20), b24 ^ (~b20 & b21),
+    ]
+
+
 def keccak_round(lanes, round_index):
     """One full round: iota(chi(pi(rho(theta(state)))), round_index)."""
     if not 0 <= round_index < 24:
         raise ValueError(f"round index must be 0..23, got {round_index}")
-    return iota(chi(pi(rho(theta(lanes)))), round_index)
+    return _round(lanes, round_index)
 
 
 def keccak_f(lanes):
     """The 24-round Keccak-f[1600] permutation."""
     for r in range(24):
-        lanes = iota(chi(pi(rho(theta(lanes)))), r)
+        lanes = _round(lanes, r)
     return lanes
 
 

@@ -72,6 +72,18 @@ class TestValidate:
         assert rc == 0
         capsys.readouterr()
 
+    def test_label_names_each_strategy_once(self, capsys):
+        rc = main(["validate", "--strategy", "shatr", "--strategy", "shatr",
+                   "--variant", "sha3-224"])
+        assert rc == 0
+        assert capsys.readouterr().out == "11/11 vectors pass (guest shatr)\n"
+
+    def test_label_follows_run_order(self, capsys, good_rsp):
+        rc = main(["validate", "--vectors", str(good_rsp), "--strategy", "shatr",
+                   "--strategy", "sw-mem"])
+        assert rc == 0
+        assert capsys.readouterr().out == "4/4 vectors pass (guest sw-mem/shatr)\n"
+
     def test_bundled_default(self, capsys):
         assert main(["validate", "--variant", "sha3-256"]) == 0
         capsys.readouterr()

@@ -1,20 +1,20 @@
 """Generated and differential checks: decode over arbitrary words, the
-round-unit slot's decode contract, step() against run() on every
-strategy's kernel and on faulting programs, machines sharing one
-translation cache against machines with a private one, cost models
-sharing one cache without translating again, cycles against their closed
-form in the counts, every load and
-store against a reference model, every ALU instruction against a
-table written from the RISC-V spec, and the assembler's statement memo
-against assembling without it. Hypothesis runs derandomized, so the
-suite is reproducible."""
+round-unit slot's decode contract, the straight-line Keccak round and
+the shatr instruction against the composed step maps, step() against
+run() on every strategy's kernel and on faulting programs, machines
+sharing one translation cache against machines with a private one, cost
+models sharing one cache without translating again, cycles against their
+closed form in the counts, every load and store against a reference
+model, every ALU instruction against a table written from the RISC-V
+spec, and the assembler's statement memo against assembling without it.
+Hypothesis runs derandomized, so the suite is reproducible."""
 
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shatrv import asm, isa
+from shatrv import asm, isa, keccak
 from shatrv.asm import AsmError, assemble
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError, EmulatorError,
@@ -24,6 +24,7 @@ from shatrv.kernels import STRATEGIES, GuestLayout, generate_kernel
 from shatrv.shatr import attach
 
 MEM = 1 << 21
+M64 = (1 << 64) - 1
 MESSAGE = b"step and run agree"
 SHATR_WORDS = {isa.encode("shatr", rs1=r): r for r in range(32)}
 
@@ -62,6 +63,35 @@ def test_custom0_decodes_only_as_shatr_with_a_unit(word):
     else:
         with pytest.raises(DecodeError):
             m.decode(word)
+
+
+_states = st.one_of(
+    st.lists(st.integers(0, M64), min_size=25, max_size=25),
+    st.sampled_from([[0] * 25, [M64] * 25]),
+    st.builds(lambda lane, bit: [1 << bit if i == lane else 0 for i in range(25)],
+              st.integers(0, 24), st.integers(0, 63)),
+)
+
+
+def _composed(lanes, r):
+    return keccak.iota(keccak.chi(keccak.pi(keccak.rho(keccak.theta(lanes)))), r)
+
+
+@generated(60)
+@given(_states)
+def test_round_and_shatr_match_the_composed_step_maps(state):
+    m = Machine(memory_size=1 << 13)
+    unit = attach(m)
+    m.load_program(isa.encode("shatr", rs1=10).to_bytes(4, "little"))
+    chained = state
+    for r in range(24):
+        want = _composed(state, r)
+        assert keccak.keccak_round(state, r) == want
+        unit.lanes, m.regs[10], m.pc = list(state), r, CODE_BASE
+        m.step()
+        assert unit.lanes == want
+        chained = _composed(chained, r)
+    assert keccak.keccak_f(state) == chained
 
 
 def _loaded(strategy, message=MESSAGE, **machine_args):
@@ -314,7 +344,6 @@ def test_attach_after_load_routes_the_lane_csrs_on_a_shared_cache():
 
 # -- the memory path against a reference model -----------------------------
 
-M64 = (1 << 64) - 1
 # (width in bytes, signed) of every load, written from the RISC-V
 # unprivileged spec; stores write the low `width` bytes of rs2
 LOAD_SPEC = {"lb": (1, True), "lh": (2, True), "lw": (4, True),
