@@ -116,57 +116,50 @@ def _target_offset(tok, addr, symbols):
         raise ValueError(f"unknown label {tok!r}") from None
 
 
+# operand slots of each isa format in source order: registers, an
+# immediate (imm20 is the raw upper field of lui/auipc), a csr address, an
+# offset(base) memory operand, or a branch or jal target, which is a label
+# or a pc-relative byte offset
+_SYNTAX = {fmt: tuple(slots.split()) for fmt, slots in {
+    "R": "rd rs1 rs2", "I": "rd rs1 imm", "shift6": "rd rs1 imm",
+    "shift5": "rd rs1 imm", "load": "rd imm(rs1)", "store": "rs2 imm(rs1)",
+    "branch": "rs1 rs2 target", "jal": "rd target", "U": "rd imm20",
+    "csr": "rd csr rs1", "csri": "rd csr imm", "ecall": "", "shatr": "rs1",
+}.items()}
+# how format_instruction prints each slot
+_PRINT = {
+    "rd": "x{0.rd}", "rs1": "x{0.rs1}", "rs2": "x{0.rs2}", "imm": "{0.imm}",
+    "imm20": "{0.imm:#x}", "csr": "{0.csr:#x}", "target": "{0.imm}",
+    "imm(rs1)": "{0.imm}(x{0.rs1})",
+}
+
+
+def _syntax(name, unknown="unknown mnemonic"):
+    try:
+        return _SYNTAX[isa.INSTRUCTIONS[name][0]]
+    except KeyError:
+        raise ValueError(f"{unknown} {name!r}") from None
+
+
 def _encode_statement(name, ops, addr, symbols):
     """Encode one parsed instruction at a known address. Labels in branch
     and jal operands resolve through symbols; raises ValueError on any
-    malformed operand."""
-    if name in isa._OP or name in isa._OP_32:
-        _arity(name, ops, 3)
-        return isa.encode(name, rd=_parse_reg(ops[0]), rs1=_parse_reg(ops[1]),
-                          rs2=_parse_reg(ops[2]))
-    if name in isa._OP_IMM or name == "addiw" or name in isa._SHIFT_IMM \
-            or name in isa._SHIFT_IMM_32:
-        _arity(name, ops, 3)
-        return isa.encode(name, rd=_parse_reg(ops[0]), rs1=_parse_reg(ops[1]),
-                          imm=_parse_int(ops[2]))
-    if name in isa._LOADS:
-        _arity(name, ops, 2)
-        off, base = _parse_mem(ops[1])
-        return isa.encode(name, rd=_parse_reg(ops[0]), rs1=base, imm=off)
-    if name in isa._STORES:
-        _arity(name, ops, 2)
-        off, base = _parse_mem(ops[1])
-        return isa.encode(name, rs2=_parse_reg(ops[0]), rs1=base, imm=off)
-    if name in isa._BRANCHES:
-        _arity(name, ops, 3)
-        return isa.encode(name, rs1=_parse_reg(ops[0]), rs2=_parse_reg(ops[1]),
-                          imm=_target_offset(ops[2], addr, symbols))
-    if name == "jal":
-        _arity(name, ops, 2)
-        return isa.encode(name, rd=_parse_reg(ops[0]),
-                          imm=_target_offset(ops[1], addr, symbols))
-    if name == "jalr":
-        _arity(name, ops, 3)
-        return isa.encode(name, rd=_parse_reg(ops[0]), rs1=_parse_reg(ops[1]),
-                          imm=_parse_int(ops[2]))
-    if name in ("lui", "auipc"):
-        _arity(name, ops, 2)
-        return isa.encode(name, rd=_parse_reg(ops[0]), imm=_parse_int(ops[1]))
-    if name in isa._CSR_REG:
-        _arity(name, ops, 3)
-        return isa.encode(name, rd=_parse_reg(ops[0]), csr=_parse_int(ops[1]),
-                          rs1=_parse_reg(ops[2]))
-    if name in isa._CSR_IMM:
-        _arity(name, ops, 3)
-        return isa.encode(name, rd=_parse_reg(ops[0]), csr=_parse_int(ops[1]),
-                          imm=_parse_int(ops[2]))
-    if name == "ecall":
-        _arity(name, ops, 0)
-        return isa.ECALL_WORD
-    if name == isa.SHATR_MNEMONIC:
-        _arity(name, ops, 1)
-        return isa.encode(name, rs1=_parse_reg(ops[0]))
-    raise ValueError(f"unknown mnemonic {name!r}")
+    malformed operand, the leftmost first."""
+    syntax = _syntax(name)
+    _arity(name, ops, len(syntax))
+    fields = {}
+    for slot, tok in zip(syntax, ops):
+        if slot == "imm(rs1)":
+            fields["imm"], fields["rs1"] = _parse_mem(tok)
+        elif slot == "target":
+            fields["imm"] = _target_offset(tok, addr, symbols)
+        elif slot == "csr":
+            fields["csr"] = _parse_int(tok)
+        elif slot.startswith("imm"):
+            fields["imm"] = _parse_int(tok)
+        else:
+            fields[slot] = _parse_reg(tok)
+    return isa.encode(name, **fields)
 
 
 def _rewrite_pseudo(name, ops):
@@ -232,7 +225,7 @@ def _statement_words(text):
     if name == "li":
         return _li_words(ops)
     name, ops = _rewrite_pseudo(name, ops)
-    if name in isa._BRANCHES or name == "jal":
+    if "target" in _syntax(name):
         return None
     return (_encode_statement(name, ops, 0, {}),)
 
@@ -391,31 +384,9 @@ def encode_instruction(text):
 def format_instruction(inst):
     """Render a decoded instruction in the canonical text the assembler
     accepts. Branch and jump targets come out as numeric offsets."""
-    n = inst.mnemonic
-    if n in isa._OP or n in isa._OP_32:
-        return f"{n} x{inst.rd}, x{inst.rs1}, x{inst.rs2}"
-    if n in isa._OP_IMM or n == "addiw" or n == "jalr" \
-            or n in isa._SHIFT_IMM or n in isa._SHIFT_IMM_32:
-        return f"{n} x{inst.rd}, x{inst.rs1}, {inst.imm}"
-    if n in isa._LOADS:
-        return f"{n} x{inst.rd}, {inst.imm}(x{inst.rs1})"
-    if n in isa._STORES:
-        return f"{n} x{inst.rs2}, {inst.imm}(x{inst.rs1})"
-    if n in isa._BRANCHES:
-        return f"{n} x{inst.rs1}, x{inst.rs2}, {inst.imm}"
-    if n == "jal":
-        return f"jal x{inst.rd}, {inst.imm}"
-    if n in ("lui", "auipc"):
-        return f"{n} x{inst.rd}, {inst.imm:#x}"
-    if n in isa._CSR_REG:
-        return f"{n} x{inst.rd}, {inst.csr:#x}, x{inst.rs1}"
-    if n in isa._CSR_IMM:
-        return f"{n} x{inst.rd}, {inst.csr:#x}, {inst.imm}"
-    if n == "ecall":
-        return "ecall"
-    if n == isa.SHATR_MNEMONIC:
-        return f"shatr x{inst.rs1}"
-    raise ValueError(f"no canonical form for {n!r}")
+    syntax = _syntax(inst.mnemonic, "no canonical form for")
+    ops = ", ".join(_PRINT[slot].format(inst) for slot in syntax)
+    return f"{inst.mnemonic} {ops}" if ops else inst.mnemonic
 
 
 def disassemble(program):

@@ -108,6 +108,8 @@ def _load_sets(args):
         for variant in variants:
             for msg_class in BUNDLED_CLASSES:
                 sets.append(load_bundled(variant, msg_class))
+    if not any(vs.vectors for vs in sets):
+        raise ValueError("no vectors selected")
     return sets
 
 

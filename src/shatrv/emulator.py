@@ -359,7 +359,7 @@ def _closure(inst, attached):
     if rmw is not None:
         if not attached or not LANE_CSR_BASE <= inst.csr <= LANE_CSR_LAST:
             raise CsrFault(f"unclaimed csr {inst.csr:#x}")
-        reg_form = name in isa._CSR_REG
+        reg_form = isa.INSTRUCTIONS[name][0] == "csr"
         def ex(m, rd=rd, rs1=rs1, imm=imm, index=inst.csr - LANE_CSR_BASE,
                rmw=rmw, reg_form=reg_form):
             old = m.round_unit.csr_access(

@@ -2,7 +2,15 @@
 
 Supported set: RV64I integer instructions (no FENCE, no EBREAK), the Zicsr
 register and immediate forms, and the shatr round instruction on the
-custom-0 opcode. Immediate conventions in DecodedInstruction:
+custom-0 opcode.
+
+INSTRUCTIONS holds one row per mnemonic: its operand format and its match
+word, the word with every fixed field (opcode, funct3, funct7 or funct6)
+set, as in riscv-opcodes' MATCH/MASK convention. FORMATS gives each format
+the mask of the bits its rows fix, a category, and where its operands sit.
+encode, decode, the assembler and the disassembler all derive from these
+two tables, so a new instruction is one row here plus its semantics in the
+emulator. Immediate conventions in DecodedInstruction:
 
   - I/S/B/J forms: imm is the sign-extended byte value (branch/jump
     immediates are pc-relative byte offsets).
@@ -12,6 +20,7 @@ custom-0 opcode. Immediate conventions in DecodedInstruction:
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 INT_ALU = "int_alu"
 MEM_READ = "mem_read"
@@ -24,8 +33,6 @@ CATEGORIES = (INT_ALU, MEM_READ, MEM_WRITE, BRANCH, CSR, CUSTOM, OTHER)
 CATEGORY_INDEX = {name: i for i, name in enumerate(CATEGORIES)}
 
 OPCODE_CUSTOM0 = 0x0B
-SHATR_MNEMONIC = "shatr"
-ECALL_WORD = 0x00000073
 # the shatr unit's lane register file: lane i (state index 5*y + x) is CSR
 # LANE_CSR_BASE + i
 LANE_CSR_BASE = 0x800
@@ -57,49 +64,72 @@ def sign_extend(value, bits):
     return (value & (mask - 1)) - (value & mask)
 
 
-# mnemonic -> (funct3,) per simple-funct3 groups
-_BRANCHES = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
-_LOADS = {"lb": 0, "lh": 1, "lw": 2, "ld": 3, "lbu": 4, "lhu": 5, "lwu": 6}
-_STORES = {"sb": 0, "sh": 1, "sw": 2, "sd": 3}
-_OP_IMM = {"addi": 0, "slti": 2, "sltiu": 3, "xori": 4, "ori": 6, "andi": 7}
-# mnemonic -> (funct3, funct7)
-_OP = {
-    "add": (0, 0x00), "sub": (0, 0x20), "sll": (1, 0x00), "slt": (2, 0x00),
-    "sltu": (3, 0x00), "xor": (4, 0x00), "srl": (5, 0x00), "sra": (5, 0x20),
-    "or": (6, 0x00), "and": (7, 0x00),
+# mnemonic -> (format, match word)
+INSTRUCTIONS = {
+    "add": ("R", 0x00000033), "sub": ("R", 0x40000033),
+    "sll": ("R", 0x00001033), "slt": ("R", 0x00002033),
+    "sltu": ("R", 0x00003033), "xor": ("R", 0x00004033),
+    "srl": ("R", 0x00005033), "sra": ("R", 0x40005033),
+    "or": ("R", 0x00006033), "and": ("R", 0x00007033),
+    "addw": ("R", 0x0000003B), "subw": ("R", 0x4000003B),
+    "sllw": ("R", 0x0000103B), "srlw": ("R", 0x0000503B),
+    "sraw": ("R", 0x4000503B),
+    "addi": ("I", 0x00000013), "slti": ("I", 0x00002013),
+    "sltiu": ("I", 0x00003013), "xori": ("I", 0x00004013),
+    "ori": ("I", 0x00006013), "andi": ("I", 0x00007013),
+    "addiw": ("I", 0x0000001B), "jalr": ("I", 0x00000067),
+    "slli": ("shift6", 0x00001013), "srli": ("shift6", 0x00005013),
+    "srai": ("shift6", 0x40005013),
+    "slliw": ("shift5", 0x0000101B), "srliw": ("shift5", 0x0000501B),
+    "sraiw": ("shift5", 0x4000501B),
+    "lb": ("load", 0x00000003), "lh": ("load", 0x00001003),
+    "lw": ("load", 0x00002003), "ld": ("load", 0x00003003),
+    "lbu": ("load", 0x00004003), "lhu": ("load", 0x00005003),
+    "lwu": ("load", 0x00006003),
+    "sb": ("store", 0x00000023), "sh": ("store", 0x00001023),
+    "sw": ("store", 0x00002023), "sd": ("store", 0x00003023),
+    "beq": ("branch", 0x00000063), "bne": ("branch", 0x00001063),
+    "blt": ("branch", 0x00004063), "bge": ("branch", 0x00005063),
+    "bltu": ("branch", 0x00006063), "bgeu": ("branch", 0x00007063),
+    "jal": ("jal", 0x0000006F),
+    "lui": ("U", 0x00000037), "auipc": ("U", 0x00000017),
+    "csrrw": ("csr", 0x00001073), "csrrs": ("csr", 0x00002073),
+    "csrrc": ("csr", 0x00003073),
+    "csrrwi": ("csri", 0x00005073), "csrrsi": ("csri", 0x00006073),
+    "csrrci": ("csri", 0x00007073),
+    "ecall": ("ecall", 0x00000073),
+    # one Keccak-f[1600] round: funct7, rs2, funct3 and rd must be zero
+    "shatr": ("shatr", OPCODE_CUSTOM0),
 }
-_OP_32 = {
-    "addw": (0, 0x00), "subw": (0, 0x20), "sllw": (1, 0x00),
-    "srlw": (5, 0x00), "sraw": (5, 0x20),
+
+
+# the fields of the register operands rd, rs1 and rs2
+RD, RS1, RS2 = 0x1F << 7, 0x1F << 15, 0x1F << 20
+
+
+class Format(NamedTuple):
+    mask: int               # the bits every row of the format fixes
+    category: str           # what its rows retire as; jalr (I) is a branch
+    registers: int          # its register operands' fields, of RD | RS1 | RS2
+    immediate: str | None   # a key of _IMMEDIATES
+    csr: bool               # carries a CSR address in bits 20..31
+
+
+FORMATS = {
+    "R": Format(0xFE00707F, INT_ALU, RD | RS1 | RS2, None, False),
+    "I": Format(0x0000707F, INT_ALU, RD | RS1, "i12", False),
+    "shift6": Format(0xFC00707F, INT_ALU, RD | RS1, "shamt6", False),
+    "shift5": Format(0xFE00707F, INT_ALU, RD | RS1, "shamt5", False),
+    "load": Format(0x0000707F, MEM_READ, RD | RS1, "i12", False),
+    "store": Format(0x0000707F, MEM_WRITE, RS1 | RS2, "s12", False),
+    "branch": Format(0x0000707F, BRANCH, RS1 | RS2, "b13", False),
+    "jal": Format(0x0000007F, BRANCH, RD, "j21", False),
+    "U": Format(0x0000007F, INT_ALU, RD, "u20", False),
+    "csr": Format(0x0000707F, CSR, RD | RS1, None, True),
+    "csri": Format(0x0000707F, CSR, RD, "zimm5", True),
+    "ecall": Format(0xFFFFFFFF, OTHER, 0, None, False),
+    "shatr": Format(0xFFF07FFF, CUSTOM, RS1, None, False),
 }
-# RV64 shifts on OP-IMM use a 6-bit shamt below a 6-bit funct field
-_SHIFT_IMM = {"slli": (1, 0x00), "srli": (5, 0x00), "srai": (5, 0x10)}
-_SHIFT_IMM_32 = {"slliw": (1, 0x00), "srliw": (5, 0x00), "sraiw": (5, 0x20)}
-_CSR_REG = {"csrrw": 1, "csrrs": 2, "csrrc": 3}
-_CSR_IMM = {"csrrwi": 5, "csrrsi": 6, "csrrci": 7}
-
-_BY_F3 = lambda table: {v: k for k, v in table.items()}
-_BRANCH_BY_F3 = _BY_F3(_BRANCHES)
-_LOAD_BY_F3 = _BY_F3(_LOADS)
-_STORE_BY_F3 = _BY_F3(_STORES)
-_OP_IMM_BY_F3 = _BY_F3(_OP_IMM)
-_CSR_REG_BY_F3 = _BY_F3(_CSR_REG)
-_CSR_IMM_BY_F3 = _BY_F3(_CSR_IMM)
-_OP_BY_FUNCT = {v: k for k, v in _OP.items()}
-_OP_32_BY_FUNCT = {v: k for k, v in _OP_32.items()}
-
-
-def _fields(word):
-    return ((word >> 7) & 0x1F, (word >> 12) & 0x7, (word >> 15) & 0x1F,
-            (word >> 20) & 0x1F, (word >> 25) & 0x7F)
-
-
-def _imm_i(word):
-    return sign_extend(word >> 20, 12)
-
-
-def _imm_s(word):
-    return sign_extend(((word >> 25) << 5) | ((word >> 7) & 0x1F), 12)
 
 
 def _imm_b(word):
@@ -114,103 +144,6 @@ def _imm_j(word):
     return sign_extend(v, 21)
 
 
-def decode(word):
-    """Decode one 32-bit word. Raises DecodeError for anything outside the
-    supported set; never raises anything else on arbitrary 32-bit input."""
-    if not 0 <= word < (1 << 32):
-        raise DecodeError(f"not a 32-bit word: {word:#x}")
-    opcode = word & 0x7F
-    rd, f3, rs1, rs2, f7 = _fields(word)
-
-    if opcode == 0x37:
-        return DecodedInstruction(word, "lui", INT_ALU, rd=rd, imm=word >> 12)
-    if opcode == 0x17:
-        return DecodedInstruction(word, "auipc", INT_ALU, rd=rd, imm=word >> 12)
-    if opcode == 0x6F:
-        return DecodedInstruction(word, "jal", BRANCH, rd=rd, imm=_imm_j(word))
-    if opcode == 0x67:
-        if f3 != 0:
-            raise DecodeError(f"jalr funct3 must be 0: {word:#010x}")
-        return DecodedInstruction(word, "jalr", BRANCH, rd=rd, rs1=rs1, imm=_imm_i(word))
-    if opcode == 0x63:
-        name = _BRANCH_BY_F3.get(f3)
-        if name is None:
-            raise DecodeError(f"bad branch funct3 {f3}: {word:#010x}")
-        return DecodedInstruction(word, name, BRANCH, rs1=rs1, rs2=rs2, imm=_imm_b(word))
-    if opcode == 0x03:
-        name = _LOAD_BY_F3.get(f3)
-        if name is None:
-            raise DecodeError(f"bad load funct3 {f3}: {word:#010x}")
-        return DecodedInstruction(word, name, MEM_READ, rd=rd, rs1=rs1, imm=_imm_i(word))
-    if opcode == 0x23:
-        name = _STORE_BY_F3.get(f3)
-        if name is None:
-            raise DecodeError(f"bad store funct3 {f3}: {word:#010x}")
-        return DecodedInstruction(word, name, MEM_WRITE, rs1=rs1, rs2=rs2, imm=_imm_s(word))
-    if opcode == 0x13:
-        if f3 == 1 or f3 == 5:
-            funct6 = word >> 26
-            shamt = (word >> 20) & 0x3F
-            for name, (nf3, nf6) in _SHIFT_IMM.items():
-                if nf3 == f3 and nf6 == funct6:
-                    return DecodedInstruction(word, name, INT_ALU, rd=rd, rs1=rs1, imm=shamt)
-            raise DecodeError(f"bad shift funct6 {funct6:#x}: {word:#010x}")
-        name = _OP_IMM_BY_F3.get(f3)
-        if name is None:
-            raise DecodeError(f"bad op-imm funct3 {f3}: {word:#010x}")
-        return DecodedInstruction(word, name, INT_ALU, rd=rd, rs1=rs1, imm=_imm_i(word))
-    if opcode == 0x1B:
-        if f3 == 0:
-            return DecodedInstruction(word, "addiw", INT_ALU, rd=rd, rs1=rs1, imm=_imm_i(word))
-        if f3 == 1 or f3 == 5:
-            for name, (nf3, nf7) in _SHIFT_IMM_32.items():
-                if nf3 == f3 and nf7 == f7:
-                    return DecodedInstruction(word, name, INT_ALU, rd=rd, rs1=rs1, imm=rs2)
-            raise DecodeError(f"bad 32-bit shift funct7 {f7:#x}: {word:#010x}")
-        raise DecodeError(f"bad op-imm-32 funct3 {f3}: {word:#010x}")
-    if opcode == 0x33:
-        name = _OP_BY_FUNCT.get((f3, f7))
-        if name is None:
-            raise DecodeError(f"bad op funct {f3}/{f7:#x}: {word:#010x}")
-        return DecodedInstruction(word, name, INT_ALU, rd=rd, rs1=rs1, rs2=rs2)
-    if opcode == 0x3B:
-        name = _OP_32_BY_FUNCT.get((f3, f7))
-        if name is None:
-            raise DecodeError(f"bad op-32 funct {f3}/{f7:#x}: {word:#010x}")
-        return DecodedInstruction(word, name, INT_ALU, rd=rd, rs1=rs1, rs2=rs2)
-    if opcode == 0x73:
-        if f3 == 0:
-            if word != ECALL_WORD:
-                raise DecodeError(f"unsupported system instruction: {word:#010x}")
-            return DecodedInstruction(word, "ecall", OTHER)
-        csr = word >> 20
-        name = _CSR_REG_BY_F3.get(f3)
-        if name is not None:
-            return DecodedInstruction(word, name, CSR, rd=rd, rs1=rs1, csr=csr)
-        name = _CSR_IMM_BY_F3.get(f3)
-        if name is not None:
-            return DecodedInstruction(word, name, CSR, rd=rd, imm=rs1, csr=csr)
-        raise DecodeError(f"bad system funct3 {f3}: {word:#010x}")
-    if opcode == OPCODE_CUSTOM0:
-        if f3 != 0 or f7 != 0 or rd != 0 or rs2 != 0:
-            raise DecodeError(f"bad {SHATR_MNEMONIC} funct/rd/rs2 bits: {word:#010x}")
-        return DecodedInstruction(word, SHATR_MNEMONIC, CUSTOM, rs1=rs1)
-    raise DecodeError(f"unsupported opcode {opcode:#04x}: {word:#010x}")
-
-
-def _check_reg(name, v):
-    if not 0 <= v <= 31:
-        raise ValueError(f"{name} out of range: {v}")
-
-
-def _check_imm(name, v, bits, *, even=False):
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    if not lo <= v <= hi:
-        raise ValueError(f"{name} out of range [{lo}, {hi}]: {v}")
-    if even and v & 1:
-        raise ValueError(f"{name} must be even: {v}")
-
-
 def _enc_b(imm):
     u = imm & 0x1FFF
     return (((u >> 12) & 1) << 31) | (((u >> 5) & 0x3F) << 25) \
@@ -223,68 +156,98 @@ def _enc_j(imm):
         | (((u >> 11) & 1) << 20) | (((u >> 12) & 0xFF) << 12)
 
 
+class _Immediate(NamedTuple):
+    lo: int
+    hi: int
+    even: bool
+    out_of_range: str       # ValueError text, formatted with the value
+    unpack: object          # word -> value
+    pack: object            # value -> its bits of the word
+
+
+def _signed(bits, unpack, pack, even=False):
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return _Immediate(lo, hi, even, f"imm out of range [{lo}, {hi}]: {{}}",
+                      unpack, pack)
+
+
+_IMMEDIATES = {
+    "i12": _signed(12, lambda w: sign_extend(w >> 20, 12),
+                   lambda v: (v & 0xFFF) << 20),
+    "s12": _signed(12, lambda w: sign_extend(((w >> 25) << 5) | ((w >> 7) & 0x1F), 12),
+                   lambda v: ((v & 0xFE0) << 20) | ((v & 0x1F) << 7)),
+    "b13": _signed(13, _imm_b, _enc_b, even=True),
+    "j21": _signed(21, _imm_j, _enc_j, even=True),
+    "u20": _Immediate(0, 0xFFFFF, False, "20-bit field out of range: {:#x}",
+                      lambda w: w >> 12, lambda v: v << 12),
+    "shamt6": _Immediate(0, 63, False, "shift amount out of range: {}",
+                         lambda w: (w >> 20) & 0x3F, lambda v: v << 20),
+    "shamt5": _Immediate(0, 31, False, "shift amount out of range: {}",
+                         lambda w: (w >> 20) & 0x1F, lambda v: v << 20),
+    "zimm5": _Immediate(0, 31, False, "csr immediate out of range: {}",
+                        lambda w: (w >> 15) & 0x1F, lambda v: v << 15),
+}
+
+
+def _decode_tables():
+    """One {match: row} table per distinct mask, where a row is what decode
+    needs: (mnemonic, category, register fields, immediate unpacker or
+    None, csr). The masks that fix the fewest bits, and so the most rows,
+    come first."""
+    tables = {}
+    for name, (fmt, match) in INSTRUCTIONS.items():
+        f = FORMATS[fmt]
+        imm = f.immediate and _IMMEDIATES[f.immediate].unpack
+        tables.setdefault(f.mask, {})[match] = (
+            name, BRANCH if name == "jalr" else f.category,
+            f.registers, imm, f.csr)
+    return tuple(sorted(tables.items(), key=lambda t: -len(t[1])))
+
+
+_DECODE = _decode_tables()
+_OPCODES = frozenset(match & 0x7F for _, match in INSTRUCTIONS.values())
+
+
+def decode(word):
+    """Decode one 32-bit word. Raises DecodeError for anything outside the
+    supported set; never raises anything else on arbitrary 32-bit input."""
+    if not 0 <= word < (1 << 32):
+        raise DecodeError(f"not a 32-bit word: {word:#x}")
+    for mask, rows in _DECODE:
+        row = rows.get(word & mask)
+        if row is not None:
+            break
+    else:
+        opcode = word & 0x7F
+        if opcode in _OPCODES:
+            raise DecodeError(f"bad funct bits under opcode {opcode:#04x}: {word:#010x}")
+        raise DecodeError(f"unsupported opcode {opcode:#04x}: {word:#010x}")
+    mnemonic, category, registers, unpack, csr = row
+    r = word & registers
+    return DecodedInstruction(
+        word, mnemonic, category, r >> 7 & 0x1F, r >> 15 & 0x1F, r >> 20,
+        unpack(word) if unpack else 0, word >> 20 if csr else None)
+
+
 def encode(mnemonic, rd=0, rs1=0, rs2=0, imm=0, csr=None):
     """Encode one instruction to its 32-bit word. Raises ValueError on any
     out-of-range field."""
-    _check_reg("rd", rd)
-    _check_reg("rs1", rs1)
-    _check_reg("rs2", rs2)
-
-    if mnemonic in _OP:
-        f3, f7 = _OP[mnemonic]
-        return (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | 0x33
-    if mnemonic in _OP_32:
-        f3, f7 = _OP_32[mnemonic]
-        return (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | 0x3B
-    if mnemonic in _OP_IMM:
-        _check_imm("imm", imm, 12)
-        return ((imm & 0xFFF) << 20) | (rs1 << 15) | (_OP_IMM[mnemonic] << 12) | (rd << 7) | 0x13
-    if mnemonic in _SHIFT_IMM:
-        f3, f6 = _SHIFT_IMM[mnemonic]
-        if not 0 <= imm <= 63:
-            raise ValueError(f"shift amount out of range: {imm}")
-        return (f6 << 26) | (imm << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | 0x13
-    if mnemonic == "addiw":
-        _check_imm("imm", imm, 12)
-        return ((imm & 0xFFF) << 20) | (rs1 << 15) | (rd << 7) | 0x1B
-    if mnemonic in _SHIFT_IMM_32:
-        f3, f7 = _SHIFT_IMM_32[mnemonic]
-        if not 0 <= imm <= 31:
-            raise ValueError(f"shift amount out of range: {imm}")
-        return (f7 << 25) | (imm << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | 0x1B
-    if mnemonic in _LOADS:
-        _check_imm("imm", imm, 12)
-        return ((imm & 0xFFF) << 20) | (rs1 << 15) | (_LOADS[mnemonic] << 12) | (rd << 7) | 0x03
-    if mnemonic in _STORES:
-        _check_imm("imm", imm, 12)
-        u = imm & 0xFFF
-        return ((u >> 5) << 25) | (rs2 << 20) | (rs1 << 15) | (_STORES[mnemonic] << 12) \
-            | ((u & 0x1F) << 7) | 0x23
-    if mnemonic in _BRANCHES:
-        _check_imm("imm", imm, 13, even=True)
-        return _enc_b(imm) | (rs2 << 20) | (rs1 << 15) | (_BRANCHES[mnemonic] << 12) | 0x63
-    if mnemonic == "jal":
-        _check_imm("imm", imm, 21, even=True)
-        return _enc_j(imm) | (rd << 7) | 0x6F
-    if mnemonic == "jalr":
-        _check_imm("imm", imm, 12)
-        return ((imm & 0xFFF) << 20) | (rs1 << 15) | (rd << 7) | 0x67
-    if mnemonic in ("lui", "auipc"):
-        if not 0 <= imm <= 0xFFFFF:
-            raise ValueError(f"20-bit field out of range: {imm:#x}")
-        return (imm << 12) | (rd << 7) | (0x37 if mnemonic == "lui" else 0x17)
-    if mnemonic in _CSR_REG:
+    for reg, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
+        if not 0 <= v <= 31:
+            raise ValueError(f"{reg} out of range: {v}")
+    if mnemonic not in INSTRUCTIONS:
+        raise ValueError(f"unknown mnemonic: {mnemonic}")
+    fmt, word = INSTRUCTIONS[mnemonic]
+    f = FORMATS[fmt]
+    if f.csr:
         if csr is None or not 0 <= csr <= 0xFFF:
             raise ValueError(f"bad csr address: {csr}")
-        return (csr << 20) | (rs1 << 15) | (_CSR_REG[mnemonic] << 12) | (rd << 7) | 0x73
-    if mnemonic in _CSR_IMM:
-        if csr is None or not 0 <= csr <= 0xFFF:
-            raise ValueError(f"bad csr address: {csr}")
-        if not 0 <= imm <= 31:
-            raise ValueError(f"csr immediate out of range: {imm}")
-        return (csr << 20) | (imm << 15) | (_CSR_IMM[mnemonic] << 12) | (rd << 7) | 0x73
-    if mnemonic == "ecall":
-        return ECALL_WORD
-    if mnemonic == SHATR_MNEMONIC:
-        return (rs1 << 15) | OPCODE_CUSTOM0
-    raise ValueError(f"unknown mnemonic: {mnemonic}")
+        word |= csr << 20
+    if f.immediate:
+        spec = _IMMEDIATES[f.immediate]
+        if not spec.lo <= imm <= spec.hi:
+            raise ValueError(spec.out_of_range.format(imm))
+        if spec.even and imm & 1:
+            raise ValueError(f"imm must be even: {imm}")
+        word |= spec.pack(imm)
+    return word | ((rd << 7) | (rs1 << 15) | (rs2 << 20)) & f.registers

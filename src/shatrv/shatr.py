@@ -14,8 +14,8 @@ CSR map: lane i (state index 5*y + x) is CSR 0x800 + i, for i = 0..24.
 The lanes are ordinary 64-bit CSRs: csrrw swaps a whole lane, csrrs/csrrc
 set and clear bits, and the usual rs1=x0 forms give pure reads.
 
-The encoding and the lane CSR range are defined in isa; this module
-re-exports them under the unit's names.
+The encoding is the shatr row of isa.INSTRUCTIONS and the lane CSR range
+is isa's; this module re-exports both under the unit's names.
 """
 
 from . import isa

@@ -175,39 +175,35 @@ def test_criterion_5_step_algebra():
 
 def _random_legal(rng):
     name = rng.choice(_ALL)
+    fmt = isa.INSTRUCTIONS[name][0]
     r = lambda: rng.randrange(32)
     imm12 = lambda: rng.randrange(-2048, 2048)
-    if name in isa._OP or name in isa._OP_32:
+    if fmt == "R":
         return name, dict(rd=r(), rs1=r(), rs2=r())
-    if name in isa._OP_IMM or name == "addiw" or name in isa._LOADS or name == "jalr":
+    if fmt in ("I", "load"):
         return name, dict(rd=r(), rs1=r(), imm=imm12())
-    if name in isa._SHIFT_IMM:
+    if fmt == "shift6":
         return name, dict(rd=r(), rs1=r(), imm=rng.randrange(64))
-    if name in isa._SHIFT_IMM_32:
+    if fmt == "shift5":
         return name, dict(rd=r(), rs1=r(), imm=rng.randrange(32))
-    if name in isa._STORES:
+    if fmt == "store":
         return name, dict(rs1=r(), rs2=r(), imm=imm12())
-    if name in isa._BRANCHES:
+    if fmt == "branch":
         return name, dict(rs1=r(), rs2=r(), imm=imm12() * 2)
-    if name == "jal":
+    if fmt == "jal":
         return name, dict(rd=r(), imm=rng.randrange(-(1 << 19), 1 << 19) * 2)
-    if name in ("lui", "auipc"):
+    if fmt == "U":
         return name, dict(rd=r(), imm=rng.getrandbits(20))
-    if name in isa._CSR_REG:
+    if fmt == "csr":
         return name, dict(rd=r(), rs1=r(), csr=rng.getrandbits(12))
-    if name in isa._CSR_IMM:
+    if fmt == "csri":
         return name, dict(rd=r(), imm=rng.randrange(32), csr=rng.getrandbits(12))
-    if name == "shatr":
+    if fmt == "shatr":
         return name, dict(rs1=r())
     return name, {}
 
 
-_ALL = sorted(
-    list(isa._OP) + list(isa._OP_32) + list(isa._OP_IMM) + ["addiw"]
-    + list(isa._SHIFT_IMM) + list(isa._SHIFT_IMM_32) + list(isa._LOADS)
-    + list(isa._STORES) + list(isa._BRANCHES)
-    + ["jal", "jalr", "lui", "auipc", "ecall", "shatr"]
-    + list(isa._CSR_REG) + list(isa._CSR_IMM))
+_ALL = sorted(isa.INSTRUCTIONS)
 
 
 def test_criterion_6_assembler_round_trip():

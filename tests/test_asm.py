@@ -249,47 +249,37 @@ class TestExecutionIntegration:
 
 def _random_instruction(rng):
     name = rng.choice(ALL_MNEMONICS)
+    fmt = isa.INSTRUCTIONS[name][0]
     kw = {}
-    if name in isa._OP or name in isa._OP_32:
+    if fmt == "R":
         kw = dict(rd=rng.randrange(32), rs1=rng.randrange(32), rs2=rng.randrange(32))
-    elif name in isa._OP_IMM or name == "addiw":
+    elif fmt in ("I", "load"):
         kw = dict(rd=rng.randrange(32), rs1=rng.randrange(32),
                   imm=rng.randrange(-2048, 2048))
-    elif name in isa._SHIFT_IMM:
+    elif fmt == "shift6":
         kw = dict(rd=rng.randrange(32), rs1=rng.randrange(32), imm=rng.randrange(64))
-    elif name in isa._SHIFT_IMM_32:
+    elif fmt == "shift5":
         kw = dict(rd=rng.randrange(32), rs1=rng.randrange(32), imm=rng.randrange(32))
-    elif name in isa._LOADS:
-        kw = dict(rd=rng.randrange(32), rs1=rng.randrange(32),
-                  imm=rng.randrange(-2048, 2048))
-    elif name in isa._STORES:
+    elif fmt == "store":
         kw = dict(rs1=rng.randrange(32), rs2=rng.randrange(32),
                   imm=rng.randrange(-2048, 2048))
-    elif name in isa._BRANCHES:
+    elif fmt == "branch":
         kw = dict(rs1=rng.randrange(32), rs2=rng.randrange(32),
                   imm=rng.randrange(-2048, 2048) * 2)
-    elif name == "jal":
+    elif fmt == "jal":
         kw = dict(rd=rng.randrange(32), imm=rng.randrange(-(1 << 19), 1 << 19) * 2)
-    elif name == "jalr":
-        kw = dict(rd=rng.randrange(32), rs1=rng.randrange(32),
-                  imm=rng.randrange(-2048, 2048))
-    elif name in ("lui", "auipc"):
+    elif fmt == "U":
         kw = dict(rd=rng.randrange(32), imm=rng.getrandbits(20))
-    elif name in isa._CSR_REG:
+    elif fmt == "csr":
         kw = dict(rd=rng.randrange(32), rs1=rng.randrange(32), csr=rng.getrandbits(12))
-    elif name in isa._CSR_IMM:
+    elif fmt == "csri":
         kw = dict(rd=rng.randrange(32), imm=rng.randrange(32), csr=rng.getrandbits(12))
-    elif name == "shatr":
+    elif fmt == "shatr":
         kw = dict(rs1=rng.randrange(32))
     return name, kw
 
 
-ALL_MNEMONICS = sorted(
-    list(isa._OP) + list(isa._OP_32) + list(isa._OP_IMM) + ["addiw"]
-    + list(isa._SHIFT_IMM) + list(isa._SHIFT_IMM_32) + list(isa._LOADS)
-    + list(isa._STORES) + list(isa._BRANCHES)
-    + ["jal", "jalr", "lui", "auipc", "ecall", "shatr"]
-    + list(isa._CSR_REG) + list(isa._CSR_IMM))
+ALL_MNEMONICS = sorted(isa.INSTRUCTIONS)
 
 
 class TestRoundTrips:

@@ -55,6 +55,17 @@ class TestUsageErrors:
         assert main(["validate", "--vectors", str(tmp_path / "nope.rsp")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["validate", "--strategy", "shatr"], ["bench"],
+    ])
+    def test_an_empty_vector_directory_exits_2(self, capsys, tmp_path, argv):
+        assert main(argv + ["--vectors", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", "error: no vectors selected\n")
+
+    def test_a_variant_that_drops_every_vector_file_exits_2(self, capsys, good_rsp):
+        assert main(["validate", "--vectors", str(good_rsp), "--variant", "sha3-224"]) == 2
+        assert capsys.readouterr() == ("", "error: no vectors selected\n")
+
 
 class TestValidate:
     def test_host_library_pass(self, capsys, good_rsp):

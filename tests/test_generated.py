@@ -1,14 +1,18 @@
 """Generated and differential checks: decode over arbitrary words, the
-round-unit slot's decode contract, the straight-line Keccak round and
-the shatr instruction against the composed step maps, step() against
-run() on every strategy's kernel and on faulting programs, machines
-sharing one translation cache against machines with a private one, cost
-models sharing one cache without translating again, cycles against their
-closed form in the counts, every load and store against a reference
-model, every ALU instruction against a table written from the RISC-V
-spec, and the assembler's statement memo against assembling without it.
+round-unit slot's decode contract, the instruction table against the
+spec's field layouts (no two rows overlap; encode, decode, print and
+parse make a fixed point at every field's extremes; one step past a range
+raises), the straight-line Keccak round and the shatr instruction
+against the composed step maps, step() against run() on every
+strategy's kernel and on faulting programs, machines sharing one
+translation cache against machines with a private one, cost models
+sharing one cache without translating again, cycles against their closed
+form in the counts, every load and store against a reference model,
+every ALU instruction against a table written from the RISC-V spec, and
+the assembler's statement memo against assembling without it.
 Hypothesis runs derandomized, so the suite is reproducible."""
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -63,6 +67,119 @@ def test_custom0_decodes_only_as_shatr_with_a_unit(word):
     else:
         with pytest.raises(DecodeError):
             m.decode(word)
+
+
+# -- the instruction table against the spec ---------------------------------
+
+# operand fields of every isa format with their (lowest, highest, step), from
+# the RISC-V unprivileged spec: signed 12-bit I and S immediates, 6- and
+# 5-bit shift amounts, even 13- and 21-bit branch and jal offsets, the raw
+# 20-bit U field, 12-bit CSR addresses and the 5-bit CSR immediate
+_REG = (0, 31, 1)
+_I12 = (-2048, 2047, 1)
+_FIELDS = {
+    "R": dict(rd=_REG, rs1=_REG, rs2=_REG),
+    "I": dict(rd=_REG, rs1=_REG, imm=_I12),
+    "shift6": dict(rd=_REG, rs1=_REG, imm=(0, 63, 1)),
+    "shift5": dict(rd=_REG, rs1=_REG, imm=(0, 31, 1)),
+    "load": dict(rd=_REG, rs1=_REG, imm=_I12),
+    "store": dict(rs1=_REG, rs2=_REG, imm=_I12),
+    "branch": dict(rs1=_REG, rs2=_REG, imm=(-4096, 4094, 2)),
+    "jal": dict(rd=_REG, imm=(-(1 << 20), (1 << 20) - 2, 2)),
+    "U": dict(rd=_REG, imm=(0, 0xFFFFF, 1)),
+    "csr": dict(rd=_REG, rs1=_REG, csr=(0, 0xFFF, 1)),
+    "csri": dict(rd=_REG, imm=(0, 31, 1), csr=(0, 0xFFF, 1)),
+    "ecall": {},
+    "shatr": dict(rs1=_REG),
+}
+_ROWS = sorted(isa.INSTRUCTIONS)
+
+
+def _spec(name):
+    return _FIELDS[isa.INSTRUCTIONS[name][0]]
+
+
+def _accepting(word):
+    """The rows whose fixed bits the word carries."""
+    return [name for name, (fmt, match) in isa.INSTRUCTIONS.items()
+            if word & isa.FORMATS[fmt].mask == match]
+
+
+def test_no_two_rows_overlap():
+    assert set(_FIELDS) == set(isa.FORMATS) and len(_ROWS) == 57
+    for name, (fmt, match) in isa.INSTRUCTIONS.items():
+        assert match & ~isa.FORMATS[fmt].mask == 0, name
+        assert _accepting(match) == [name]
+        assert isa.decode(match).mnemonic == name
+
+
+@generated(1000)
+@given(st.sampled_from(_ROWS), st.integers(0, (1 << 32) - 1))
+def test_the_words_of_a_row_decode_to_that_row_alone(name, noise):
+    fmt, match = isa.INSTRUCTIONS[name]
+    word = match | (noise & ~isa.FORMATS[fmt].mask)
+    assert _accepting(word) == [name]
+    assert isa.decode(word).mnemonic == name
+
+
+def _fixed_point(name, fields):
+    """encode -> decode -> format_instruction -> encode_instruction."""
+    word = isa.encode(name, **fields)
+    inst = isa.decode(word)
+    assert (inst.mnemonic, {f: getattr(inst, f) for f in fields}) == (name, fields)
+    text = asm.format_instruction(inst)
+    assert asm.encode_instruction(text) == word, text
+
+
+def _extremes(lo, hi, step):
+    return sorted({lo, hi, max(lo, 0), min(step, hi)} | ({-step} if lo < 0 else set()))
+
+
+def test_every_row_is_a_fixed_point_at_its_field_extremes():
+    for name in _ROWS:
+        spec = _spec(name)
+        for values in itertools.product(*(_extremes(*r) for r in spec.values())):
+            _fixed_point(name, dict(zip(spec, values)))
+
+
+@st.composite
+def _rows_with_fields(draw):
+    name = draw(st.sampled_from(_ROWS))
+    return name, {f: draw(st.integers(lo // step, hi // step)) * step
+                  for f, (lo, hi, step) in _spec(name).items()}
+
+
+@generated(1000)
+@given(_rows_with_fields())
+def test_drawn_fields_are_a_fixed_point(row):
+    _fixed_point(*row)
+
+
+def _rejected(name, field, value):
+    """encode and the assembler both refuse one field out of range."""
+    fields = {f: lo for f, (lo, _, _) in _spec(name).items()}
+    fields[field] = value
+    with pytest.raises(ValueError):
+        isa.encode(name, **fields)
+    text = asm.format_instruction(isa.DecodedInstruction(0, name, "", **fields))
+    with pytest.raises(AsmError):
+        asm.encode_instruction(text)
+
+
+def test_one_step_past_each_range_raises():
+    for name in _ROWS:
+        for field, (lo, hi, step) in _spec(name).items():
+            for value in (lo - step, hi + step) + ((lo + 1,) if step == 2 else ()):
+                _rejected(name, field, value)
+
+
+@generated(500)
+@given(st.data())
+def test_any_value_past_a_range_raises(data):
+    name = data.draw(st.sampled_from([n for n in _ROWS if _spec(n)]))
+    field, (lo, hi, step) = data.draw(st.sampled_from(sorted(_spec(name).items())))
+    beyond = data.draw(st.integers(1, 1 << 40))
+    _rejected(name, field, data.draw(st.sampled_from([lo - beyond, hi + beyond])))
 
 
 _states = st.one_of(
@@ -563,23 +680,25 @@ def _fmt(template, *parts):
     return st.tuples(*parts).map(lambda p: template.format(*p))
 
 
+def _named(*formats):
+    """The mnemonics of these isa formats."""
+    return st.sampled_from(sorted(name for name, (fmt, _) in isa.INSTRUCTIONS.items()
+                                  if fmt in formats))
+
+
 def _statements(targets, jal_targets):
     return st.one_of(
-        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._OP) + sorted(isa._OP_32)),
-             _REGS, _REGS, _REGS),
-        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._OP_IMM) + ["addiw"]),
-             _REGS, _REGS, st.integers(-2048, 2047)),
-        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._SHIFT_IMM)),
-             _REGS, _REGS, st.integers(0, 63)),
-        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._SHIFT_IMM_32)),
-             _REGS, _REGS, st.integers(0, 31)),
-        _fmt("{} {}, {}({})", st.sampled_from(sorted(isa._LOADS) + sorted(isa._STORES)),
+        _fmt("{} {}, {}, {}", _named("R"), _REGS, _REGS, _REGS),
+        _fmt("{} {}, {}, {}", _named("I"), _REGS, _REGS, st.integers(-2048, 2047)),
+        _fmt("{} {}, {}, {}", _named("shift6"), _REGS, _REGS, st.integers(0, 63)),
+        _fmt("{} {}, {}, {}", _named("shift5"), _REGS, _REGS, st.integers(0, 31)),
+        _fmt("{} {}, {}({})", _named("load", "store"),
              _REGS, st.integers(-2048, 2047), _REGS),
         _fmt("li {}, {}", _REGS, st.integers(-(1 << 63), (1 << 64) - 1).flatmap(
             lambda v: st.sampled_from([str(v), hex(v)]))),
         st.sampled_from(["nop", "ret", "ecall"]),
         _fmt("mv {}, {}", _REGS, _REGS),
-        _fmt("{} {}, {}, {}", st.sampled_from(sorted(isa._BRANCHES)), _REGS, _REGS, targets),
+        _fmt("{} {}, {}, {}", _named("branch"), _REGS, _REGS, targets),
         _fmt("jal {}, {}", _REGS, jal_targets),
         _fmt("j {}", jal_targets),
     )
@@ -620,15 +739,15 @@ def test_a_warm_memo_assembles_like_a_cold_one(source):
 
 # (a valid statement, a bad one with the same mnemonic)
 _misuses = st.one_of(
-    _fmt("{0} x5, x6, 7|{0} x5, x6, {1}", st.sampled_from(sorted(isa._OP_IMM)),
+    _fmt("{0} x5, x6, 7|{0} x5, x6, {1}", _named("I"),
          st.one_of(st.integers(2048, 1 << 40), st.integers(-(1 << 40), -2049))),
-    _fmt("{0} x5, x6, x7|{0} x5, {1}, x7", st.sampled_from(sorted(isa._OP)),
+    _fmt("{0} x5, x6, x7|{0} x5, {1}, x7", _named("R"),
          st.sampled_from(["x32", "x99", "q7", "a8", "X5"])),
-    _fmt("{0} x5, x6, x7|{0} {1}", st.sampled_from(sorted(isa._OP)),
+    _fmt("{0} x5, x6, x7|{0} {1}", _named("R"),
          st.sampled_from(["", "x5", "x5, x6", "x5, x6, x7, x8"])),
-    _fmt("{0} x5, x6, 7|{0} {1}", st.sampled_from(sorted(isa._OP_IMM)),
+    _fmt("{0} x5, x6, 7|{0} {1}", _named("I"),
          st.sampled_from(["", "x5", "x5, x6", "x5, x6, x7", "x5, x6, 7, 8"])),
-    _fmt("{0} x5, 8(x6)|{0} x5, {1}(x6)", st.sampled_from(sorted(isa._LOADS)),
+    _fmt("{0} x5, 8(x6)|{0} x5, {1}(x6)", _named("load"),
          st.one_of(st.integers(2048, 1 << 20), st.integers(-(1 << 20), -2049))),
     _fmt("li x5, 1|li x5, {}", st.one_of(st.integers(1 << 64, 1 << 70),
                                           st.integers(-(1 << 70), -(1 << 63) - 1))),
