@@ -77,6 +77,16 @@ def _parse_int(tok):
         raise ValueError(f"expected an integer, got {tok!r}") from None
 
 
+def _sized_int(directive, tok, size):
+    """The unsigned image of a `size`-byte directive value, which may be
+    written signed or unsigned."""
+    value, bits = _parse_int(tok), 8 * size
+    lo, hi = -(1 << (bits - 1)), (1 << bits) - 1
+    if not lo <= value <= hi:
+        raise ValueError(f"{directive} value out of range [{lo}, {hi}]: {tok}")
+    return value & hi
+
+
 def _parse_reg(tok):
     try:
         return _REG_NAMES[tok]
@@ -285,13 +295,13 @@ class _Assembler:
                 self.fail(line_no, f"{name} is only valid in the .data section")
             size = 8 if name == ".dword" else 1
             for tok in ops:
-                value = _parse_int(tok) & ((1 << (8 * size)) - 1)
+                value = _sized_int(name, tok, size)
                 self.emit_data(line_no, value.to_bytes(size, "little"))
         elif name == ".word":
             if self.section != "text":
                 self.fail(line_no, ".word is only valid in the .text section")
             for tok in ops:
-                self.words.append(_parse_int(tok) & 0xFFFFFFFF)
+                self.words.append(_sized_int(name, tok, 4))
         elif name == ".align":
             if len(ops) != 1:
                 self.fail(line_no, ".align expects one power-of-two exponent")

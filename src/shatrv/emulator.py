@@ -18,7 +18,11 @@ or ecall; each straight-line run of ALU, lui, load and store instructions
 in it is one executor that loops over their entries (step() runs one as
 a run of one), and every other instruction is a closure. A fault inside
 a run leaves pc at the faulting instruction and raises what a step()
-there would. A block carries only its per-category counts, added once
+there would. Within a block's runs, the RV64I rotate (srli/slli/or) and
+and-not (xori -1/and/xor) triples are fused into one entry each, and
+8-byte loads and stores go through a view of memory as 64-bit words; a
+fused triple still retires and counts as three instructions, and step()
+never fuses. A block carries only its per-category counts, added once
 per run of the block; cycles are priced from the counts when read.
 Regions change only at an ecall, which ends a block, so region counts
 stay exact. A Translations cache maps each word to its closure or entry
@@ -35,6 +39,7 @@ lane CSRs 0x800..0x818, the only CSRs the machine has.
 import math
 import operator
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -221,16 +226,22 @@ _CSR_RMW = {
 _CSR_RMW.update({name + "i": rmw for name, rmw in tuple(_CSR_RMW.items())})
 
 
-_REG, _IMM, _LOAD, _STORE = range(4)   # kinds of a straight-line entry
+# kinds of a straight-line entry: ALU kinds first, then memory accesses;
+# _ROT and _ANDN are fused idiom triples, _LD and _SD 8-byte accesses
+# through the machine's word view
+_REG, _IMM, _ROT, _ANDN, _LD, _SD, _LOAD, _STORE = range(8)
+# the word view reads host-order words, so a big-endian host keeps struct
+_WORD_VIEW = sys.byteorder == "little"
 
 
 def _entry(inst):
     """The pc-free straight-line entry of an ALU, lui, load or store, else
     None: (kind, op, dest, rs1, operand, align, mask, at), where dest is
     rs2 for a store, operand is rs2 for a register ALU op, else the
-    immediate, and at is 0 (a run sets an access's offset in it). An ALU
-    write to x0 changes nothing, so its entry is empty; a load into x0 is
-    kept, as its access can fault."""
+    immediate, and at is 0 (a run sets an access's offset in it); ld and
+    sd use the word view and have no op. An ALU write to x0 changes
+    nothing, so its entry is empty; a load into x0 is kept, as its access
+    can fault."""
     name = inst.mnemonic
     rd, rs1, imm = inst.rd, inst.rs1, inst.imm
     op = _ALU_REG.get(name)
@@ -242,6 +253,10 @@ def _entry(inst):
     if name == "lui":   # x0 + the constant
         value = (isa.sign_extend(imm, 20) << 12) & _M64
         return (_IMM, operator.add, rd, 0, value, 0, 0, 0) if rd else ()
+    if _WORD_VIEW and name == "ld":
+        return (_LD, None, rd, rs1, imm, 7, 0, 0)
+    if _WORD_VIEW and name == "sd":
+        return (_SD, None, inst.rs2, rs1, imm, 7, 0, 0)
     load = _LOAD_STRUCT.get(name)
     if load is not None:
         return (_LOAD, load.unpack_from, rd, rs1, imm, load.size - 1, 0, 0)
@@ -256,10 +271,11 @@ def _memory_fault(m, pc, kind, size, addr):
     judging the checks in the order of the run: alignment, then for a store
     the loaded code, then the end of memory."""
     m.pc = pc
-    what = "store" if kind == _STORE else "load"
+    store = kind in (_SD, _STORE)
+    what = "store" if store else "load"
     if addr & (size - 1):
         why = f"misaligned {size}-byte {what}"
-    elif (kind == _STORE and CODE_BASE <= addr < m._code_end
+    elif (store and CODE_BASE <= addr < m._code_end
           and addr + size <= len(m.memory)):
         why = "store into loaded code"
     else:
@@ -267,22 +283,94 @@ def _memory_fault(m, pc, kind, size, addr):
     return MemoryFault(f"{why} at {addr:#x} (pc={pc:#x})")
 
 
+def _fused(a, b, c):
+    """The one entry that does the work of the entries a, b, c, or None.
+    Two RV64I idioms fuse:
+      srli T, A, k; slli A, A, 64-k; or A, A, T    (rotate A left by 64-k)
+        -> (_ROT, None, T, A, k, 64-k, 0, 0)
+      xori T, N1, -1; and T, T, N2; xor D, D, T    (D ^= ~N1 & N2)
+        -> (_ANDN, None, T, N1, N2, D, 0, 0)
+    Each needs T != A (T != N2), as the fused entry reads its sources
+    before it writes; an x0 write has an empty entry, so never fuses."""
+    if not (a and b and c):
+        return None
+    if (a[:2] == (_IMM, operator.rshift) and b[:2] == (_IMM, operator.lshift)
+            and c[:2] == (_REG, operator.or_)):
+        t, src, k = a[2], a[3], a[4]
+        if (t != src and 0 < k < 64 and b[2] == b[3] == c[2] == c[3] == src
+                and b[4] == 64 - k and c[4] == t):
+            return (_ROT, None, t, src, k, 64 - k, 0, 0)
+    elif (a[:2] == (_IMM, operator.xor) and a[4] == _M64
+            and b[:2] == (_REG, operator.and_) and c[:2] == (_REG, operator.xor)):
+        t, n2, d = a[2], b[4], c[2]
+        if b[2] == b[3] == t != n2 and c[3] == d and c[4] == t:
+            return (_ANDN, None, t, a[3], n2, d, 0, 0)
+    return None
+
+
+def _fuse(entries, interned):
+    """entries with each fusable triple replaced by its fused entry and two
+    empty ones, so every instruction keeps its slot. Fused entries are
+    interned in `interned`, so equal ones are one object."""
+    out = list(entries)
+    i = 0
+    while i + 2 < len(out):
+        f = _fused(*out[i:i + 3])
+        if f is None:
+            i += 1
+        else:
+            out[i:i + 3] = interned.setdefault(f, f), (), ()
+            i += 3
+    return out
+
+
 def _run(entries):
     """One executor for a straight-line run: the entry of each instruction,
     in order. It loads registers and memory once, executes the entries and
     moves pc once, past the run; a fault leaves pc at the faulting access,
     whose entry is copied to hold its offset (ALU entries are shared)."""
-    body = tuple([e if e[0] < _LOAD else e[:-1] + (4 * i,)
+    body = tuple([e if e[0] < _LD else e[:-1] + (4 * i,)
                   for i, e in enumerate(entries) if e])
     def ex(m, body=body, length=4 * len(entries)):
         r = m.regs
-        mem = m.memory
+        mem = m._memory
+        words = m._words
         pc = m.pc
+        code_end = m._code_end
         for kind, op, d, s, x, align, mask, at in body:
+            # the kinds in order of how often the software kernels run them
             if kind == _REG:
                 r[d] = op(r[s], r[x]) & _M64
+            elif kind == _LD:
+                addr = (r[s] + x) & _M64
+                if addr & 7:
+                    break
+                try:
+                    v = words[addr >> 3]
+                except IndexError:
+                    break
+                if d:
+                    r[d] = v
+            elif kind == _SD:
+                addr = (r[s] + x) & _M64
+                # CODE_BASE and addr are size-aligned, so a store that
+                # overlaps the code starts in it
+                if addr & 7 or CODE_BASE <= addr < code_end:
+                    break
+                try:
+                    words[addr >> 3] = r[d]
+                except IndexError:
+                    break
+            elif kind == _ROT:
+                v = r[s]
+                r[d] = t = v >> x
+                r[s] = (v << align) & _M64 | t
             elif kind == _IMM:
                 r[d] = op(r[s], x) & _M64
+            elif kind == _ANDN:
+                # T first, so D == T ends as T ^ T
+                r[d] = t = ~r[s] & r[x]
+                r[align] ^= t
             elif kind == _LOAD:
                 addr = (r[s] + x) & _M64
                 if addr & align:
@@ -295,9 +383,7 @@ def _run(entries):
                     r[d] = v
             else:
                 addr = (r[s] + x) & _M64
-                # CODE_BASE and addr are size-aligned, so a store that
-                # overlaps the code starts in it
-                if addr & align or CODE_BASE <= addr < m._code_end:
+                if addr & align or CODE_BASE <= addr < code_end:
                     break
                 try:
                     op(mem, addr, r[d] & mask)
@@ -398,12 +484,14 @@ class Translations:
     """Translation cache for machines that run the same code, such as the
     machines of one benchmark run. Every (instruction word, unit attached)
     maps to its (closure or None, category index, straight-line entry or
-    None), one of the two set, and every (code bytes, unit attached) to its
-    table of blocks by entry pc. Entries hold nothing of a machine, so any
-    machine whose key matches may run them."""
+    None), one of the two set, each fused entry to itself, so that the
+    kernels that share a triple share its entry, and every (code bytes,
+    unit attached) to its table of blocks by entry pc. Entries hold
+    nothing of a machine, so any machine whose key matches may run them."""
 
     def __init__(self):
         self.words = {}
+        self.fused = {}
         self._tables = {}
 
     def blocks(self, code, attached):
@@ -418,7 +506,9 @@ class Machine:
         by default the machine gets a private one."""
         if memory_size < CODE_BASE + 4:
             raise ValueError(f"memory too small: {memory_size}")
-        self.memory = bytearray(memory_size)
+        self._memory = bytearray(memory_size)
+        # 8-byte words over memory for ld and sd (see the memory property)
+        self._words = memoryview(self._memory)[:memory_size & ~7].cast("Q")
         self.regs = [0] * 32
         self.pc = CODE_BASE
         self.halted = False
@@ -432,6 +522,12 @@ class Machine:
         self._code_end = CODE_BASE
         self._open_regions = {}
         self._active = []
+
+    @property
+    def memory(self):
+        """Guest memory, a bytearray of fixed length. It cannot be replaced
+        or resized, as ld and sd read and write it through a view."""
+        return self._memory
 
     # -- construction ------------------------------------------------------
 
@@ -509,11 +605,12 @@ class Machine:
         ecall, and short of a word that does not fetch or decode (it
         faults once the guest reaches it). Each stretch of instructions
         with a straight-line entry becomes one run executor."""
+        fused = self._translations.fused
         executors, cats, run = [], [], []
         ex, cat, entry = self._build(pc)
         while True:
             if entry is None:
-                executors += [_run(run), ex] if run else [ex]
+                executors += [_run(_fuse(run, fused)), ex] if run else [ex]
                 run = []
             else:
                 run.append(entry)
@@ -525,7 +622,8 @@ class Machine:
                 ex, cat, entry = self._build(pc)
             except (MemoryFault, CsrFault, DecodeError):
                 break
-        return _block(executors + [_run(run)] if run else executors, cats)
+        return _block(executors + [_run(_fuse(run, fused))] if run
+                      else executors, cats)
 
     # -- hypercalls --------------------------------------------------------
 

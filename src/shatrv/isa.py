@@ -231,7 +231,11 @@ def decode(word):
 
 def encode(mnemonic, rd=0, rs1=0, rs2=0, imm=0, csr=None):
     """Encode one instruction to its 32-bit word. Raises ValueError on any
-    out-of-range field."""
+    out-of-range field, and on a field that is not an int (a bool is not)."""
+    for field, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2), ("imm", imm),
+                     ("csr", 0 if csr is None else csr)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{field} must be an int, got {v!r}")
     for reg, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
         if not 0 <= v <= 31:
             raise ValueError(f"{reg} out of range: {v}")

@@ -60,6 +60,19 @@ class TestGoldenEncodings:
         assert encode_instruction("lw x1, -8(x2)") == isa.encode("lw", rd=1, rs1=2, imm=-8)
         assert encode_instruction("sb x1, -1(x2)") == isa.encode("sb", rs1=2, rs2=1, imm=-1)
 
+    @pytest.mark.parametrize("name, fields, message", [
+        ("addi", dict(imm=1.5), "imm must be an int, got 1.5"),
+        ("addi", dict(rd="x1"), "rd must be an int, got 'x1'"),
+        ("addi", dict(imm=True), "imm must be an int, got True"),
+        ("add", dict(rs2=False), "rs2 must be an int, got False"),
+        ("csrrw", dict(csr=0x800 * 1.0), "csr must be an int, got 2048.0"),
+    ])
+    def test_a_field_that_is_not_an_int_raises_value_error(self, name, fields,
+                                                           message):
+        with pytest.raises(ValueError) as e:
+            isa.encode(name, **fields)
+        assert str(e.value) == message
+
 
 class TestAssembleUnits:
     def test_empty_and_comment_only(self):
@@ -172,6 +185,35 @@ class TestAsmErrors:
         with pytest.raises(AsmError) as e:
             assemble(src)
         assert str(e.value) == message
+
+    @pytest.mark.parametrize("src, message", [
+        (".data\n.org 0x2000\n.byte 1, 300\n",
+         "line 3: .byte value out of range [-128, 255]: 300"),
+        (".data\n.org 0x2000\n.byte -129\n",
+         "line 3: .byte value out of range [-128, 255]: -129"),
+        (".data\n.org 0x2000\n.dword 0x1ffffffffffffffff\n",
+         "line 3: .dword value out of range "
+         "[-9223372036854775808, 18446744073709551615]: 0x1ffffffffffffffff"),
+        (".data\n.org 0x2000\n.dword -0x8000000000000001\n",
+         "line 3: .dword value out of range "
+         "[-9223372036854775808, 18446744073709551615]: -0x8000000000000001"),
+        ("nop\n.word 0x1ffffffff\n",
+         "line 2: .word value out of range [-2147483648, 4294967295]: 0x1ffffffff"),
+        ("nop\n.word -0x80000001\n",
+         "line 2: .word value out of range [-2147483648, 4294967295]: -0x80000001"),
+    ])
+    def test_data_value_out_of_range_names_the_line(self, src, message):
+        with pytest.raises(AsmError) as e:
+            assemble(src)
+        assert str(e.value) == message
+
+    def test_data_values_at_both_ends_of_their_range(self):
+        prog = assemble(".word -0x80000000, 0xffffffff\n.data\n.org 0x2000\n"
+                        ".byte -128, 255, -1\n"
+                        ".dword -0x8000000000000000, 0xffffffffffffffff\n")
+        assert prog.code == bytes.fromhex("00000080ffffffff")
+        assert prog.data_segments == [
+            (0x2000, b"\x80\xff\xff" + bytes(7) + b"\x80" + b"\xff" * 8)]
 
     def test_align_16_pads_to_64_kib(self):
         prog = assemble("nop\n.align 16\nnop\n.data\n.org 0x2001\n"

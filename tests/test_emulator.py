@@ -1,12 +1,14 @@
 """RV64 interpreter: decode fields against hand-packed words, semantics
-against hand-computed values, accounting and fault behavior."""
+against hand-computed values, accounting and fault behavior, and the word
+view of ld and sd against the struct path."""
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 
-from shatrv import isa
+from shatrv import emulator, isa
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError,
     EmulatorError, HypercallFault, LoadError, Machine, MemoryFault,
@@ -375,6 +377,81 @@ class TestMemorySemantics:
             m.run()
         assert m.pc == 0x8000
         assert m.stats.total_retired == 2
+
+
+def _ld(rd, rs1, imm):
+    return enc_i(0x03, rd, 3, rs1, imm)
+
+
+def _sd(rs1, rs2, imm):
+    return enc_s(0x23, 3, rs1, rs2, imm)
+
+
+class TestWordView:
+    """ld and sd go through a view of memory as 64-bit words; their faults
+    name the same address and pc as the struct path of the other widths
+    and as step()."""
+    SIZE = 0x2000 + 12                  # not a multiple of 8
+    LAST = (SIZE & ~7) - 8              # the last full word
+    CODE = [addi(7, 0, 0), addi(7, 0, 0)]   # the access follows them
+
+    def outcome(self, word, addr, word_view, stepping):
+        with mock.patch.object(emulator, "_WORD_VIEW", word_view):
+            m = Machine(memory_size=self.SIZE)
+            m.memory[:] = bytes((151 * i + 7) & 0xFF for i in range(self.SIZE))
+            m.load_program(image(self.CODE + [word] + exit_seq()))
+            m.pc = CODE_BASE + 8        # the access, right after the code
+            m.regs[5], m.regs[6] = addr, 0x0123456789ABCDEF
+            try:
+                if stepping:
+                    while not m.halted:
+                        m.step()
+                else:
+                    m.run()
+                fault = None
+            except MemoryFault as e:
+                fault = str(e)
+            return fault, m.pc, m.regs, bytes(m.memory), m.stats.counts
+
+    @pytest.mark.parametrize("what, addr, fault", [
+        ("load", LAST, None),
+        ("store", LAST, None),
+        ("load", LAST + 8, "load outside memory"),
+        ("store", LAST + 8, "store outside memory"),
+        ("load", LAST + 4, "misaligned 8-byte load"),
+        ("store", LAST - 4, "misaligned 8-byte store"),
+        ("store", LAST + 12, "misaligned 8-byte store"),   # and past the end
+        ("load", CODE_BASE, None),
+        ("store", CODE_BASE, "store into loaded code"),
+        ("store", CODE_BASE + 8, "store into loaded code"),
+        ("store", 1 << 63, "store outside memory"),
+        ("load", (1 << 64) - 8, "load outside memory"),
+    ])
+    def test_faults_match_the_struct_path_and_step(self, what, addr, fault):
+        word = _ld(6, 5, 0) if what == "load" else _sd(5, 6, 0)
+        want = self.outcome(word, addr, True, False)
+        assert self.outcome(word, addr, False, False) == want
+        assert self.outcome(word, addr, True, True) == want
+        pc = CODE_BASE + 8
+        if fault is None:
+            assert want[:2] == (None, pc + 16)     # past the exit ecall
+        else:
+            assert want[:2] == (f"{fault} at {addr:#x} (pc={pc:#x})", pc)
+
+    def test_memory_keeps_its_buffer_and_length(self):
+        m = Machine(memory_size=MEM)
+        with pytest.raises(AttributeError):
+            m.memory = bytearray(MEM)       # ld and sd would miss it
+        with pytest.raises(BufferError):
+            m.memory.extend(b"\0")
+        with pytest.raises(BufferError):
+            m.memory[0:1] = b"ab"
+        assert len(m.memory) == MEM
+        # a write of the same length shows through the view
+        m.memory[0x2000:0x2008] = (0x0123456789ABCDEF).to_bytes(8, "little")
+        m.load_program(image([enc_u(0x37, 5, 2), _ld(6, 5, 0)] + exit_seq()))
+        m.run()
+        assert m.regs[6] == 0x0123456789ABCDEF
 
 
 class TestControlFlow:

@@ -4,7 +4,9 @@ spec's field layouts (no two rows overlap; encode, decode, print and
 parse make a fixed point at every field's extremes; one step past a range
 raises), the straight-line Keccak round and the shatr instruction
 against the composed step maps, step() against run() on every
-strategy's kernel and on faulting programs, machines sharing one
+strategy's kernel, on faulting programs and on drawn rotate and and-not
+triples and their near misses (run() fuses the triples, step() never
+does), fused entries shared by every variant's kernel, machines sharing one
 translation cache against machines with a private one, cost models
 sharing one cache without translating again, cycles against their closed
 form in the counts, every load and store against a reference model,
@@ -18,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shatrv import asm, isa, keccak
+from shatrv import asm, emulator, isa, keccak
 from shatrv.asm import AsmError, assemble
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError, EmulatorError,
@@ -457,6 +459,93 @@ def test_attach_after_load_routes_the_lane_csrs_on_a_shared_cache():
     late.memory[at:at + len(MESSAGE)] = MESSAGE
     late.regs[10] = len(MESSAGE)
     assert _ran(late) == _ran(_loaded("shatr"))
+
+
+# -- fused idioms against stepping ------------------------------------------
+
+# registers a triple may name: x0 and four others, so that the operands of
+# one triple often coincide; x5 holds DATA and a0/a7 drive the hypercalls
+_TRIPLE_REGS = st.sampled_from([0, 6, 7, 8, 9])
+
+
+@st.composite
+def _rotates(draw):
+    """srli T, A, k; slli A, A, 64-k; or A, A, T, or a near miss of it: a
+    mismatched slli amount, the or written `or A, T, A`, T == A, or x0 as
+    T, A or both."""
+    t, a = draw(_TRIPLE_REGS), draw(_TRIPLE_REGS)
+    k = draw(st.one_of(st.sampled_from([1, 63]), st.integers(1, 63)))
+    back = draw(st.sampled_from([64 - k, 64 - k, (64 - k) % 63 + 1]))
+    swap = draw(st.booleans())
+    return (_enc("srli", rd=t, rs1=a, imm=k) + _enc("slli", rd=a, rs1=a, imm=back)
+            + _enc("or", rd=a, rs1=t if swap else a, rs2=a if swap else t))
+
+
+@st.composite
+def _and_nots(draw):
+    """xori T, N1, -1; and T, T, N2; xor D, D, T, or a near miss of it:
+    another immediate or swapped operands; any of T == N2, D == T,
+    D == N1 and x0 operands."""
+    t, n1, n2, d = (draw(_TRIPLE_REGS) for _ in range(4))
+    imm = draw(st.sampled_from([-1, -1, -1, -2]))
+    swap_and, swap_xor = draw(st.booleans()), draw(st.booleans())
+    return (_enc("xori", rd=t, rs1=n1, imm=imm)
+            + _enc("and", rd=t, rs1=n2 if swap_and else t, rs2=t if swap_and else n2)
+            + _enc("xor", rd=d, rs1=t if swap_xor else d, rs2=d if swap_xor else t))
+
+
+# single instructions between triples shift where a run's triples start;
+# the branch is never taken but ends a block, splitting a triple
+_BETWEEN = st.one_of(
+    st.builds(lambda rd, rs1: _enc("addi", rd=rd, rs1=rs1, imm=3),
+              _TRIPLE_REGS, _TRIPLE_REGS),
+    st.builds(lambda rd, i: _enc("ld", rd=rd, rs1=5, imm=8 * i),
+              _TRIPLE_REGS, st.integers(0, 3)),
+    st.builds(lambda rs2, i: _enc("sd", rs1=5, rs2=rs2, imm=8 * i),
+              _TRIPLE_REGS, st.integers(0, 3)),
+    st.just(_enc("bne", rs1=0, rs2=0, imm=4)),
+)
+
+
+@generated(300)
+@given(pieces=st.lists(st.one_of(_rotates(), _and_nots(), _BETWEEN), max_size=12),
+       values=st.lists(st.integers(0, M64), min_size=4, max_size=4))
+def test_fused_idioms_run_like_steps(pieces, values):
+    code = b"".join([
+        _enc("lui", rd=5, imm=DATA >> 12),
+        _enc("addi", rd=10, imm=1), _enc("addi", rd=17, imm=1), _enc("ecall"),
+        *pieces,
+        _enc("addi", rd=17, imm=2), _enc("ecall"),
+        _enc("addi", rd=17), _enc("ecall"),
+    ])
+
+    def machine():
+        m = Machine(memory_size=_MEMORY_SIZE)
+        m.load_program(code)
+        m.memory[DATA:DATA + 32] = bytes(range(7, 39))
+        for r, v in zip((6, 7, 8, 9), values):
+            m.regs[r] = v
+        return m
+
+    stepped = machine()
+    while not stepped.halted:
+        stepped.step()
+    ran = machine()
+    ran.run()
+    assert _observed(ran) + (ran.memory,) == _observed(stepped) + (stepped.memory,)
+
+
+def test_every_variant_shares_the_fused_entries_of_one_cache():
+    shared = Translations()
+    sizes = []
+    for variant in ("sha3-256", "sha3-224", "sha3-384", "sha3-512"):
+        m = Machine(memory_size=MEM, translations=shared)
+        m.load_program(generate_kernel("sw-regopt", variant))
+        assert m.run() == 0
+        sizes.append(len(shared.fused))
+    assert {e[0] for e in shared.fused} == {emulator._ROT, emulator._ANDN}
+    # the permutation's triples are the same in every variant's kernel
+    assert sizes == sizes[:1] * 4
 
 
 # -- the memory path against a reference model -----------------------------
