@@ -18,7 +18,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field
 
-from .emulator import CostModel, EmulatorError, Machine, Translations
+from .emulator import CostModel, EmulatorError, Machine, Translations, check_budget
 from .isa import CATEGORIES
 from .kernels import STRATEGIES, GuestLayout, generate_kernel
 from .shatr import attach
@@ -128,8 +128,7 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
     strategies = tuple(s for s in STRATEGIES if s in strategies)
-    if budget < 0:
-        raise ValueError(f"budget must not be negative, got {budget}")
+    check_budget(budget)
     if cost_model is None:
         cost_model = CostModel()
     if layout is None:

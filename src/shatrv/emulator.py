@@ -18,12 +18,14 @@ or ecall; each straight-line run of ALU, lui, load and store instructions
 in it is one executor that loops over their entries (step() runs one as
 a run of one), and every other instruction is a closure. A fault inside
 a run leaves pc at the faulting instruction and raises what a step()
-there would. Within a block's runs, the RV64I rotate (srli/slli/or) and
-and-not (xori -1/and/xor) triples are fused into one entry each, and
-8-byte loads and stores go through a view of memory as 64-bit words; a
-fused triple still retires and counts as three instructions, and step()
-never fuses. A block carries only its per-category counts, added once
-per run of the block; cycles are priced from the counts when read.
+there would. Every load and store indexes the machine's typed view of
+memory of its width and signedness; the views read host byte order, so
+a machine needs a little-endian host. Within a block's runs, the RV64I
+rotate (srli/slli/or) and and-not (xori -1/and/xor) triples are fused
+into one entry each; a fused triple still retires and counts as three
+instructions, and step() never fuses. A block carries only its
+per-category counts, added once per run of the block; cycles are priced
+from the counts when read.
 Regions change only at an ecall, which ends a block, so region counts
 stay exact. A Translations cache maps each word to its closure or entry
 and each (code bytes, unit attached) to its blocks by pc; machines that
@@ -38,7 +40,6 @@ lane CSRs 0x800..0x818, the only CSRs the machine has.
 
 import math
 import operator
-import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -54,7 +55,7 @@ __all__ = [
     "CODE_BASE", "DEFAULT_MEMORY_SIZE", "CostModel", "ExecutionStats",
     "Machine", "Translations", "EmulatorError", "DecodeError", "MemoryFault",
     "CsrFault", "HypercallFault", "IllegalOperand", "RegistrationError",
-    "LoadError", "BudgetExceeded",
+    "LoadError", "BudgetExceeded", "check_budget",
 ]
 
 CODE_BASE = 0x1000
@@ -64,6 +65,12 @@ _M64 = (1 << 64) - 1
 _OTHER_IDX = CATEGORY_INDEX[OTHER]
 # a block ends after a branch, jal, jalr (category branch) or ecall (other)
 _ENDS_BLOCK = frozenset((CATEGORY_INDEX[BRANCH], _OTHER_IDX))
+
+
+def check_budget(budget):
+    """Raise ValueError unless budget is None (no limit) or an int >= 0."""
+    if budget is not None and not (type(budget) is int and budget >= 0):
+        raise ValueError(f"budget must be None or a non-negative int, got {budget!r}")
 
 
 class MemoryFault(EmulatorError):
@@ -105,8 +112,8 @@ class CostModel:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value < 0:
-                raise ValueError(f"{f.name} must not be negative, got {value}")
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{f.name} must be a non-negative int, got {value!r}")
 
     def category_cycles(self):
         """Cycles of one instruction of each category, indexed like
@@ -205,16 +212,14 @@ _BRANCH_COND = {
     "bgeu": lambda a, b: a >= b,
 }
 
-# one little-endian struct per access width; the signed formats sign-extend
-# and `& _M64` gives the register image
-_LOAD_STRUCT = {name: struct.Struct(fmt) for name, fmt in (
-    ("lb", "<b"), ("lh", "<h"), ("lw", "<i"), ("ld", "<Q"),
-    ("lbu", "<B"), ("lhu", "<H"), ("lwu", "<I"))}
-_STORE_STRUCT = {name: struct.Struct(fmt) for name, fmt in (
-    ("sb", "<B"), ("sh", "<H"), ("sw", "<I"), ("sd", "<Q"))}
-# struct's errors for an access past the end of memory; from 2**63 up,
-# unpack_from raises OverflowError and pack_into IndexError
-_OUTSIDE_MEMORY = (struct.error, OverflowError, IndexError)
+# a machine's views of memory, by index, as (format, item size): the
+# unsigned view of 2**k-byte items is index k, so a store names its view
+# by its shift
+_VIEWS = (("B", 1), ("H", 2), ("I", 4), ("Q", 8), ("b", 1), ("h", 2), ("i", 4))
+# mnemonic -> (view index, shift); the signed views, 4 to 6, sign-extend
+_LOADS = {"lbu": (0, 0), "lhu": (1, 1), "lwu": (2, 2), "ld": (3, 3),
+          "lb": (4, 0), "lh": (5, 1), "lw": (6, 2)}
+_STORES = {"sb": 0, "sh": 1, "sw": 2, "sd": 3}
 
 # new CSR value from (old value, operand); the immediate forms share the
 # register forms' semantics
@@ -227,19 +232,19 @@ _CSR_RMW.update({name + "i": rmw for name, rmw in tuple(_CSR_RMW.items())})
 
 
 # kinds of a straight-line entry: ALU kinds first, then memory accesses;
-# _ROT and _ANDN are fused idiom triples, _LD and _SD 8-byte accesses
-# through the machine's word view
-_REG, _IMM, _ROT, _ANDN, _LD, _SD, _LOAD, _STORE = range(8)
-# the word view reads host-order words, so a big-endian host keeps struct
-_WORD_VIEW = sys.byteorder == "little"
+# _ROT and _ANDN are fused idiom triples
+_REG, _IMM, _ROT, _ANDN, _LOAD, _STORE = range(6)
 
 
 def _entry(inst):
     """The pc-free straight-line entry of an ALU, lui, load or store, else
     None: (kind, op, dest, rs1, operand, align, mask, at), where dest is
     rs2 for a store, operand is rs2 for a register ALU op, else the
-    immediate, and at is 0 (a run sets an access's offset in it); ld and
-    sd use the word view and have no op. An ALU write to x0 changes
+    immediate, and at is 0 (a run sets an access's offset in it). For an
+    access, op is the index of its view and align its size - 1; a load's
+    mask is its shift, a store's the mask of its width, and a store's
+    shift is its view index. Only a signed load's item can be negative,
+    and its dest is -rd, so only it is masked. An ALU write to x0 changes
     nothing, so its entry is empty; a load into x0 is kept, as its access
     can fault."""
     name = inst.mnemonic
@@ -253,17 +258,14 @@ def _entry(inst):
     if name == "lui":   # x0 + the constant
         value = (isa.sign_extend(imm, 20) << 12) & _M64
         return (_IMM, operator.add, rd, 0, value, 0, 0, 0) if rd else ()
-    if _WORD_VIEW and name == "ld":
-        return (_LD, None, rd, rs1, imm, 7, 0, 0)
-    if _WORD_VIEW and name == "sd":
-        return (_SD, None, inst.rs2, rs1, imm, 7, 0, 0)
-    load = _LOAD_STRUCT.get(name)
-    if load is not None:
-        return (_LOAD, load.unpack_from, rd, rs1, imm, load.size - 1, 0, 0)
-    store = _STORE_STRUCT.get(name)
-    if store is not None:
-        return (_STORE, store.pack_into, inst.rs2, rs1, imm, store.size - 1,
-                (1 << 8 * store.size) - 1, 0)
+    if name in _LOADS:
+        view, shift = _LOADS[name]
+        dest = -rd if view > 3 else rd
+        return (_LOAD, view, dest, rs1, imm, (1 << shift) - 1, shift, 0)
+    if name in _STORES:
+        shift = _STORES[name]
+        return (_STORE, shift, inst.rs2, rs1, imm, (1 << shift) - 1,
+                (1 << (8 << shift)) - 1, 0)
 
 
 def _memory_fault(m, pc, kind, size, addr):
@@ -271,7 +273,7 @@ def _memory_fault(m, pc, kind, size, addr):
     judging the checks in the order of the run: alignment, then for a store
     the loaded code, then the end of memory."""
     m.pc = pc
-    store = kind in (_SD, _STORE)
+    store = kind == _STORE
     what = "store" if store else "load"
     if addr & (size - 1):
         why = f"misaligned {size}-byte {what}"
@@ -329,36 +331,37 @@ def _run(entries):
     in order. It loads registers and memory once, executes the entries and
     moves pc once, past the run; a fault leaves pc at the faulting access,
     whose entry is copied to hold its offset (ALU entries are shared)."""
-    body = tuple([e if e[0] < _LD else e[:-1] + (4 * i,)
+    body = tuple([e if e[0] < _LOAD else e[:-1] + (4 * i,)
                   for i, e in enumerate(entries) if e])
     def ex(m, body=body, length=4 * len(entries)):
         r = m.regs
-        mem = m._memory
-        words = m._words
+        views = m._views
         pc = m.pc
         code_end = m._code_end
         for kind, op, d, s, x, align, mask, at in body:
             # the kinds in order of how often the software kernels run them
             if kind == _REG:
                 r[d] = op(r[s], r[x]) & _M64
-            elif kind == _LD:
+            elif kind == _LOAD:
                 addr = (r[s] + x) & _M64
-                if addr & 7:
+                if addr & align:
                     break
                 try:
-                    v = words[addr >> 3]
-                except IndexError:
+                    v = views[op][addr >> mask]
+                except IndexError:      # past the end of the view
                     break
-                if d:
+                if d > 0:
                     r[d] = v
-            elif kind == _SD:
+                elif d:     # signed: mask a negative item to its 64-bit image
+                    r[-d] = v & _M64
+            elif kind == _STORE:
                 addr = (r[s] + x) & _M64
                 # CODE_BASE and addr are size-aligned, so a store that
                 # overlaps the code starts in it
-                if addr & 7 or CODE_BASE <= addr < code_end:
+                if addr & align or CODE_BASE <= addr < code_end:
                     break
                 try:
-                    words[addr >> 3] = r[d]
+                    views[op][addr >> op] = r[d] & mask
                 except IndexError:
                     break
             elif kind == _ROT:
@@ -367,28 +370,10 @@ def _run(entries):
                 r[s] = (v << align) & _M64 | t
             elif kind == _IMM:
                 r[d] = op(r[s], x) & _M64
-            elif kind == _ANDN:
+            else:
                 # T first, so D == T ends as T ^ T
                 r[d] = t = ~r[s] & r[x]
                 r[align] ^= t
-            elif kind == _LOAD:
-                addr = (r[s] + x) & _M64
-                if addr & align:
-                    break
-                try:
-                    v = op(mem, addr)[0] & _M64
-                except _OUTSIDE_MEMORY:
-                    break
-                if d:
-                    r[d] = v
-            else:
-                addr = (r[s] + x) & _M64
-                if addr & align or CODE_BASE <= addr < code_end:
-                    break
-                try:
-                    op(mem, addr, r[d] & mask)
-                except _OUTSIDE_MEMORY:
-                    break
         else:
             m.pc = pc + length
             return
@@ -504,11 +489,15 @@ class Machine:
                  translations=None):
         """`translations` shares a Translations cache with other machines;
         by default the machine gets a private one."""
+        if sys.byteorder != "little":
+            raise EmulatorError("the emulator needs a little-endian host")
+        if type(memory_size) is not int:
+            raise ValueError(f"memory size must be an int, got {memory_size!r}")
         if memory_size < CODE_BASE + 4:
             raise ValueError(f"memory too small: {memory_size}")
         self._memory = bytearray(memory_size)
-        # 8-byte words over memory for ld and sd (see the memory property)
-        self._words = memoryview(self._memory)[:memory_size & ~7].cast("Q")
+        memory = memoryview(self._memory)     # each view cut to whole items
+        self._views = tuple(memory[:memory_size & -size].cast(f) for f, size in _VIEWS)
         self.regs = [0] * 32
         self.pc = CODE_BASE
         self.halted = False
@@ -526,7 +515,8 @@ class Machine:
     @property
     def memory(self):
         """Guest memory, a bytearray of fixed length. It cannot be replaced
-        or resized, as ld and sd read and write it through a view."""
+        or resized, as every load and store indexes it through the
+        machine's typed views."""
         return self._memory
 
     # -- construction ------------------------------------------------------
@@ -665,12 +655,8 @@ class Machine:
 
     def run(self, max_instructions=None):
         """Run until the guest exits; returns the exit status. Raises
-        BudgetExceeded once max_instructions have retired without an exit;
-        max_instructions is None (no limit) or an int of at least 0."""
-        if max_instructions is not None and not (
-                isinstance(max_instructions, int) and max_instructions >= 0):
-            raise ValueError(f"budget must be None or an int >= 0, got "
-                             f"{max_instructions!r}")
+        BudgetExceeded once max_instructions have retired without an exit."""
+        check_budget(max_instructions)
         self._execute(math.inf if max_instructions is None else max_instructions)
         if not self.halted:
             raise BudgetExceeded(

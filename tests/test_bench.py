@@ -12,7 +12,7 @@ import pytest
 from shatrv import bench
 from shatrv.bench import BenchReport, emit_report, run_benchmark
 from shatrv.cavp import CavpVector, CavpVectorSet, load_bundled
-from shatrv.emulator import CostModel
+from shatrv.emulator import CostModel, Machine
 from shatrv.kernels import STRATEGIES
 
 
@@ -106,6 +106,23 @@ class TestRunBenchmark:
         report = run_benchmark([SMALL], strategies=("sw-mem",), budget=100)
         assert all(o.status == "error" for o in report.outcomes)
         assert all(o.detail for o in report.outcomes)
+
+    @pytest.mark.parametrize("budget", [-1, 1.5, "3", True])
+    def test_a_bad_budget_is_refused_before_any_kernel(self, monkeypatch, budget):
+        def kernel(*args):
+            raise AssertionError("kernel generated")
+
+        monkeypatch.setattr(bench, "generate_kernel", kernel)
+        with pytest.raises(ValueError) as from_bench:
+            run_benchmark([SMALL], budget=budget)
+        with pytest.raises(ValueError) as from_run:
+            Machine(memory_size=1 << 16).run(max_instructions=budget)
+        assert (str(from_bench.value) == str(from_run.value)
+                == f"budget must be None or a non-negative int, got {budget!r}")
+
+    def test_no_budget_means_no_limit(self):
+        report = run_benchmark([SMALL], strategies=("shatr",), budget=None)
+        assert all(o.status == "pass" for o in report.outcomes)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
 """RV64 interpreter: decode fields against hand-packed words, semantics
-against hand-computed values, accounting and fault behavior, and the word
-view of ld and sd against the struct path."""
+against hand-computed values, accounting and fault behavior, and every
+load and store width against a struct path over the bytes of memory."""
 
 import dataclasses
 import random
+import struct
+import sys
 from unittest import mock
 
 import pytest
 
-from shatrv import emulator, isa
+from shatrv import isa
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError,
     EmulatorError, HypercallFault, LoadError, Machine, MemoryFault,
@@ -383,35 +385,88 @@ def _ld(rd, rs1, imm):
     return enc_i(0x03, rd, 3, rs1, imm)
 
 
-def _sd(rs1, rs2, imm):
-    return enc_s(0x23, 3, rs1, rs2, imm)
+# funct3 and little-endian struct format of each load and store
+LOADS = {"lb": (0, "<b"), "lh": (1, "<h"), "lw": (2, "<i"), "ld": (3, "<Q"),
+         "lbu": (4, "<B"), "lhu": (5, "<H"), "lwu": (6, "<I")}
+STORES = {"sb": (0, "<B"), "sh": (1, "<H"), "sw": (2, "<I"), "sd": (3, "<Q")}
+ACCESSES = {**LOADS, **STORES}
 
 
 class TestWordView:
-    """ld and sd go through a view of memory as 64-bit words; their faults
-    name the same address and pc as the struct path of the other widths
-    and as step()."""
+    """Every load and store indexes a typed view of memory. At each edge of
+    memory, run() gives what stepping gives and what a struct path over
+    the bytes of memory gives, down to the fault text."""
     SIZE = 0x2000 + 12                  # not a multiple of 8
     LAST = (SIZE & ~7) - 8              # the last full word
     CODE = [addi(7, 0, 0), addi(7, 0, 0)]   # the access follows them
+    PC = CODE_BASE + 8                  # of the access
+    # every byte has its sign bit set, so every signed load is negative
+    FILL = bytes(0x80 | (151 * i + 7) & 0x7F for i in range(SIZE))
+    VALUE = 0xFEDCBA9876543210          # x6, the value a store writes
 
-    def outcome(self, word, addr, word_view, stepping):
-        with mock.patch.object(emulator, "_WORD_VIEW", word_view):
-            m = Machine(memory_size=self.SIZE)
-            m.memory[:] = bytes((151 * i + 7) & 0xFF for i in range(self.SIZE))
-            m.load_program(image(self.CODE + [word] + exit_seq()))
-            m.pc = CODE_BASE + 8        # the access, right after the code
-            m.regs[5], m.regs[6] = addr, 0x0123456789ABCDEF
-            try:
-                if stepping:
-                    while not m.halted:
-                        m.step()
-                else:
-                    m.run()
-                fault = None
-            except MemoryFault as e:
-                fault = str(e)
-            return fault, m.pc, m.regs, bytes(m.memory), m.stats.counts
+    def machine(self, mnemonic, addr):
+        """A machine about to run the access at PC, base x5 = addr, then exit."""
+        f3 = ACCESSES[mnemonic][0]
+        word = (enc_s(0x23, f3, 5, 6, 0) if mnemonic in STORES
+                else enc_i(0x03, 6, f3, 5, 0))
+        m = Machine(memory_size=self.SIZE)
+        m.memory[:] = self.FILL
+        m.load_program(image(self.CODE + [word] + exit_seq()))
+        m.pc = self.PC
+        m.regs[5], m.regs[6] = addr, self.VALUE
+        return m
+
+    def outcome(self, mnemonic, addr, stepping):
+        m = self.machine(mnemonic, addr)
+        try:
+            if stepping:
+                while not m.halted:
+                    m.step()
+            else:
+                m.run()
+            fault = None
+        except MemoryFault as e:
+            fault = str(e)
+        return fault, m.pc, m.regs, bytes(m.memory), m.stats.counts
+
+    def check(self, mnemonic, addr, fault):
+        """fault is the expected fault without its address and pc, or None."""
+        m = self.machine(mnemonic, addr)
+        regs, memory = list(m.regs), bytearray(m.memory)
+        if fault is None:
+            fmt = ACCESSES[mnemonic][1]
+            if mnemonic in STORES:
+                mask = (1 << 8 * struct.calcsize(fmt)) - 1
+                struct.pack_into(fmt, memory, addr, self.VALUE & mask)
+            else:
+                regs[6] = struct.unpack_from(fmt, memory, addr)[0] % (1 << 64)
+            want = (None, self.PC + 16, regs, bytes(memory))   # past the ecall
+        else:
+            want = (f"{fault} at {addr:#x} (pc={self.PC:#x})", self.PC, regs,
+                    bytes(memory))
+        got = self.outcome(mnemonic, addr, False)
+        assert got == self.outcome(mnemonic, addr, True)
+        assert got[:4] == want
+
+    @pytest.mark.parametrize("case", [
+        "last", "past", "misaligned", "code", "2**63", "2**64-size"])
+    @pytest.mark.parametrize("mnemonic", ACCESSES)
+    def test_every_width_matches_the_struct_path_and_step(self, mnemonic, case):
+        store = mnemonic in STORES
+        what = "store" if store else "load"
+        size = struct.calcsize(ACCESSES[mnemonic][1])
+        last = (self.SIZE & -size) - size       # the last full slot
+        addr, fault = {
+            "last": (last, None),
+            "past": (last + size, f"{what} outside memory"),
+            # a byte access is never misaligned
+            "misaligned": (last - 1, f"misaligned {size}-byte {what}"
+                           if size > 1 else None),
+            "code": (CODE_BASE, "store into loaded code" if store else None),
+            "2**63": (1 << 63, f"{what} outside memory"),
+            "2**64-size": ((1 << 64) - size, f"{what} outside memory"),
+        }[case]
+        self.check(mnemonic, addr, fault)
 
     @pytest.mark.parametrize("what, addr, fault", [
         ("load", LAST, None),
@@ -428,20 +483,19 @@ class TestWordView:
         ("load", (1 << 64) - 8, "load outside memory"),
     ])
     def test_faults_match_the_struct_path_and_step(self, what, addr, fault):
-        word = _ld(6, 5, 0) if what == "load" else _sd(5, 6, 0)
-        want = self.outcome(word, addr, True, False)
-        assert self.outcome(word, addr, False, False) == want
-        assert self.outcome(word, addr, True, True) == want
-        pc = CODE_BASE + 8
-        if fault is None:
-            assert want[:2] == (None, pc + 16)     # past the exit ecall
-        else:
-            assert want[:2] == (f"{fault} at {addr:#x} (pc={pc:#x})", pc)
+        self.check("ld" if what == "load" else "sd", addr, fault)
+
+    def test_a_big_endian_host_is_refused(self):
+        # the views read host byte order; the host is checked per machine
+        with mock.patch.object(sys, "byteorder", "big"):
+            with pytest.raises(EmulatorError, match="needs a little-endian host"):
+                Machine(memory_size=MEM)
+        Machine(memory_size=MEM)
 
     def test_memory_keeps_its_buffer_and_length(self):
         m = Machine(memory_size=MEM)
         with pytest.raises(AttributeError):
-            m.memory = bytearray(MEM)       # ld and sd would miss it
+            m.memory = bytearray(MEM)       # the views would miss it
         with pytest.raises(BufferError):
             m.memory.extend(b"\0")
         with pytest.raises(BufferError):
@@ -647,6 +701,13 @@ class TestAccounting:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cm, field, 2)
 
+    @pytest.mark.parametrize("value", [1.5, "2", True, None])
+    @pytest.mark.parametrize("field", [
+        "base_cycles_per_instruction", "extra_mem_access_cycles", "shatr_cycles"])
+    def test_cost_model_rejects_a_field_that_is_not_an_int(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative int"):
+            CostModel(**{field: value})
+
     def test_budget_exhaustion(self):
         m = Machine(memory_size=MEM)
         m.load_program(image([enc_j(0x6F, 0, 0)]))   # jal x0, 0: spin forever
@@ -654,7 +715,7 @@ class TestAccounting:
             m.run(max_instructions=1000)
         assert m.stats.total_retired == 1000
 
-    @pytest.mark.parametrize("budget", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("budget", [-1, 1.5, "3", True])
     def test_run_rejects_a_bad_budget(self, budget):
         m = Machine(memory_size=MEM)
         m.load_program(image([enc_j(0x6F, 0, 0)]))
@@ -673,6 +734,11 @@ class TestAccounting:
 
 
 class TestLoader:
+    @pytest.mark.parametrize("size", [4100.5, "x", None, True])
+    def test_memory_size_must_be_an_int(self, size):
+        with pytest.raises(ValueError, match="memory size must be an int"):
+            Machine(memory_size=size)
+
     def test_code_at_base_and_sp_aligned(self):
         m = Machine(memory_size=MEM + 8)
         m.load_program(image(exit_seq()))

@@ -64,3 +64,13 @@ def test_layer_deltas_are_change_minus_parent():
     d = perf.layer_deltas(parent, change)
     assert d["asm.assemble_s"]["delta"] == pytest.approx(-0.15)
     assert d["kernels.generated"] == {"unit": "count", "parent": 12, "change": 12, "delta": 0}
+
+
+def test_src_lines_counts_the_py_files_under_src_shatrv(tmp_path):
+    package = tmp_path / "src" / "shatrv"
+    (package / "data").mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "data" / "b.py").write_text("y = 2")       # no final newline
+    (package / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "src" / "other.py").write_text("z = 3\n")
+    assert perf.src_lines(tmp_path) == 4

@@ -21,6 +21,9 @@ each side's median and quartiles and the number of pairs the change won.
 records every per-layer metric with its change - parent delta, and the
 SHA-256 of each side's bundled `shatrv bench` JSON report.
 
+src_lines gives each side's count of lines in the .py files under
+src/shatrv.
+
 Runs write only under each checkout's .perfbench_out/; nothing under
 perfbench/ is edited.  Temporary checkouts go under $TMPDIR.
 """
@@ -90,6 +93,12 @@ def report_sha256(checkout):
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def src_lines(checkout):
+    """Lines of the .py files under src/shatrv in checkout."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (pathlib.Path(checkout) / "src" / "shatrv").rglob("*.py"))
+
+
 def _spread(values):
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -157,6 +166,8 @@ def main(argv=None):
                   "change": "working tree of " + _git("rev-parse", "HEAD").decode().strip(),
                   "pairs": args.pairs, "seconds": args.seconds,
                   "seeds": [args.seed_start + i for i in range(args.pairs)],
+                  "src_lines": {side: src_lines(sides[side])
+                                for side in ("parent", "change")},
                   "workloads": {}}
         try:
             for w in workloads:
