@@ -27,9 +27,14 @@ instructions, and step() never fuses. A block carries only its
 per-category counts, added once per run of the block; cycles are priced
 from the counts when read.
 Regions change only at an ecall, which ends a block, so region counts
-stay exact. A Translations cache maps each word to its closure or entry
-and each (code bytes, unit attached) to its blocks by pc; machines that
-share one share the work.
+stay exact. A Translations cache maps each word to its closure or entry,
+each (code bytes, unit attached) to its blocks by pc and each run to its
+calls and compiled function; machines that share one share the work.
+A run called _HOT times, counted over every block that holds it, is
+compiled to one Python function over registers in locals. Each of its
+segments opens with one guard per base register that proves every
+access in it cannot fault; a failed guard hands the rest of the run to
+the interpreted executor, which alone raises faults.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -52,14 +57,15 @@ from .isa import (
 )
 
 __all__ = [
-    "CODE_BASE", "DEFAULT_MEMORY_SIZE", "CostModel", "ExecutionStats",
-    "Machine", "Translations", "EmulatorError", "DecodeError", "MemoryFault",
-    "CsrFault", "HypercallFault", "IllegalOperand", "RegistrationError",
-    "LoadError", "BudgetExceeded", "check_budget",
+    "CODE_BASE", "DEFAULT_MEMORY_SIZE", "MAX_MEMORY_SIZE", "CostModel",
+    "ExecutionStats", "Machine", "Translations", "EmulatorError", "DecodeError",
+    "MemoryFault", "CsrFault", "HypercallFault", "IllegalOperand",
+    "RegistrationError", "LoadError", "BudgetExceeded", "check_budget",
 ]
 
 CODE_BASE = 0x1000
 DEFAULT_MEMORY_SIZE = 16 * 1024 * 1024
+MAX_MEMORY_SIZE = 1 << 32    # a machine allocates all its memory up front
 
 _M64 = (1 << 64) - 1
 _OTHER_IDX = CATEGORY_INDEX[OTHER]
@@ -381,6 +387,188 @@ def _run(entries):
     return ex
 
 
+# A straight-line run is compiled on its _HOT-th call. A run breaks even
+# after its compile time over the time a compiled call saves, measured on
+# a 2-vCPU Xeon with Python 3.11: sw-mem's 460-entry round run compiles
+# in 6-12 ms and saves 60-130 us a call (0.3x), even after 74-107 calls;
+# sw-regopt's 5,600-entry permutation run compiles in 110-150 ms and saves
+# 0.5-0.7 ms a call (0.4x), even after 187-244 calls. _HOT sits above
+# both, so the permutation run, which runs at most 239 times in one
+# `shatrv bench` call (the bundled vectors), stays cold.
+_HOT = 300
+
+# the expression of an op on 64-bit images that needs no call; M is the
+# 64-bit mask, which xor, or, and and a right shift never need
+_EXPR = {
+    operator.xor: "{} ^ {}", operator.or_: "{} | {}", operator.and_: "{} & {}",
+    operator.rshift: "{} >> {}",
+    operator.add: "({} + {}) & {M}", operator.sub: "({} - {}) & {M}",
+    operator.lshift: "({} << {}) & {M}",
+    _ALU_REG["sll"]: "({} << ({} & 63)) & {M}",
+}
+
+
+def _reads(e):
+    """The registers the entry e reads."""
+    kind, _, d, s, x, align = e[:6]
+    if kind == _REG:
+        return s, x
+    if kind == _ANDN:
+        return s, x, align
+    return (s, d) if kind == _STORE else (s,)
+
+
+def _writes(e):
+    """The registers the entry e writes (x0 among them, for a load into it)."""
+    kind, _, d, s, _, align = e[:6]
+    if kind == _STORE:
+        return ()
+    if kind == _ROT:
+        return d, s
+    return (d, align) if kind == _ANDN else (abs(d),)
+
+
+def _segments(entries):
+    """The start index of each segment of a run: a segment ends before an
+    access whose base register it has written."""
+    starts, written = [0], set()
+    for i, e in enumerate(entries):
+        if e:
+            if e[0] >= _LOAD and e[3] in written:
+                starts.append(i)
+                written = set()
+            written.update(_writes(e))
+    return starts
+
+
+def _guard(base, accesses):
+    """The test that fails unless every access in `accesses`, (kind, offset,
+    size) from the register `base`, is aligned, inside memory and, for a
+    store, clear of the loaded code; and the base's residue modulo the
+    largest size, which the test proves. Each span is taken unwrapped,
+    which is conservative: a base whose sum wraps past 2**64 fails it."""
+    size, offset = max((a[2], a[1]) for a in accesses)
+    rho = -offset % size
+    if any((rho + x) % n for _, x, n in accesses):
+        return "True", rho      # two accesses that cannot both be aligned
+    tests = []
+    if size > 1:
+        tests.append(f"{base} & {size - 1}" + (f" != {rho}" if rho else ""))
+    lo = min(x for _, x, _ in accesses)
+    if lo < 0:
+        tests.append(f"{base} < {-lo}")
+    tests.append(f"{base} > {_plus('top', -max(x + n for _, x, n in accesses))}")
+    stores = [(x, n) for kind, x, n in accesses if kind == _STORE]
+    if stores:
+        first = min(x for x, _ in stores)
+        last = max(x + n for x, n in stores)
+        tests.append(f"{CODE_BASE - last} < {base} < {_plus('end', -first)}")
+    return " or ".join(tests), rho
+
+
+def _plus(name, k):
+    """The expression name + k, for an int k."""
+    return f"{name} {'-' if k < 0 else '+'} {abs(k)}" if k else name
+
+
+def _compile(entries):
+    """The compiled function of a straight-line run: its entries as plain
+    Python over registers held in locals, x0 read as 0. The run is cut
+    into segments (_segments); each opens with one guard per base register
+    (_guard), after which its accesses are bare indexes into the views.
+    A failed guard writes the locals back, points pc at the segment and
+    hands the rest of the run to its interpreted executor, which finishes
+    it or raises what step() would. Each call of the function otherwise
+    does what a call of _run(entries) does."""
+    def reg(n):
+        return f"x{n}" if n else "0"
+
+    env, ops, views = {}, {}, set()
+    lines, written, live = [], set(), set()
+    starts = _segments(entries)
+    for start, stop in zip(starts, starts[1:] + [len(entries)]):
+        bases = {}
+        for e in entries[start:stop]:
+            if e and e[0] >= _LOAD:
+                bases.setdefault(e[3], []).append((e[0], e[4], e[5] + 1))
+        residues, tests = {}, []
+        for s, accesses in bases.items():
+            test, residues[s] = _guard(reg(s), accesses)
+            tests.append(test)
+        if tests:
+            lines.append(f"if {' or '.join(tests)}:")
+            lines += [f"    r[{n}] = x{n}" for n in sorted(written)]
+            if start:
+                lines.append(f"    m.pc += {4 * start}")
+            env[f"rest{start}"] = _run(entries[start:])
+            lines.append(f"    return rest{start}(m)")
+            lines += [f"b{s}_{w} = {reg(s)} >> {w}"
+                      for s, accesses in bases.items()
+                      for w in sorted({n.bit_length() - 1 for _, _, n in accesses})]
+        for e in entries[start:stop]:
+            if not e:
+                continue
+            live.update(n for n in _reads(e) if n not in written)
+            kind, op, d, s, x, align, mask, _ = e
+            if kind >= _LOAD:
+                w = align.bit_length()
+                k = (residues[s] % (align + 1) + x) >> w
+                index = _plus(f"b{s}_{w}", k)
+                views.add(op)
+                if kind == _STORE:
+                    value = reg(d) if mask == _M64 else f"{reg(d)} & {mask}"
+                    lines.append(f"V{op}[{index}] = {value}")
+                elif d:
+                    lines.append(f"x{abs(d)} = V{op}[{index}]"
+                                 + (f" & {_M64}" if d < 0 else ""))
+            elif kind == _ROT:
+                lines += [f"x{d} = x{s} >> {x}",
+                          f"x{s} = (x{s} << {align}) & {_M64} | x{d}"]
+            elif kind == _ANDN:      # T first, so D == T ends as T ^ T
+                lines += [f"x{d} = ~{reg(s)} & {reg(x)}",
+                          f"x{align} = x{align} ^ x{d}"]
+            else:
+                b = reg(x) if kind == _REG else str(x)
+                template = _EXPR.get(op)
+                if template is None:
+                    template = ops.setdefault(op, f"f{len(ops)}") + "({}, {}) & {M}"
+                lines.append(f"x{d} = " + template.format(reg(s), b, M=_M64))
+            written.update(n for n in _writes(e) if n)
+    lines += [f"r[{n}] = x{n}" for n in sorted(written)]
+    lines.append(f"m.pc += {4 * len(entries)}")
+    prologue = ["r = m.regs"] + [f"x{n} = r[{n}]" for n in sorted(live - {0})]
+    if views:
+        prologue += ["V = m._views", "top = len(m._memory)", "end = m._code_end"]
+        prologue += [f"V{v} = V[{v}]" for v in sorted(views)]
+    source = "def run(m):\n" + "".join(f"    {line}\n"
+                                         for line in prologue + lines)
+    env.update((name, op) for op, name in ops.items())
+    exec(compile(source, "<compiled run>", "exec"), env)
+    return env["run"]
+
+
+def _tier(entries, executors, runs):
+    """Append to a block's executors the executor of a straight-line run:
+    _run(entries) until the run's _HOT-th call, which puts its compiled
+    function in its place and calls it. `runs` maps each run, by its whole
+    entries tuple, empty slots included (its length sets the pc the run
+    ends at), to [calls, compiled function or None], so that the blocks of
+    every kernel that holds the run share its calls and its function."""
+    cold = _run(entries)
+    state = runs.setdefault(tuple(entries), [0, None])
+    index = len(executors)
+    def ex(m, hot=_HOT):
+        state[0] += 1
+        if state[0] < hot:
+            return cold(m)
+        fn = state[1]
+        if fn is None:
+            fn = state[1] = _compile(entries)
+        executors[index] = fn
+        return fn(m)
+    executors.append(ex)
+
+
 def _closure(inst, attached):
     """Compile an instruction without a straight-line entry to a closure
     mutating the machine. `attached` says whether the machine has a round
@@ -451,7 +639,7 @@ def _closure(inst, attached):
 
 class _Block(NamedTuple):
     """A translated basic block and what one run of it retires."""
-    executors: tuple        # one per straight-line run or other instruction
+    executors: list         # one per straight-line run or other instruction
     categories: tuple       # category index of each instruction
     length: int
     counts: tuple           # (category index, count) pairs
@@ -459,9 +647,10 @@ class _Block(NamedTuple):
 
 
 def _block(executors, categories):
-    """Bundle executors with their accounting."""
+    """Bundle executors with their accounting; a hot run's executor puts
+    its compiled function in its place in the list."""
     counts = tuple(sorted(Counter(categories).items()))
-    return _Block(tuple(executors), tuple(categories), len(categories), counts,
+    return _Block(executors, tuple(categories), len(categories), counts,
                   tuple(c for c in counts if c[0] != _OTHER_IDX))
 
 
@@ -470,13 +659,15 @@ class Translations:
     machines of one benchmark run. Every (instruction word, unit attached)
     maps to its (closure or None, category index, straight-line entry or
     None), one of the two set, each fused entry to itself, so that the
-    kernels that share a triple share its entry, and every (code bytes,
+    kernels that share a triple share its entry, every straight-line run
+    to its calls and compiled function (_tier), and every (code bytes,
     unit attached) to its table of blocks by entry pc. Entries hold
     nothing of a machine, so any machine whose key matches may run them."""
 
     def __init__(self):
         self.words = {}
         self.fused = {}
+        self.runs = {}
         self._tables = {}
 
     def blocks(self, code, attached):
@@ -495,6 +686,14 @@ class Machine:
             raise ValueError(f"memory size must be an int, got {memory_size!r}")
         if memory_size < CODE_BASE + 4:
             raise ValueError(f"memory too small: {memory_size}")
+        if memory_size > MAX_MEMORY_SIZE:
+            raise ValueError(f"memory too large: {memory_size} "
+                             f"(at most {MAX_MEMORY_SIZE} bytes)")
+        if cost_model is not None and not isinstance(cost_model, CostModel):
+            raise ValueError(f"cost_model must be a CostModel, got {cost_model!r}")
+        if translations is not None and not isinstance(translations, Translations):
+            raise ValueError(
+                f"translations must be a Translations, got {translations!r}")
         self._memory = bytearray(memory_size)
         memory = memoryview(self._memory)     # each view cut to whole items
         self._views = tuple(memory[:memory_size & -size].cast(f) for f, size in _VIEWS)
@@ -596,12 +795,15 @@ class Machine:
         faults once the guest reaches it). Each stretch of instructions
         with a straight-line entry becomes one run executor."""
         fused = self._translations.fused
+        runs = self._translations.runs
         executors, cats, run = [], [], []
         ex, cat, entry = self._build(pc)
         while True:
             if entry is None:
-                executors += [_run(_fuse(run, fused)), ex] if run else [ex]
-                run = []
+                if run:
+                    _tier(_fuse(run, fused), executors, runs)
+                    run = []
+                executors.append(ex)
             else:
                 run.append(entry)
             cats.append(cat)
@@ -612,8 +814,9 @@ class Machine:
                 ex, cat, entry = self._build(pc)
             except (MemoryFault, CsrFault, DecodeError):
                 break
-        return _block(executors + [_run(_fuse(run, fused))] if run
-                      else executors, cats)
+        if run:
+            _tier(_fuse(run, fused), executors, runs)
+        return _block(executors, cats)
 
     # -- hypercalls --------------------------------------------------------
 
@@ -681,7 +884,7 @@ class Machine:
             start = self.pc
             if stepping:
                 ex, cat, entry = self._build(start)
-                block = _block((ex or _run((entry,)),), (cat,))
+                block = _block([ex or _run((entry,))], (cat,))
             else:
                 block = blocks.get(start)
                 if block is None:
@@ -698,7 +901,7 @@ class Machine:
                 # an executor faults with pc at the faulting instruction:
                 # account only the instructions before it
                 done = (self.pc - start) >> 2
-                block = _block((), block.categories[:done])
+                block = _block([], block.categories[:done])
                 raise
             finally:
                 retired += block.length

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from shatrv.cli import main
+from shatrv.emulator import MAX_MEMORY_SIZE
 
 GOOD_256 = f"""[L = 256]
 Len = 0
@@ -149,6 +150,16 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert field in captured.err and "negative" in captured.err
+
+
+    def test_a_memory_size_past_the_ceiling_exits_2(self, capsys, good_rsp):
+        rc = main(["bench", "--vectors", str(good_rsp), "--strategy", "shatr",
+                   "--mem-size", str(MAX_MEMORY_SIZE + 1)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: memory too large: {MAX_MEMORY_SIZE + 1} "
+                                f"(at most {MAX_MEMORY_SIZE} bytes)\n")
 
 
 class TestGenKernels:

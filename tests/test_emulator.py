@@ -739,6 +739,18 @@ class TestLoader:
         with pytest.raises(ValueError, match="memory size must be an int"):
             Machine(memory_size=size)
 
+    @pytest.mark.parametrize("machine_args, message", [
+        ({"cost_model": "x"}, "cost_model must be a CostModel, got 'x'"),
+        ({"cost_model": {}}, "cost_model must be a CostModel"),
+        ({"translations": "y"}, "translations must be a Translations, got 'y'"),
+        ({"translations": {}}, "translations must be a Translations"),
+    ], ids=["cost-model-str", "cost-model-dict", "translations-str",
+            "translations-dict"])
+    def test_a_bad_cost_model_or_cache_fails_at_construction(
+            self, machine_args, message):
+        with pytest.raises(ValueError, match=message):
+            Machine(memory_size=MEM, **machine_args)
+
     def test_code_at_base_and_sp_aligned(self):
         m = Machine(memory_size=MEM + 8)
         m.load_program(image(exit_seq()))

@@ -10,8 +10,11 @@ does), fused entries shared by every variant's kernel, machines sharing one
 translation cache against machines with a private one, cost models
 sharing one cache without translating again, cycles against their closed
 form in the counts, every load and store against a reference model,
-every ALU instruction against a table written from the RISC-V spec, and
-the assembler's statement memo against assembling without it.
+the compiled tier (every straight-line run compiled on its first call)
+against the interpreter and stepping, with base registers drawn to fail
+each segment's guard in turn, every ALU instruction against a table
+written from the RISC-V spec, and the assembler's statement memo against
+assembling without it.
 Hypothesis runs derandomized, so the suite is reproducible."""
 
 import itertools
@@ -653,6 +656,130 @@ def test_memory_access_matches_the_reference(mnemonic, cls, data):
         assert (m.pc, m.stats.total_retired) == (CODE_BASE, 0)
     assert m.regs == regs
     assert m.memory == memory
+
+
+# -- the compiled tier against the interpreter ------------------------------
+
+@pytest.fixture
+def compiled_tier(monkeypatch):
+    """Every straight-line run compiles on its first call."""
+    monkeypatch.setattr(emulator, "_HOT", 1)
+
+
+def test_step_until_halt_matches_a_compiled_run(compiled_tier, stepped):
+    test_step_until_halt_matches_run(stepped)
+
+
+def test_budget_stops_where_steps_reach_when_compiled(compiled_tier, stepped):
+    test_budget_stops_where_steps_reach(stepped)
+
+
+def test_a_fault_inside_a_compiled_block_leaves_what_steps_leave(compiled_tier):
+    test_a_fault_inside_a_block_leaves_what_steps_leave()
+
+
+def test_fused_idioms_compiled_run_like_steps(compiled_tier):
+    test_fused_idioms_run_like_steps()
+
+
+@pytest.mark.parametrize("cls", ADDRESS_CLASSES)
+@pytest.mark.parametrize("mnemonic", [*LOAD_SPEC, *STORE_SPEC])
+def test_compiled_memory_access_matches_the_reference(compiled_tier, mnemonic, cls):
+    test_memory_access_matches_the_reference(mnemonic, cls)
+
+
+TABLE = 0x9000
+# values of the base registers x5..x7: valid, misaligned, past the end,
+# negative-wrapping and into the code; each but the first fails the guard
+# of a segment it is a base in. A negative-wrapping base plus a positive
+# offset wraps to a low address the interpreter reaches, which the guard
+# refuses all the same
+_BASE_VALUES = st.one_of(
+    st.integers(0, 8).map(lambda i: DATA + 8 * i),
+    st.integers(1, 71).filter(lambda i: i % 8).map(lambda i: DATA + i),
+    st.integers(0, 3).map(lambda i: _MEMORY_SIZE - 8 * i),
+    st.integers(1, 3).map(lambda i: (1 << 64) - 8 * i),
+    st.integers(0, 2).map(lambda i: CODE_BASE + 8 * i),
+)
+_GUARD_BASES = st.sampled_from([5, 6, 7])
+_GUARD_ACCESSES = ("ld", "lw", "lhu", "lb", "sd", "sw", "sh", "sb")
+
+
+@st.composite
+def _guarded_accesses(draw):
+    """A load or store from x5..x7, mostly at an offset aligned to it."""
+    mnemonic = draw(st.sampled_from(_GUARD_ACCESSES))
+    base = draw(_GUARD_BASES)
+    offset = draw(st.sampled_from([-16, -8, 0, 0, 8, 16, 2, 1]))
+    if mnemonic[0] == "s":
+        return _enc(mnemonic, rs1=base, rs2=draw(st.sampled_from([0, 18, 19])),
+                    imm=offset)
+    return _enc(mnemonic, rd=draw(st.sampled_from([0, 18, 19, 20])), rs1=base,
+                imm=offset)
+
+
+# a write to a base starts a new segment: a step or a load of a new base
+# from the table at x9
+_REBASES = st.one_of(
+    st.builds(lambda b, imm: _enc("addi", rd=b, rs1=b, imm=imm),
+              _GUARD_BASES, st.sampled_from([8, -8, 2047])),
+    st.builds(lambda b, i: _enc("ld", rd=b, rs1=9, imm=8 * i),
+              _GUARD_BASES, st.integers(0, 7)),
+)
+_NOP = _enc("add", rd=0, rs1=18, rs2=19)
+_GUARD_ALU = st.sampled_from([
+    _enc("xor", rd=18, rs1=18, rs2=19), _enc("addi", rd=19, rs1=18, imm=-3),
+    _enc("sub", rd=20, rs1=19, rs2=18), _enc("slli", rd=19, rs1=20, imm=9),
+    _enc("sra", rd=20, rs1=18, rs2=19), _NOP,
+])
+
+
+@generated(300)
+@given(pieces=st.lists(st.one_of(_guarded_accesses(), _REBASES, _GUARD_ALU),
+                       min_size=1, max_size=16),
+       nop_at=st.integers(0, 16),
+       bases=st.lists(_BASE_VALUES, min_size=3, max_size=3),
+       table=st.lists(_BASE_VALUES, min_size=8, max_size=8),
+       values=st.lists(st.integers(0, M64), min_size=3, max_size=3))
+def test_compiled_guards_hand_back_what_the_interpreter_does(
+        pieces, nop_at, bases, table, values):
+    # the run twice, each a block of its own, the second with one more
+    # empty slot: the same work, in functions that end at different pcs
+    again = pieces[:nop_at] + [_NOP] + pieces[nop_at:]
+    block_end = _enc("bne", rs1=0, rs2=0, imm=4)
+    code = b"".join([*pieces, block_end, *again, block_end,
+                     _enc("addi", rd=17), _enc("ecall")])
+
+    def machine():
+        m = Machine(memory_size=_MEMORY_SIZE)
+        m.load_program(code)
+        m.memory[DATA - 16:DATA + 96] = bytes(range(101, 213))
+        for i, value in enumerate(table):
+            m.memory[TABLE + 8 * i:TABLE + 8 * i + 8] = value.to_bytes(8, "little")
+        for r, value in zip((5, 6, 7, 9, 18, 19, 20), [*bases, TABLE, *values]):
+            m.regs[r] = value
+        return m
+
+    def outcome(m, drive):
+        try:
+            drive(m)
+        except EmulatorError as e:
+            return type(e), str(e), _observed(m), bytes(m.memory)
+        return None, None, _observed(m), bytes(m.memory)
+
+    def steps(m):
+        while not m.halted:
+            m.step()
+
+    stepped = outcome(machine(), steps)
+    with mock.patch.object(emulator, "_HOT", 1 << 62):
+        interpreted = machine()
+        assert outcome(interpreted, Machine.run) == stepped
+    with mock.patch.object(emulator, "_HOT", 1):
+        compiled = machine()
+        assert outcome(compiled, Machine.run) == stepped
+    assert any(fn is not None for _, fn in compiled._translations.runs.values())
+    assert all(fn is None for _, fn in interpreted._translations.runs.values())
 
 
 # -- ALU executors against the spec -----------------------------------------

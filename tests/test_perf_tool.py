@@ -61,9 +61,31 @@ def test_layer_deltas_are_change_minus_parent():
                                      "kernels.generated": {"value": 12, "unit": "count"}}})
     change = json.dumps({"metrics": {"asm.assemble_s": {"value": 0.05, "unit": "s"},
                                      "kernels.generated": {"value": 12, "unit": "count"}}})
-    d = perf.layer_deltas(parent, change)
+    d = perf.layer_deltas([parent], [change])
     assert d["asm.assemble_s"]["delta"] == pytest.approx(-0.15)
     assert d["kernels.generated"] == {"unit": "count", "parent": 12, "change": 12, "delta": 0}
+
+
+def _layers(run_s):
+    return json.dumps({"metrics": {"emulator.run_s.sw-mem": {"value": run_s, "unit": "s"}}})
+
+
+def test_traced_pairs_alternate_and_report_each_sides_median(monkeypatch):
+    calls = []
+    times = iter([0.50, 0.40, 0.44, 0.70, 0.60, 0.30])
+
+    def run_bench(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, workload, seed, seconds, trace))
+        return _layers(next(times))
+
+    monkeypatch.setattr(perf, "run_bench", run_bench)
+    d = perf.traced_layers({"parent": "P", "change": "C"}, "long-stream", 7, 5.0)
+    assert perf.TRACED_PAIRS == 3
+    assert [c[0] for c in calls] == ["P", "C", "C", "P", "P", "C"]
+    assert {c[1:] for c in calls} == {("long-stream", 7, 5.0, 1)}
+    # parent ran 0.50, 0.70, 0.60 and change 0.40, 0.44, 0.30
+    assert d["emulator.run_s.sw-mem"] == pytest.approx(
+        {"unit": "s", "parent": 0.60, "change": 0.40, "delta": -0.20})
 
 
 def test_src_lines_counts_the_py_files_under_src_shatrv(tmp_path):

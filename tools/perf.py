@@ -17,8 +17,9 @@ first in odd ones so that drift in host speed does not favour a side.
 The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles and the number of pairs the change won.
 
---trace 1 adds one traced run per side and workload (seed K) and
-records every per-layer metric with its change - parent delta, and the
+--trace 1 adds TRACED_PAIRS pairs of traced runs per workload (seed K),
+in the same alternating order, and records each side's median of every
+per-layer metric with the change - parent delta of the medians, and the
 SHA-256 of each side's bundled `shatrv bench` JSON report.
 
 src_lines gives each side's count of lines in the .py files under
@@ -41,6 +42,7 @@ import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACED_PAIRS = 3
 
 
 class PerfError(Exception):
@@ -135,14 +137,35 @@ def summarize(pairs, end_to_end):
     return summary
 
 
-def layer_deltas(parent_line, change_line):
-    """Per-layer metrics of one traced run per side, with change - parent."""
-    parent = json.loads(parent_line)["metrics"]
-    change = json.loads(change_line)["metrics"]
-    return {name: {"unit": m["unit"], "parent": m["value"],
-                   "change": change[name]["value"],
-                   "delta": change[name]["value"] - m["value"]}
-            for name, m in parent.items() if name in change}
+def order(pair):
+    """The sides in the order pair number `pair` runs them: parent first in
+    even pairs and change first in odd ones, so that drift in host speed
+    does not favour a side."""
+    return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+
+
+def layer_deltas(parent_lines, change_lines):
+    """Per-layer metrics of traced runs, one result line per run: each
+    side's median of each metric, and change - parent of the medians."""
+    parent = [json.loads(line)["metrics"] for line in parent_lines]
+    change = [json.loads(line)["metrics"] for line in change_lines]
+    deltas = {}
+    for name, m in parent[0].items():
+        if all(name in run for run in parent + change):
+            p = statistics.median(run[name]["value"] for run in parent)
+            c = statistics.median(run[name]["value"] for run in change)
+            deltas[name] = {"unit": m["unit"], "parent": p, "change": c,
+                            "delta": c - p}
+    return deltas
+
+
+def traced_layers(sides, workload, seed, seconds):
+    """layer_deltas of TRACED_PAIRS pairs of traced runs of workload."""
+    lines = {"parent": [], "change": []}
+    for pair in range(TRACED_PAIRS):
+        for side in order(pair):
+            lines[side].append(run_bench(sides[side], workload, seed, seconds, 1))
+    return layer_deltas(lines["parent"], lines["change"])
 
 
 def main(argv=None):
@@ -173,18 +196,15 @@ def main(argv=None):
             for w in workloads:
                 pairs = []
                 for i, seed in enumerate(result["seeds"]):
-                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     lines = {side: run_bench(sides[side], w, seed, args.seconds, 0)
-                             for side in order}
+                             for side in order(i)}
                     pairs.append((lines["parent"], lines["change"]))
                     print(f"{w} seed {seed}: parent {lines['parent']}\n"
                           f"{w} seed {seed}: change {lines['change']}", file=sys.stderr)
                 result["workloads"][w] = summarize(pairs, spec["end_to_end"])
             if args.trace:
                 result["layers"] = {
-                    w: layer_deltas(*(run_bench(sides[side], w, args.seed_start,
-                                                args.seconds, 1)
-                                      for side in ("parent", "change")))
+                    w: traced_layers(sides, w, args.seed_start, args.seconds)
                     for w in workloads}
                 result["report_sha256"] = {side: report_sha256(sides[side])
                                            for side in ("parent", "change")}
