@@ -27,14 +27,14 @@ instructions, and step() never fuses. A block carries only its
 per-category counts, added once per run of the block; cycles are priced
 from the counts when read.
 Regions change only at an ecall, which ends a block, so region counts
-stay exact. A Translations cache maps each word to its closure or entry,
-each (code bytes, unit attached) to its blocks by pc and each run to its
-calls and compiled function; machines that share one share the work.
-A run called _HOT times, counted over every block that holds it, is
-compiled to one Python function over registers in locals. Each of its
-segments opens with one guard per base register that proves every
-access in it cannot fault; a failed guard hands the rest of the run to
-the interpreted executor, which alone raises faults.
+stay exact. A Translations cache, which machines may share, maps each
+word to its closure or entry, each (code bytes, unit attached) to its
+blocks, which never change, and each distinct run to the one executor
+every block holding it shares: it fuses the run once, interprets it, and
+from its _HOT-th call runs it as one Python function over registers in
+locals. Each segment of that opens with one guard per base register that
+proves no access in it can fault; a failed guard hands the rest of the
+run to the interpreter, which alone raises faults.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -316,10 +316,9 @@ def _fused(a, b, c):
     return None
 
 
-def _fuse(entries, interned):
+def _fuse(entries):
     """entries with each fusable triple replaced by its fused entry and two
-    empty ones, so every instruction keeps its slot. Fused entries are
-    interned in `interned`, so equal ones are one object."""
+    empty ones, so every instruction keeps its slot."""
     out = list(entries)
     i = 0
     while i + 2 < len(out):
@@ -327,7 +326,7 @@ def _fuse(entries, interned):
         if f is None:
             i += 1
         else:
-            out[i:i + 3] = interned.setdefault(f, f), (), ()
+            out[i:i + 3] = f, (), ()
             i += 3
     return out
 
@@ -477,13 +476,13 @@ def _compile(entries):
     into segments (_segments); each opens with one guard per base register
     (_guard), after which its accesses are bare indexes into the views.
     A failed guard writes the locals back, points pc at the segment and
-    hands the rest of the run to its interpreted executor, which finishes
-    it or raises what step() would. Each call of the function otherwise
-    does what a call of _run(entries) does."""
+    runs _run of the rest of the run, which finishes it or raises what
+    step() would. Each call of the function otherwise does what a call of
+    _run(entries) does."""
     def reg(n):
         return f"x{n}" if n else "0"
 
-    env, ops, views = {}, {}, set()
+    env, ops, views = {"_run": _run, "E": entries}, {}, set()
     lines, written, live = [], set(), set()
     starts = _segments(entries)
     for start, stop in zip(starts, starts[1:] + [len(entries)]):
@@ -500,8 +499,7 @@ def _compile(entries):
             lines += [f"    r[{n}] = x{n}" for n in sorted(written)]
             if start:
                 lines.append(f"    m.pc += {4 * start}")
-            env[f"rest{start}"] = _run(entries[start:])
-            lines.append(f"    return rest{start}(m)")
+            lines.append(f"    return _run(E[{start}:])(m)")
             lines += [f"b{s}_{w} = {reg(s)} >> {w}"
                       for s, accesses in bases.items()
                       for w in sorted({n.bit_length() - 1 for _, _, n in accesses})]
@@ -547,26 +545,23 @@ def _compile(entries):
     return env["run"]
 
 
-def _tier(entries, executors, runs):
-    """Append to a block's executors the executor of a straight-line run:
-    _run(entries) until the run's _HOT-th call, which puts its compiled
-    function in its place and calls it. `runs` maps each run, by its whole
-    entries tuple, empty slots included (its length sets the pc the run
-    ends at), to [calls, compiled function or None], so that the blocks of
-    every kernel that holds the run share its calls and its function."""
+def _executor(run):
+    """The one executor of a straight-line run, given by its unfused
+    entries: it fuses them once and interprets them (_run) until its
+    _HOT-th call, which compiles them (_compile); every later call runs
+    the compiled function."""
+    entries = _fuse(run)
     cold = _run(entries)
-    state = runs.setdefault(tuple(entries), [0, None])
-    index = len(executors)
-    def ex(m, hot=_HOT):
-        state[0] += 1
-        if state[0] < hot:
-            return cold(m)
-        fn = state[1]
-        if fn is None:
-            fn = state[1] = _compile(entries)
-        executors[index] = fn
-        return fn(m)
-    executors.append(ex)
+    calls, compiled = 0, None
+    def ex(m):
+        nonlocal calls, compiled
+        if compiled is None:
+            calls += 1
+            if calls < _HOT:
+                return cold(m)
+            compiled = _compile(entries)
+        return compiled(m)
+    return ex
 
 
 def _closure(inst, attached):
@@ -639,7 +634,7 @@ def _closure(inst, attached):
 
 class _Block(NamedTuple):
     """A translated basic block and what one run of it retires."""
-    executors: list         # one per straight-line run or other instruction
+    executors: tuple        # one per straight-line run or other instruction
     categories: tuple       # category index of each instruction
     length: int
     counts: tuple           # (category index, count) pairs
@@ -647,10 +642,9 @@ class _Block(NamedTuple):
 
 
 def _block(executors, categories):
-    """Bundle executors with their accounting; a hot run's executor puts
-    its compiled function in its place in the list."""
+    """Bundle executors with their accounting."""
     counts = tuple(sorted(Counter(categories).items()))
-    return _Block(executors, tuple(categories), len(categories), counts,
+    return _Block(tuple(executors), tuple(categories), len(categories), counts,
                   tuple(c for c in counts if c[0] != _OTHER_IDX))
 
 
@@ -658,17 +652,21 @@ class Translations:
     """Translation cache for machines that run the same code, such as the
     machines of one benchmark run. Every (instruction word, unit attached)
     maps to its (closure or None, category index, straight-line entry or
-    None), one of the two set, each fused entry to itself, so that the
-    kernels that share a triple share its entry, every straight-line run
-    to its calls and compiled function (_tier), and every (code bytes,
-    unit attached) to its table of blocks by entry pc. Entries hold
-    nothing of a machine, so any machine whose key matches may run them."""
+    None), one of the two set, every (code bytes, unit attached) to its
+    table of blocks by entry pc, and every straight-line run, by its
+    unfused entries, to the one executor that all blocks holding it share
+    (_executor). Nothing here holds a machine, so any machine whose key
+    matches may run it."""
 
     def __init__(self):
         self.words = {}
-        self.fused = {}
         self.runs = {}
         self._tables = {}
+
+    def run(self, entries):
+        """The executor of the straight-line run of these unfused entries."""
+        runs = self.runs
+        return runs.get(entries) or runs.setdefault(entries, _executor(entries))
 
     def blocks(self, code, attached):
         """The table of blocks, by entry pc, for this key."""
@@ -734,11 +732,17 @@ class Machine:
         code_end = CODE_BASE + len(code)
         if code_end > len(mem):
             raise LoadError(f"code ({len(code)} bytes) exceeds memory")
+        if type(entry) is not int:
+            raise LoadError(f"entry offset must be an int, got {entry!r}")
         if not 0 <= entry < len(code):
             raise LoadError(f"entry offset {entry:#x} outside code")
         # check every segment before writing anything, so a rejected image
         # leaves memory as it was
         for addr, blob in segments:
+            if type(addr) is not int:
+                raise LoadError(f"data segment address must be an int, got {addr!r}")
+            if not isinstance(blob, (bytes, bytearray)):
+                raise LoadError(f"data segment at {addr:#x} is not bytes: {blob!r}")
             if addr < 0 or addr + len(blob) > len(mem):
                 raise LoadError(f"data segment at {addr:#x} exceeds memory")
             if addr < code_end and addr + len(blob) > CODE_BASE:
@@ -794,14 +798,13 @@ class Machine:
         ecall, and short of a word that does not fetch or decode (it
         faults once the guest reaches it). Each stretch of instructions
         with a straight-line entry becomes one run executor."""
-        fused = self._translations.fused
-        runs = self._translations.runs
+        executor = self._translations.run
         executors, cats, run = [], [], []
         ex, cat, entry = self._build(pc)
         while True:
             if entry is None:
                 if run:
-                    _tier(_fuse(run, fused), executors, runs)
+                    executors.append(executor(tuple(run)))
                     run = []
                 executors.append(ex)
             else:
@@ -815,7 +818,7 @@ class Machine:
             except (MemoryFault, CsrFault, DecodeError):
                 break
         if run:
-            _tier(_fuse(run, fused), executors, runs)
+            executors.append(executor(tuple(run)))
         return _block(executors, cats)
 
     # -- hypercalls --------------------------------------------------------

@@ -796,6 +796,34 @@ class TestLoader:
             m.load_program(Img())
             assert m.memory[addr:addr + size] == b"\x5A" * size
 
+    @pytest.mark.parametrize("image_entry, entry_offset, segments", [
+        (0, 1.5, []),
+        (0, "4", []),
+        (0, True, []),
+        (4.0, None, []),
+        (False, None, []),
+        (0, None, [(8192.0, b"\x01")]),
+        (0, None, [(True, b"\x01")]),
+        (0, None, [(8192, b"\x01"), (8200, "abc")]),
+        (0, None, [(8192, [1, 2, 3])]),
+    ], ids=["entry-float", "entry-str", "entry-bool", "image-entry-float",
+            "image-entry-bool", "segment-address-float", "segment-address-bool",
+            "segment-blob-str", "segment-blob-list"])
+    def test_a_bad_image_raises_load_error_and_changes_nothing(
+            self, image_entry, entry_offset, segments):
+        class Img:
+            code = image(exit_seq())
+            data_segments = segments
+        Img.entry_offset = image_entry
+
+        m = Machine(memory_size=MEM)
+        m.memory[:] = bytes((29 * i + 3) & 0xFF for i in range(MEM))
+        m.regs[5], m.pc = 77, CODE_BASE + 8
+        before = (bytes(m.memory), m.pc, list(m.regs))
+        with pytest.raises(LoadError):
+            m.load_program(Img(), entry_offset=entry_offset)
+        assert (bytes(m.memory), m.pc, m.regs) == before
+
     def test_run_is_deterministic(self):
         ws = [addi(1, 0, 5), enc_u(0x37, 2, 2), enc_s(0x23, 3, 2, 1, 0),
               enc_i(0x03, 4, 3, 2, 0)] + exit_seq()

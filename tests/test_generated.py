@@ -6,7 +6,8 @@ raises), the straight-line Keccak round and the shatr instruction
 against the composed step maps, step() against run() on every
 strategy's kernel, on faulting programs and on drawn rotate and and-not
 triples and their near misses (run() fuses the triples, step() never
-does), fused entries shared by every variant's kernel, machines sharing one
+does), one executor per distinct run shared by every variant's kernel
+and blocks that never change as their runs compile, machines sharing one
 translation cache against machines with a private one, cost models
 sharing one cache without translating again, cycles against their closed
 form in the counts, every load and store against a reference model,
@@ -540,15 +541,30 @@ def test_fused_idioms_run_like_steps(pieces, values):
 
 def test_every_variant_shares_the_fused_entries_of_one_cache():
     shared = Translations()
-    sizes = []
-    for variant in ("sha3-256", "sha3-224", "sha3-384", "sha3-512"):
-        m = Machine(memory_size=MEM, translations=shared)
-        m.load_program(generate_kernel("sw-regopt", variant))
-        assert m.run() == 0
-        sizes.append(len(shared.fused))
-    assert {e[0] for e in shared.fused} == {emulator._ROT, emulator._ANDN}
+    tables, keys = [], []
+    with mock.patch.object(emulator, "_fuse", wraps=emulator._fuse) as fuse, \
+            mock.patch.object(emulator, "_run", wraps=emulator._run) as run:
+        for variant in ("sha3-256", "sha3-224", "sha3-384", "sha3-512"):
+            m = Machine(memory_size=MEM, translations=shared)
+            m.load_program(generate_kernel("sw-regopt", variant))
+            assert m.run() == 0
+            tables.append(shared.blocks(m._code, False))
+            keys.append(set(shared.runs))
+    # each distinct run is fused and interpreted once, whatever holds it
+    assert fuse.call_count == run.call_count == len(shared.runs)
+    assert {c.args[0] for c in fuse.call_args_list} == set(shared.runs)
+    # the permutation run, the longest, has one executor, and the block
+    # holding it in each variant's table holds that very object
+    executor = shared.runs[max(shared.runs, key=len)]
+    assert len({id(table) for table in tables}) == 4
+    for table in tables:
+        assert any(ex is executor for block in table.values()
+                   for ex in block.executors)
+    fused = [{e for key in k for e in emulator._fuse(key)
+              if e and e[0] in (emulator._ROT, emulator._ANDN)} for k in keys]
+    assert {e[0] for e in fused[0]} == {emulator._ROT, emulator._ANDN}
     # the permutation's triples are the same in every variant's kernel
-    assert sizes == sizes[:1] * 4
+    assert fused == fused[:1] * 4
 
 
 # -- the memory path against a reference model -----------------------------
@@ -682,6 +698,32 @@ def test_fused_idioms_compiled_run_like_steps(compiled_tier):
     test_fused_idioms_run_like_steps()
 
 
+def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
+    # every run compiles on its first call, and no block changes for it:
+    # each holds the tuple it was built with, with the same executors
+    built = []
+    block = emulator._block
+
+    def spy(executors, categories):
+        b = block(executors, categories)
+        built.append((b, b.executors, list(b.executors)))
+        return b
+
+    shared = Translations()
+    with mock.patch.object(emulator, "_block", spy), \
+            mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        first = _loaded("sw-mem", translations=shared)
+        assert first.run() == 0
+        table = shared.blocks(first._code, False)
+        before = {pc: b.executors for pc, b in table.items()}
+        assert _loaded("sw-mem", translations=shared).run() == 0
+    assert compile_.call_count == len(shared.runs) > 0
+    assert all(type(b.executors) is tuple for b in table.values())
+    assert all(table[pc].executors is ex for pc, ex in before.items())
+    for b, executors, contents in built:
+        assert b.executors is executors and list(executors) == contents
+
+
 @pytest.mark.parametrize("cls", ADDRESS_CLASSES)
 @pytest.mark.parametrize("mnemonic", [*LOAD_SPEC, *STORE_SPEC])
 def test_compiled_memory_access_matches_the_reference(compiled_tier, mnemonic, cls):
@@ -772,14 +814,14 @@ def test_compiled_guards_hand_back_what_the_interpreter_does(
             m.step()
 
     stepped = outcome(machine(), steps)
-    with mock.patch.object(emulator, "_HOT", 1 << 62):
-        interpreted = machine()
-        assert outcome(interpreted, Machine.run) == stepped
-    with mock.patch.object(emulator, "_HOT", 1):
-        compiled = machine()
-        assert outcome(compiled, Machine.run) == stepped
-    assert any(fn is not None for _, fn in compiled._translations.runs.values())
-    assert all(fn is None for _, fn in interpreted._translations.runs.values())
+    with mock.patch.object(emulator, "_HOT", 1 << 62), \
+            mock.patch.object(emulator, "_compile", wraps=emulator._compile) as cold:
+        assert outcome(machine(), Machine.run) == stepped
+    with mock.patch.object(emulator, "_HOT", 1), \
+            mock.patch.object(emulator, "_compile", wraps=emulator._compile) as hot:
+        assert outcome(machine(), Machine.run) == stepped
+    assert hot.call_count >= 1
+    assert cold.call_count == 0
 
 
 # -- ALU executors against the spec -----------------------------------------

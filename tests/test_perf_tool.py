@@ -63,7 +63,19 @@ def test_layer_deltas_are_change_minus_parent():
                                      "kernels.generated": {"value": 12, "unit": "count"}}})
     d = perf.layer_deltas([parent], [change])
     assert d["asm.assemble_s"]["delta"] == pytest.approx(-0.15)
-    assert d["kernels.generated"] == {"unit": "count", "parent": 12, "change": 12, "delta": 0}
+    one = {"median": 12, "q1": 12, "q3": 12}
+    assert d["kernels.generated"] == {
+        "unit": "count", "parent": one, "change": one, "delta": 0,
+        "values": {"parent": [12], "change": [12]}}
+    # several runs a side: each side's values in run order and quartiles
+    d = perf.layer_deltas([_layers(t) for t in (0.50, 0.70, 0.60, 0.90)],
+                          [_layers(t) for t in (0.40, 0.44, 0.30, 0.20)])
+    run_s = d["emulator.run_s.sw-mem"]
+    assert run_s["values"] == {"parent": [0.50, 0.70, 0.60, 0.90],
+                               "change": [0.40, 0.44, 0.30, 0.20]}
+    assert run_s["parent"] == pytest.approx({"median": 0.65, "q1": 0.575, "q3": 0.75})
+    assert run_s["change"] == pytest.approx({"median": 0.35, "q1": 0.275, "q3": 0.41})
+    assert run_s["delta"] == pytest.approx(-0.30)
 
 
 def _layers(run_s):
@@ -84,8 +96,12 @@ def test_traced_pairs_alternate_and_report_each_sides_median(monkeypatch):
     assert [c[0] for c in calls] == ["P", "C", "C", "P", "P", "C"]
     assert {c[1:] for c in calls} == {("long-stream", 7, 5.0, 1)}
     # parent ran 0.50, 0.70, 0.60 and change 0.40, 0.44, 0.30
-    assert d["emulator.run_s.sw-mem"] == pytest.approx(
-        {"unit": "s", "parent": 0.60, "change": 0.40, "delta": -0.20})
+    run_s = d["emulator.run_s.sw-mem"]
+    assert run_s["values"] == {"parent": [0.50, 0.70, 0.60],
+                               "change": [0.40, 0.44, 0.30]}
+    assert run_s["parent"]["median"] == pytest.approx(0.60)
+    assert run_s["change"]["median"] == pytest.approx(0.40)
+    assert run_s["delta"] == pytest.approx(-0.20)
 
 
 def test_src_lines_counts_the_py_files_under_src_shatrv(tmp_path):

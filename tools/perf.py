@@ -18,9 +18,10 @@ The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles and the number of pairs the change won.
 
 --trace 1 adds TRACED_PAIRS pairs of traced runs per workload (seed K),
-in the same alternating order, and records each side's median of every
-per-layer metric with the change - parent delta of the medians, and the
-SHA-256 of each side's bundled `shatrv bench` JSON report.
+in the same alternating order, and records per per-layer metric each
+side's values, median and quartiles with the change - parent delta of
+the medians, and the SHA-256 of each side's bundled `shatrv bench` JSON
+report.
 
 src_lines gives each side's count of lines in the .py files under
 src/shatrv.
@@ -145,17 +146,20 @@ def order(pair):
 
 
 def layer_deltas(parent_lines, change_lines):
-    """Per-layer metrics of traced runs, one result line per run: each
-    side's median of each metric, and change - parent of the medians."""
+    """Per-layer metrics of traced runs, one result line per run.  Per
+    metric: each side's median, q1 and q3, change - parent of the medians,
+    and each side's values in run order, so that a delta can be read
+    against the parent's own spread."""
     parent = [json.loads(line)["metrics"] for line in parent_lines]
     change = [json.loads(line)["metrics"] for line in change_lines]
     deltas = {}
     for name, m in parent[0].items():
         if all(name in run for run in parent + change):
-            p = statistics.median(run[name]["value"] for run in parent)
-            c = statistics.median(run[name]["value"] for run in change)
+            values = {"parent": [run[name]["value"] for run in parent],
+                      "change": [run[name]["value"] for run in change]}
+            p, c = _spread(values["parent"]), _spread(values["change"])
             deltas[name] = {"unit": m["unit"], "parent": p, "change": c,
-                            "delta": c - p}
+                            "delta": c["median"] - p["median"], "values": values}
     return deltas
 
 
