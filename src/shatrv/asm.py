@@ -19,14 +19,9 @@ mv, j, ret, nop.  .org chooses the placement address for what follows in
 cannot decode.
 
 The first pass encodes every instruction whose words depend on neither
-its address nor a symbol, which is all but branches and jal/j; the
-second pass resolves those against the labels and joins the words.  The
-encoding of a statement's text (after its comment and labels are
-stripped) is memoised for the life of the process in a bounded LRU
-memo, so each distinct statement is parsed and encoded once however
-many programs repeat it.  Failures are never memoised: a statement that
-does not encode takes the unmemoised path and its error is raised where
-it always was, so sources with several errors report the same one.
+its address nor a symbol, memoising each statement's words by its text;
+the second pass encodes the rest, branches, jal/j and statements that do
+not encode, whose errors it raises in line order, and joins the words.
 """
 
 import functools
@@ -228,16 +223,20 @@ def _li_words(ops):
 @functools.lru_cache(maxsize=8192)
 def _statement_words(text):
     """Code words of one label-free instruction or pseudo-instruction, or
-    None for a branch or jal, whose words depend on its address.  Raises
-    ValueError on a malformed statement; lru_cache keeps no exception, so
-    only successes are memoised."""
+    None to defer it to the second pass: a branch or jal, whose words
+    depend on its address, or a statement that does not encode.  Raises
+    ValueError on a malformed li or pseudo-instruction; lru_cache keeps no
+    exception."""
     name, ops = _split_statement(text)
     if name == "li":
         return _li_words(ops)
     name, ops = _rewrite_pseudo(name, ops)
-    if "target" in _syntax(name):
-        return None
-    return (_encode_statement(name, ops, 0, {}),)
+    try:
+        if "target" not in _syntax(name):
+            return (_encode_statement(name, ops, 0, {}),)
+    except ValueError:
+        pass
+    return None
 
 
 _NOP_WORD = 0x00000013
@@ -247,9 +246,9 @@ class _Assembler:
     def __init__(self):
         self.symbols = {}
         self.words = []          # code words, None where a deferred statement goes
-        self.deferred = []       # (line_no, word index, name, ops)
+        self.deferred = []       # (line_no, word index, statement text)
         self.section = "text"
-        self.segments = []       # [address, bytearray] pairs
+        self.segments = []       # [address, bytearray, .org line] triples
         self.data_addr = None
 
     @property
@@ -289,7 +288,9 @@ class _Assembler:
             if len(ops) != 1:
                 self.fail(line_no, ".org expects one address")
             self.data_addr = _parse_int(ops[0])
-            self.segments.append([self.data_addr, bytearray()])
+            if self.data_addr < 0:
+                self.fail(line_no, f".org address is negative: {ops[0]}")
+            self.segments.append([self.data_addr, bytearray(), line_no])
         elif name in (".dword", ".byte"):
             if self.section != "data":
                 self.fail(line_no, f"{name} is only valid in the .data section")
@@ -317,16 +318,6 @@ class _Assembler:
         else:
             self.fail(line_no, f"unknown directive {name!r}")
 
-    def instruction(self, line_no, name, ops):
-        if self.section != "text":
-            self.fail(line_no, "instruction outside the .text section")
-        if name == "li":
-            self.words.extend(_li_words(ops))
-            return
-        name, ops = _rewrite_pseudo(name, ops)
-        self.deferred.append((line_no, len(self.words), name, ops))
-        self.words.append(None)
-
     def first_pass(self, source):
         for line_no, raw in enumerate(source.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -338,34 +329,40 @@ class _Assembler:
                 line = line[m.end():].strip()
             if not line:
                 continue
-            if self.section == "text" and line[0] != ".":
-                try:
-                    words = _statement_words(line)
-                except ValueError:
-                    words = None    # the path below raises or defers the error
-                if words is not None:
-                    self.words.extend(words)
-                    continue
             try:
-                name, ops = _split_statement(line)
-                if name.startswith("."):
-                    self.directive(line_no, name, ops)
+                if line[0] == ".":
+                    self.directive(line_no, *_split_statement(line))
+                elif self.section != "text":
+                    self.fail(line_no, "instruction outside the .text section")
                 else:
-                    self.instruction(line_no, name, ops)
-            except AsmError:
-                raise
+                    words = _statement_words(line)
+                    if words is None:
+                        self.deferred.append((line_no, len(self.words), line))
+                        words = (None,)
+                    self.words.extend(words)
             except ValueError as e:
                 self.fail(line_no, str(e))
 
     def second_pass(self):
         words = self.words
-        for line_no, index, name, ops in self.deferred:
+        for line_no, index, text in self.deferred:
             try:
+                name, ops = _rewrite_pseudo(*_split_statement(text))
                 words[index] = _encode_statement(
                     name, ops, CODE_BASE + 4 * index, self.symbols)
             except ValueError as e:
                 self.fail(line_no, str(e))
         return struct.pack(f"<{len(words)}I", *words)
+
+    def data_segments(self):
+        """The non-empty segments as (address, bytes) pairs; two that
+        overlap fail on the later of their .org lines."""
+        spans = sorted((addr, addr + len(buf), line_no)
+                       for addr, buf, line_no in self.segments if buf)
+        for (a, a_end, i), (b, _, j) in zip(spans, spans[1:]):
+            if b < a_end:
+                self.fail(max(i, j), f"data at {a:#x} and at {b:#x} overlap")
+        return [(addr, bytes(buf)) for addr, buf, _ in self.segments if buf]
 
 
 def assemble(source):
@@ -374,8 +371,7 @@ def assemble(source):
     a = _Assembler()
     a.first_pass(source)
     code = a.second_pass()
-    segments = [(addr, bytes(buf)) for addr, buf in a.segments if buf]
-    return AssembledProgram(code=code, data_segments=segments,
+    return AssembledProgram(code=code, data_segments=a.data_segments(),
                             entry_offset=0, symbols=dict(a.symbols))
 
 

@@ -20,9 +20,9 @@ a run of one), and every other instruction is a closure. A fault inside
 a run leaves pc at the faulting instruction and raises what a step()
 there would. Every load and store indexes the machine's typed view of
 memory of its width and signedness; the views read host byte order, so
-a machine needs a little-endian host. Within a block's runs, the RV64I
-rotate (srli/slli/or) and and-not (xori -1/and/xor) triples are fused
-into one entry each; a fused triple still retires and counts as three
+a machine needs a little-endian host. The interpreter of a run fuses its
+RV64I rotate (srli/slli/or) and and-not (xori -1/and/xor) triples into
+one entry each; a fused triple still retires and counts as three
 instructions, and step() never fuses. A block carries only its
 per-category counts, added once per run of the block; cycles are priced
 from the counts when read.
@@ -31,10 +31,11 @@ stay exact. A Translations cache, which machines may share, maps each
 word to its closure or entry, each (code bytes, unit attached) to its
 blocks, which never change, and each distinct run to the one executor
 every block holding it shares: it fuses the run once, interprets it, and
-from its _HOT-th call runs it as one Python function over registers in
-locals. Each segment of that opens with one guard per base register that
-proves no access in it can fault; a failed guard hands the rest of the
-run to the interpreter, which alone raises faults.
+from its _HOT-th call runs the unfused run compiled to one Python
+function over registers in locals. Each segment of that opens with one
+guard per base register that proves no access in it can fault: the base
+is aligned to its largest access and inside memory. A failed guard hands
+the rest of the run to the interpreter, which alone raises faults.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -238,7 +239,7 @@ _CSR_RMW.update({name + "i": rmw for name, rmw in tuple(_CSR_RMW.items())})
 
 
 # kinds of a straight-line entry: ALU kinds first, then memory accesses;
-# _ROT and _ANDN are fused idiom triples
+# _ROT and _ANDN are fused idiom triples, which only _run executes
 _REG, _IMM, _ROT, _ANDN, _LOAD, _STORE = range(6)
 
 
@@ -409,22 +410,15 @@ _EXPR = {
 
 def _reads(e):
     """The registers the entry e reads."""
-    kind, _, d, s, x, align = e[:6]
+    kind, _, d, s, x = e[:5]
     if kind == _REG:
         return s, x
-    if kind == _ANDN:
-        return s, x, align
     return (s, d) if kind == _STORE else (s,)
 
 
 def _writes(e):
     """The registers the entry e writes (x0 among them, for a load into it)."""
-    kind, _, d, s, _, align = e[:6]
-    if kind == _STORE:
-        return ()
-    if kind == _ROT:
-        return d, s
-    return (d, align) if kind == _ANDN else (abs(d),)
+    return () if e[0] == _STORE else (abs(e[2]),)
 
 
 def _segments(entries):
@@ -443,16 +437,14 @@ def _segments(entries):
 def _guard(base, accesses):
     """The test that fails unless every access in `accesses`, (kind, offset,
     size) from the register `base`, is aligned, inside memory and, for a
-    store, clear of the loaded code; and the base's residue modulo the
-    largest size, which the test proves. Each span is taken unwrapped,
+    store, clear of the loaded code. It requires the base aligned to the
+    largest size, and is "True" unless each offset is a multiple of its own
+    size; a refused segment runs interpreted. Each span is taken unwrapped,
     which is conservative: a base whose sum wraps past 2**64 fails it."""
-    size, offset = max((a[2], a[1]) for a in accesses)
-    rho = -offset % size
-    if any((rho + x) % n for _, x, n in accesses):
-        return "True", rho      # two accesses that cannot both be aligned
-    tests = []
-    if size > 1:
-        tests.append(f"{base} & {size - 1}" + (f" != {rho}" if rho else ""))
+    if any(x % n for _, x, n in accesses):
+        return "True"
+    size = max(n for _, _, n in accesses)
+    tests = [f"{base} & {size - 1}"] if size > 1 else []
     lo = min(x for _, x, _ in accesses)
     if lo < 0:
         tests.append(f"{base} < {-lo}")
@@ -462,7 +454,7 @@ def _guard(base, accesses):
         first = min(x for x, _ in stores)
         last = max(x + n for x, n in stores)
         tests.append(f"{CODE_BASE - last} < {base} < {_plus('end', -first)}")
-    return " or ".join(tests), rho
+    return " or ".join(tests)
 
 
 def _plus(name, k):
@@ -471,10 +463,11 @@ def _plus(name, k):
 
 
 def _compile(entries):
-    """The compiled function of a straight-line run: its entries as plain
-    Python over registers held in locals, x0 read as 0. The run is cut
-    into segments (_segments); each opens with one guard per base register
-    (_guard), after which its accesses are bare indexes into the views.
+    """The compiled function of a straight-line run: its unfused entries
+    (a key of Translations.runs) as plain Python over registers held in
+    locals, x0 read as 0. The run is cut into segments (_segments); each
+    opens with one guard per base register (_guard), after which its
+    accesses are bare indexes into the views.
     A failed guard writes the locals back, points pc at the segment and
     runs _run of the rest of the run, which finishes it or raises what
     step() would. Each call of the function otherwise does what a call of
@@ -490,10 +483,7 @@ def _compile(entries):
         for e in entries[start:stop]:
             if e and e[0] >= _LOAD:
                 bases.setdefault(e[3], []).append((e[0], e[4], e[5] + 1))
-        residues, tests = {}, []
-        for s, accesses in bases.items():
-            test, residues[s] = _guard(reg(s), accesses)
-            tests.append(test)
+        tests = [_guard(reg(s), accesses) for s, accesses in bases.items()]
         if tests:
             lines.append(f"if {' or '.join(tests)}:")
             lines += [f"    r[{n}] = x{n}" for n in sorted(written)]
@@ -510,8 +500,7 @@ def _compile(entries):
             kind, op, d, s, x, align, mask, _ = e
             if kind >= _LOAD:
                 w = align.bit_length()
-                k = (residues[s] % (align + 1) + x) >> w
-                index = _plus(f"b{s}_{w}", k)
+                index = _plus(f"b{s}_{w}", x >> w)
                 views.add(op)
                 if kind == _STORE:
                     value = reg(d) if mask == _M64 else f"{reg(d)} & {mask}"
@@ -519,12 +508,6 @@ def _compile(entries):
                 elif d:
                     lines.append(f"x{abs(d)} = V{op}[{index}]"
                                  + (f" & {_M64}" if d < 0 else ""))
-            elif kind == _ROT:
-                lines += [f"x{d} = x{s} >> {x}",
-                          f"x{s} = (x{s} << {align}) & {_M64} | x{d}"]
-            elif kind == _ANDN:      # T first, so D == T ends as T ^ T
-                lines += [f"x{d} = ~{reg(s)} & {reg(x)}",
-                          f"x{align} = x{align} ^ x{d}"]
             else:
                 b = reg(x) if kind == _REG else str(x)
                 template = _EXPR.get(op)
@@ -548,10 +531,9 @@ def _compile(entries):
 def _executor(run):
     """The one executor of a straight-line run, given by its unfused
     entries: it fuses them once and interprets them (_run) until its
-    _HOT-th call, which compiles them (_compile); every later call runs
-    the compiled function."""
-    entries = _fuse(run)
-    cold = _run(entries)
+    _HOT-th call, which compiles the unfused entries (_compile); every
+    later call runs the compiled function."""
+    cold = _run(_fuse(run))
     calls, compiled = 0, None
     def ex(m):
         nonlocal calls, compiled
@@ -559,7 +541,7 @@ def _executor(run):
             calls += 1
             if calls < _HOT:
                 return cold(m)
-            compiled = _compile(entries)
+            compiled = _compile(run)
         return compiled(m)
     return ex
 
@@ -722,12 +704,15 @@ class Machine:
         """Place an assembled image (or raw code bytes) into memory, point pc
         at the entry, and set sp to the 16-byte aligned top of memory. Data
         segments may not overlap the code."""
-        if isinstance(image, (bytes, bytearray)):
-            code, segments, entry = bytes(image), [], 0
-        else:
-            code, segments, entry = image.code, image.data_segments, image.entry_offset
+        raw = isinstance(image, (bytes, bytearray))
+        code = bytes(image) if raw else getattr(image, "code", None)
+        segments = [] if raw else getattr(image, "data_segments", None)
+        entry = 0 if raw else getattr(image, "entry_offset", None)
         if entry_offset is not None:
             entry = entry_offset
+        if not (isinstance(code, (bytes, bytearray)) and isinstance(segments, (list, tuple))):
+            raise LoadError(f"not code bytes or an image of code bytes and a list "
+                            f"of data segments: {image!r:.60}")
         mem = self.memory
         code_end = CODE_BASE + len(code)
         if code_end > len(mem):

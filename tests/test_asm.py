@@ -167,6 +167,9 @@ class TestAsmErrors:
         (".data\n.dword 5\n", "line 2"),      # data before .org
         ("ld x1, 8\n", "line 1"),             # load needs offset(reg)
         ("li x1, banana\n", "line 1"),
+        (".data\n.org -8\n.dword 1\n", "line 2"),
+        # the second segment would overwrite the first at load
+        (".data\n.org 0x2000\n.dword 1, 2\n.org 0x2008\n.byte 7\n", "line 4"),
     ])
     def test_error_cites_line(self, src, needle):
         with pytest.raises(AsmError) as e:

@@ -6,6 +6,7 @@ import dataclasses
 import random
 import struct
 import sys
+import types
 from unittest import mock
 
 import pytest
@@ -796,32 +797,37 @@ class TestLoader:
             m.load_program(Img())
             assert m.memory[addr:addr + size] == b"\x5A" * size
 
-    @pytest.mark.parametrize("image_entry, entry_offset, segments", [
-        (0, 1.5, []),
-        (0, "4", []),
-        (0, True, []),
-        (4.0, None, []),
-        (False, None, []),
-        (0, None, [(8192.0, b"\x01")]),
-        (0, None, [(True, b"\x01")]),
-        (0, None, [(8192, b"\x01"), (8200, "abc")]),
-        (0, None, [(8192, [1, 2, 3])]),
+    # a dict is a good image with those fields changed
+    @pytest.mark.parametrize("img, entry_offset", [
+        (dict(entry_offset=0), 1.5),
+        (dict(entry_offset=0), "4"),
+        (dict(entry_offset=0), True),
+        (dict(entry_offset=4.0), None),
+        (dict(entry_offset=False), None),
+        (dict(data_segments=[(8192.0, b"\x01")]), None),
+        (dict(data_segments=[(True, b"\x01")]), None),
+        (dict(data_segments=[(8192, b"\x01"), (8200, "abc")]), None),
+        (dict(data_segments=[(8192, [1, 2, 3])]), None),
+        (dict(code="abcd"), None),
+        (dict(data_segments=None), None),
+        ("abcd", None),
+        (memoryview(image(exit_seq())), None),
     ], ids=["entry-float", "entry-str", "entry-bool", "image-entry-float",
             "image-entry-bool", "segment-address-float", "segment-address-bool",
-            "segment-blob-str", "segment-blob-list"])
+            "segment-blob-str", "segment-blob-list", "code-str", "segments-none",
+            "image-str", "image-memoryview"])
     def test_a_bad_image_raises_load_error_and_changes_nothing(
-            self, image_entry, entry_offset, segments):
-        class Img:
-            code = image(exit_seq())
-            data_segments = segments
-        Img.entry_offset = image_entry
-
+            self, img, entry_offset):
+        if isinstance(img, dict):
+            img = types.SimpleNamespace(**{"code": image(exit_seq()),
+                                           "data_segments": [],
+                                           "entry_offset": 0, **img})
         m = Machine(memory_size=MEM)
         m.memory[:] = bytes((29 * i + 3) & 0xFF for i in range(MEM))
         m.regs[5], m.pc = 77, CODE_BASE + 8
         before = (bytes(m.memory), m.pc, list(m.regs))
         with pytest.raises(LoadError):
-            m.load_program(Img(), entry_offset=entry_offset)
+            m.load_program(img, entry_offset=entry_offset)
         assert (bytes(m.memory), m.pc, m.regs) == before
 
     def test_run_is_deterministic(self):

@@ -699,8 +699,9 @@ def test_fused_idioms_compiled_run_like_steps(compiled_tier):
 
 
 def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
-    # every run compiles on its first call, and no block changes for it:
-    # each holds the tuple it was built with, with the same executors
+    # every run compiles on its first call, from the unfused run it is keyed
+    # by, and no block changes for it: each holds the tuple it was built
+    # with, with the same executors
     built = []
     block = emulator._block
 
@@ -718,6 +719,8 @@ def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
         before = {pc: b.executors for pc, b in table.items()}
         assert _loaded("sw-mem", translations=shared).run() == 0
     assert compile_.call_count == len(shared.runs) > 0
+    assert all(type(run) is tuple and run in shared.runs
+               for (run,), _ in compile_.call_args_list)
     assert all(type(b.executors) is tuple for b in table.values())
     assert all(table[pc].executors is ex for pc, ex in before.items())
     for b, executors, contents in built:
