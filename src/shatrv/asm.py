@@ -397,9 +397,11 @@ def format_instruction(inst):
 
 def disassemble(program):
     """Disassemble an AssembledProgram or raw code bytes, one instruction
-    per line. Words that do not decode come out as .word literals so the
-    output always reassembles to the same bytes."""
-    code = program.code if hasattr(program, "code") else bytes(program)
+    per line, else raise ValueError. Words that do not decode come out as
+    .word literals so the output always reassembles to the same bytes."""
+    code = getattr(program, "code", program)
+    if not isinstance(code, (bytes, bytearray)):
+        raise ValueError(f"not code bytes or a program of code bytes: {program!r:.60}")
     if len(code) % 4:
         raise ValueError(f"code length {len(code)} is not a multiple of 4")
     lines = []

@@ -168,10 +168,8 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                 for cat, n in stats.counts.items():
                     g.counts[cat] += n
                 g.region_entries += stats.region_entry_count.get(_REGION, 0)
-                region = stats.regions.get(_REGION)
-                if region:
-                    for cat, n in region.items():
-                        g.region_counts[cat] += n
+                for cat, n in stats.regions.get(_REGION, {}).items():
+                    g.region_counts[cat] += n
 
     def order(key):
         variant, strategy, msg_class = key

@@ -9,9 +9,6 @@ hypercall ABI selected by a7:
     2: region_end    region id in a0
     3: emit_digest   guest address in a0, byte length in a1
 
-Hypercall ecalls count globally (category "other") but never toward open
-region counters.
-
 Guest code is translated once and run one basic block at a time. A block
 holds the instructions from its entry pc through the first branch, jump
 or ecall; each straight-line run of ALU, lui, load and store instructions
@@ -23,11 +20,11 @@ memory of its width and signedness; the views read host byte order, so
 a machine needs a little-endian host. The interpreter of a run fuses its
 RV64I rotate (srli/slli/or) and and-not (xori -1/and/xor) triples into
 one entry each; a fused triple still retires and counts as three
-instructions, and step() never fuses. A block carries only its
-per-category counts, added once per run of the block; cycles are priced
-from the counts when read.
-Regions change only at an ecall, which ends a block, so region counts
-stay exact. A Translations cache, which machines may share, maps each
+instructions, and step() never fuses. A block's per-category counts are
+added before it runs, and a fault takes back those of the faulting
+instruction and the ones after it; cycles are priced from the counts when
+read. Regions are read off the counts (ExecutionStats) and never count
+hypercall ecalls. A Translations cache, which machines may share, maps each
 word to its closure or entry, each (code bytes, unit attached) to its
 blocks, which never change, and each distinct run to the one executor
 every block holding it shares: it fuses the run once, interprets it, and
@@ -47,7 +44,7 @@ lane CSRs 0x800..0x818, the only CSRs the machine has.
 import math
 import operator
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -69,9 +66,8 @@ DEFAULT_MEMORY_SIZE = 16 * 1024 * 1024
 MAX_MEMORY_SIZE = 1 << 32    # a machine allocates all its memory up front
 
 _M64 = (1 << 64) - 1
-_OTHER_IDX = CATEGORY_INDEX[OTHER]
 # a block ends after a branch, jal, jalr (category branch) or ecall (other)
-_ENDS_BLOCK = frozenset((CATEGORY_INDEX[BRANCH], _OTHER_IDX))
+_ENDS_BLOCK = frozenset((CATEGORY_INDEX[BRANCH], CATEGORY_INDEX[OTHER]))
 
 
 def check_budget(budget):
@@ -133,13 +129,30 @@ class CostModel:
 
 
 class ExecutionStats:
-    """Retired-instruction counters, per category and per open region."""
+    """Retired-instruction counters, per category. A region is read off
+    them: its begin takes the counters away from its counts and its end
+    adds them back, so each span counts what they gained in it, and an
+    open region counts up to now. Regions never count "other"."""
 
     def __init__(self, cost_model):
         self.cost_model = cost_model        # prices total_cycles
         self._counts = [0] * len(CATEGORIES)
-        self._regions = {}
+        self._regions = defaultdict(lambda: [0] * len(CATEGORIES))
+        self._open = set()
         self.region_entry_count = {}
+
+    def _begin(self, rid, pc):
+        if rid in self._open:
+            raise HypercallFault(f"region {rid} begun twice without end (pc={pc:#x})")
+        self._open.add(rid)
+        self._regions[rid] = list(map(operator.sub, self._regions[rid], self._counts))
+        self.region_entry_count[rid] = self.region_entry_count.get(rid, 0) + 1
+
+    def _end(self, rid, pc):
+        if rid not in self._open:
+            raise HypercallFault(f"region {rid} ended without begin (pc={pc:#x})")
+        self._open.remove(rid)
+        self._regions[rid] = list(map(operator.add, self._regions[rid], self._counts))
 
     @property
     def counts(self):
@@ -147,7 +160,9 @@ class ExecutionStats:
 
     @property
     def regions(self):
-        return {rid: dict(zip(CATEGORIES, c)) for rid, c in self._regions.items()}
+        return {rid: dict(zip(CATEGORIES, map(operator.add, c, self._counts)
+                              if rid in self._open else c), **{OTHER: 0})
+                for rid, c in self._regions.items()}
 
     @property
     def total_retired(self):
@@ -620,14 +635,12 @@ class _Block(NamedTuple):
     categories: tuple       # category index of each instruction
     length: int
     counts: tuple           # (category index, count) pairs
-    region_counts: tuple    # the same without "other", which regions skip
 
 
 def _block(executors, categories):
     """Bundle executors with their accounting."""
-    counts = tuple(sorted(Counter(categories).items()))
-    return _Block(tuple(executors), tuple(categories), len(categories), counts,
-                  tuple(c for c in counts if c[0] != _OTHER_IDX))
+    return _Block(tuple(executors), tuple(categories), len(categories),
+                  tuple(sorted(Counter(categories).items())))
 
 
 class Translations:
@@ -688,8 +701,6 @@ class Machine:
                               else Translations())
         self._code = b""
         self._code_end = CODE_BASE
-        self._open_regions = {}
-        self._active = []
 
     @property
     def memory(self):
@@ -703,7 +714,7 @@ class Machine:
     def load_program(self, image, entry_offset=None):
         """Place an assembled image (or raw code bytes) into memory, point pc
         at the entry, and set sp to the 16-byte aligned top of memory. Data
-        segments may not overlap the code."""
+        segments may not overlap the code or each other."""
         raw = isinstance(image, (bytes, bytearray))
         code = bytes(image) if raw else getattr(image, "code", None)
         segments = [] if raw else getattr(image, "data_segments", None)
@@ -732,6 +743,10 @@ class Machine:
                 raise LoadError(f"data segment at {addr:#x} exceeds memory")
             if addr < code_end and addr + len(blob) > CODE_BASE:
                 raise LoadError(f"data segment at {addr:#x} overlaps the code")
+        spans = sorted((addr, addr + len(blob)) for addr, blob in segments if blob)
+        for (first, end), (addr, _) in zip(spans, spans[1:]):
+            if addr < end:
+                raise LoadError(f"data segments at {first:#x} and {addr:#x} overlap")
         mem[CODE_BASE:code_end] = code
         for addr, blob in segments:
             mem[addr:addr + len(blob)] = blob
@@ -815,20 +830,9 @@ class Machine:
             self.halted = True
             self.exit_status = a0
         elif fn == 1:
-            if a0 in self._open_regions:
-                raise HypercallFault(
-                    f"region {a0} begun twice without end (pc={self.pc:#x})")
-            counts = self.stats._regions.setdefault(a0, [0] * len(CATEGORIES))
-            entries = self.stats.region_entry_count
-            entries[a0] = entries.get(a0, 0) + 1
-            self._open_regions[a0] = counts
-            self._active = list(self._open_regions.values())
+            self.stats._begin(a0, self.pc)
         elif fn == 2:
-            if a0 not in self._open_regions:
-                raise HypercallFault(
-                    f"region {a0} ended without begin (pc={self.pc:#x})")
-            del self._open_regions[a0]
-            self._active = list(self._open_regions.values())
+            self.stats._end(a0, self.pc)
         elif fn == 3:
             addr, length = a0, self.regs[11]
             if addr + length > len(self.memory):
@@ -866,9 +870,8 @@ class Machine:
         blocks = self._translations.blocks(self._code,
                                            self.round_unit is not None)
         counts = self.stats._counts
-        retired = 0
         stepping = budget <= 1
-        while retired < budget and not self.halted:
+        while budget > 0 and not self.halted:
             start = self.pc
             if stepping:
                 ex, cat, entry = self._build(start)
@@ -877,24 +880,18 @@ class Machine:
                 block = blocks.get(start)
                 if block is None:
                     block = blocks[start] = self._translate(start)
-                if block.length > budget - retired:
+                if block.length > budget:
                     stepping = True
                     continue
-            # regions change only at the ecall that ends a block
-            active = self._active
+            for cat, n in block.counts:
+                counts[cat] += n
             try:
                 for ex in block.executors:
                     ex(self)
             except BaseException:
                 # an executor faults with pc at the faulting instruction:
-                # account only the instructions before it
-                done = (self.pc - start) >> 2
-                block = _block([], block.categories[:done])
+                # take back its count and those of the instructions after it
+                for cat in block.categories[(self.pc - start) >> 2:]:
+                    counts[cat] -= 1
                 raise
-            finally:
-                retired += block.length
-                for cat, n in block.counts:
-                    counts[cat] += n
-                for rc in active:
-                    for cat, n in block.region_counts:
-                        rc[cat] += n
+            budget -= block.length

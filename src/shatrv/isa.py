@@ -210,7 +210,9 @@ _OPCODES = frozenset(match & 0x7F for _, match in INSTRUCTIONS.values())
 
 def decode(word):
     """Decode one 32-bit word. Raises DecodeError for anything outside the
-    supported set; never raises anything else on arbitrary 32-bit input."""
+    supported set, a non-int too, and never raises anything else."""
+    if type(word) is not int:
+        raise DecodeError(f"not a 32-bit word: {word!r}")
     if not 0 <= word < (1 << 32):
         raise DecodeError(f"not a 32-bit word: {word:#x}")
     for mask, rows in _DECODE:

@@ -360,6 +360,18 @@ class TestRoundTrips:
         text = disassemble(prog)
         assert assemble(text).code == code
 
+    @pytest.mark.parametrize("program, message", [
+        (b"abc", "code length 3 is not a multiple of 4"),
+        ("abcd", "not code bytes or a program of code bytes: 'abcd'"),
+        (None, "not code bytes or a program of code bytes: None"),
+        (AssembledProgram(code="abcd", data_segments=[], entry_offset=0),
+         "not code bytes or a program of code bytes: AssembledProgram("),
+    ], ids=["odd-length", "str", "none", "program-of-str"])
+    def test_disassemble_refuses_what_is_not_code_bytes(self, program, message):
+        with pytest.raises(ValueError) as e:
+            disassemble(program)
+        assert str(e.value).startswith(message)
+
     def test_disassemble_accepts_raw_bytes_and_word_fallback(self):
         blob = (0x0005000B).to_bytes(4, "little") + (0xFFFFFFFF).to_bytes(4, "little")
         text = disassemble(blob)

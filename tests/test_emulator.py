@@ -152,10 +152,24 @@ class TestDecodeRejections:
         enc_i(0x13, 1, 1, 1, 1 << 11),  # slli with stray funct bit
         enc_r(0x3B, 1, 4, 2, 3, 0),     # no xorw
         enc_i(0x73, 0, 4, 0, 0),        # bad system funct3
+        "x", 1.5, None,                 # not an int
     ])
     def test_decode_error(self, word):
         with pytest.raises(DecodeError):
             isa.decode(word)
+        with pytest.raises(DecodeError):
+            Machine(memory_size=MEM).decode(word)
+
+    @pytest.mark.parametrize("word, message", [
+        (-1, "not a 32-bit word: -0x1"),
+        (1 << 32, "not a 32-bit word: 0x100000000"),
+        ("x", "not a 32-bit word: 'x'"),
+        (1.5, "not a 32-bit word: 1.5"),
+    ])
+    def test_a_bad_word_names_itself(self, word, message):
+        with pytest.raises(DecodeError) as e:
+            isa.decode(word)
+        assert str(e.value) == message
 
     def test_unclaimed_custom_faults_on_machine(self):
         m = Machine(memory_size=MEM)
@@ -812,10 +826,11 @@ class TestLoader:
         (dict(data_segments=None), None),
         ("abcd", None),
         (memoryview(image(exit_seq())), None),
+        (dict(data_segments=[(0x2000, b"\x01" * 16), (0x2008, b"\x07")]), None),
     ], ids=["entry-float", "entry-str", "entry-bool", "image-entry-float",
             "image-entry-bool", "segment-address-float", "segment-address-bool",
             "segment-blob-str", "segment-blob-list", "code-str", "segments-none",
-            "image-str", "image-memoryview"])
+            "image-str", "image-memoryview", "segments-overlap"])
     def test_a_bad_image_raises_load_error_and_changes_nothing(
             self, img, entry_offset):
         if isinstance(img, dict):
@@ -829,6 +844,30 @@ class TestLoader:
         with pytest.raises(LoadError):
             m.load_program(img, entry_offset=entry_offset)
         assert (bytes(m.memory), m.pc, m.regs) == before
+
+    @pytest.mark.parametrize("segments, message", [
+        ([(0x2000, 16), (0x2008, 1)], "data segments at 0x2000 and 0x2008 overlap"),
+        ([(0x2008, 1), (0x2000, 16)], "data segments at 0x2000 and 0x2008 overlap"),
+        ([(0x2000, 8), (0x3000, 4), (0x2004, 8)],
+         "data segments at 0x2000 and 0x2004 overlap"),
+        ([(0x2000, 8), (0x2008, 8)], None),         # touching
+        ([(0x2000, 8), (0x2004, 0)], None),         # empty
+    ], ids=["later-inside", "earlier-inside", "out-of-order", "touching", "empty"])
+    def test_data_segments_may_touch_but_not_overlap(self, segments, message):
+        img = types.SimpleNamespace(
+            code=image(exit_seq()), entry_offset=0,
+            data_segments=[(addr, bytes([i + 1]) * size)
+                           for i, (addr, size) in enumerate(segments)])
+        m = Machine(memory_size=MEM)
+        if message is None:
+            m.load_program(img)
+            for addr, blob in img.data_segments:
+                assert m.memory[addr:addr + len(blob)] == blob
+        else:
+            with pytest.raises(LoadError) as e:
+                m.load_program(img)
+            assert str(e.value) == message
+            assert not any(m.memory)
 
     def test_run_is_deterministic(self):
         ws = [addi(1, 0, 5), enc_u(0x37, 2, 2), enc_s(0x23, 3, 2, 1, 0),

@@ -4,13 +4,14 @@ spec's field layouts (no two rows overlap; encode, decode, print and
 parse make a fixed point at every field's extremes; one step past a range
 raises), the straight-line Keccak round and the shatr instruction
 against the composed step maps, step() against run() on every
-strategy's kernel, on faulting programs and on drawn rotate and and-not
-triples and their near misses (run() fuses the triples, step() never
-does), one executor per distinct run shared by every variant's kernel
-and blocks that never change as their runs compile, machines sharing one
-translation cache against machines with a private one, cost models
-sharing one cache without translating again, cycles against their closed
-form in the counts, every load and store against a reference model,
+strategy's kernel, on faulting programs, on faults and budget stops
+inside an open region and on drawn rotate and and-not triples and their
+near misses between region markers at drawn places (run() fuses the
+triples, step() never does), one executor per distinct run shared by
+every variant's kernel and blocks that never change as their runs
+compile, machines sharing one translation cache against machines with a
+private one, cost models sharing one cache without translating again,
+cycles against their closed form in the counts, every load and store against a reference model,
 the compiled tier (every straight-line run compiled on its first call)
 against the interpreter and stepping, with base registers drawn to fail
 each segment's guard in turn, every ALU instruction against a table
@@ -28,7 +29,7 @@ from shatrv import asm, emulator, isa, keccak
 from shatrv.asm import AsmError, assemble
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError, EmulatorError,
-    Machine, MemoryFault, Translations,
+    HypercallFault, Machine, MemoryFault, Translations,
 )
 from shatrv.kernels import STRATEGIES, GuestLayout, generate_kernel
 from shatrv.shatr import attach
@@ -365,6 +366,63 @@ def test_a_fault_inside_a_block_leaves_what_steps_leave(
     assert stepped[2][2][0] == 0
 
 
+def _mark(fn, rid):
+    """The hypercall that begins (fn 1) or ends (fn 2) region rid."""
+    return _enc("addi", rd=10, imm=rid) + _enc("addi", rd=17, imm=fn) + _enc("ecall")
+
+
+_EXIT = _enc("addi", rd=17) + _enc("ecall")
+# three instructions, one of each straight-line category
+_WORK = (_enc("addi", rd=6, rs1=6, imm=5) + _enc("ld", rd=7, rs1=5, imm=8)
+         + _enc("sd", rs1=5, rs2=6, imm=16))
+_BASE = _enc("lui", rd=5, imm=DATA >> 12)
+
+
+def _region_machine(code):
+    m = Machine(memory_size=_MEMORY_SIZE)
+    m.load_program(code)
+    return m
+
+
+@pytest.mark.parametrize("code, error, at, inside", [
+    # a misaligned load two blocks into region 1
+    (_BASE + _mark(1, 1) + _WORK + _enc("bne", rs1=0, rs2=0, imm=4) + _WORK
+     + _enc("ld", rd=6, rs1=5, imm=4) + _WORK + _mark(2, 1) + _EXIT,
+     MemoryFault, 11, 7),
+    # region 1 begun again before its end
+    (_BASE + _mark(1, 1) + _WORK + _mark(1, 1) + _EXIT, HypercallFault, 9, 5),
+], ids=["load-fault", "begun-twice"])
+def test_a_fault_inside_a_region_leaves_what_steps_leave(code, error, at, inside):
+    # the fault is instruction `at`; region 1 keeps the `inside`
+    # instructions that retired after its begin ecall and before the fault
+    stepped = _fault(_region_machine(code), _step_forever)
+    assert _fault(_region_machine(code), Machine.run) == stepped
+    kind, _, (_, pc, *_, regions, entries, _, _) = stepped
+    assert (kind, pc - CODE_BASE) == (error, 4 * at)
+    assert sum(regions[1].values()) == inside and entries == {1: 1}
+
+
+_SPAN = _BASE + _mark(1, 1) + _WORK * 4 + _mark(2, 1) + _EXIT
+
+
+# from the begin ecall's block (instructions 0 to 3) to all but the end
+# ecall, instruction 18: region 1 is open at each of these budgets
+@pytest.mark.parametrize("budget", range(4, 19))
+def test_a_budget_stop_inside_a_region_reads_what_steps_read(budget):
+    ran = _region_machine(_SPAN)
+    with pytest.raises(BudgetExceeded):
+        ran.run(max_instructions=budget)
+    stepped = _region_machine(_SPAN)
+    for _ in range(budget):
+        stepped.step()
+    assert _observed(ran) == _observed(stepped)
+    assert sum(ran.stats.regions[1].values()) == budget - 4
+    # the run goes on from where the budget stopped it, inside the region
+    whole = _region_machine(_SPAN)
+    assert ran.run() == whole.run()
+    assert _observed(ran) == _observed(whole)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @generated(4)
 @given(message=st.binary(max_size=300))
@@ -513,14 +571,17 @@ _BETWEEN = st.one_of(
 
 @generated(300)
 @given(pieces=st.lists(st.one_of(_rotates(), _and_nots(), _BETWEEN), max_size=12),
-       values=st.lists(st.integers(0, M64), min_size=4, max_size=4))
-def test_fused_idioms_run_like_steps(pieces, values):
+       values=st.lists(st.integers(0, M64), min_size=4, max_size=4),
+       marks=st.lists(st.integers(0, 12), min_size=2, max_size=2))
+def test_fused_idioms_run_like_steps(pieces, values, marks):
+    # region 1 holds the pieces; region 2 begins and ends at drawn places
+    # among them, where its ecalls split runs and triples
+    begin, end = sorted(min(i, len(pieces)) for i in marks)
     code = b"".join([
-        _enc("lui", rd=5, imm=DATA >> 12),
-        _enc("addi", rd=10, imm=1), _enc("addi", rd=17, imm=1), _enc("ecall"),
-        *pieces,
-        _enc("addi", rd=17, imm=2), _enc("ecall"),
-        _enc("addi", rd=17), _enc("ecall"),
+        _BASE, _mark(1, 1),
+        *pieces[:begin], _mark(1, 2), *pieces[begin:end], _mark(2, 2),
+        *pieces[end:],
+        _mark(2, 1), _EXIT,
     ])
 
     def machine():
