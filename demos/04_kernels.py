@@ -8,7 +8,7 @@ hypercall. The permutation styles differ wildly in size and shape.
 import hashlib
 
 from shatrv.emulator import Machine
-from shatrv.kernels import STRATEGIES, GuestLayout, generate_kernel, kernel_source
+from shatrv.kernels import MESSAGE_ADDR, STRATEGIES, generate_kernel, kernel_source
 from shatrv.shatr import attach
 
 variant = "sha3-256"
@@ -29,11 +29,10 @@ for strategy, needle in [("sw-regopt", "xori"), ("sw-mem", "mem_round:"),
     print(f"{strategy:10s} ... {line.strip()}")
 
 # Run the shatr kernel end to end.
-layout = GuestLayout()
 machine = Machine(memory_size=1 << 22)
 attach(machine)
 machine.load_program(generate_kernel("shatr", variant))
-machine.memory[layout.message: layout.message + len(message)] = message
+machine.memory[MESSAGE_ADDR: MESSAGE_ADDR + len(message)] = message
 machine.regs[10] = len(message)
 
 status = machine.run(max_instructions=1_000_000)

@@ -50,7 +50,6 @@ class AssembledProgram:
 
     code: bytes
     data_segments: list = field(default_factory=list)
-    entry_offset: int = 0
     symbols: dict = field(default_factory=dict)
 
 
@@ -372,7 +371,7 @@ def assemble(source):
     a.first_pass(source)
     code = a.second_pass()
     return AssembledProgram(code=code, data_segments=a.data_segments(),
-                            entry_offset=0, symbols=dict(a.symbols))
+                            symbols=dict(a.symbols))
 
 
 def encode_instruction(text):

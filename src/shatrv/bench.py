@@ -3,9 +3,10 @@ kernels, checks digests, and aggregates instruction statistics.
 
 Every vector runs on a fresh machine per strategy; the machines of one
 run_benchmark call share one translation cache, so each kernel is
-translated once per call.  A digest mismatch or guest fault never aborts
-the batch; it lands in that vector's outcome and the report's
-pass/fail/error tallies.  Vector classes follow the source
+translated once per call.  Each message goes at kernels.MESSAGE_ADDR.
+A digest mismatch, a guest fault, or a kernel or message that does not
+fit in memory never aborts the batch; it lands in that vector's outcome
+and the report's pass/fail/error tallies.  Vector classes follow the source
 file identity (ShortMsg/LongMsg in the name) when present, else a
 1024-bit threshold on the message length.
 
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 from .emulator import CostModel, EmulatorError, Machine, Translations, check_budget
 from .isa import CATEGORIES
-from .kernels import STRATEGIES, GuestLayout, generate_kernel
+from .kernels import MESSAGE_ADDR, STRATEGIES, generate_kernel
 from .shatr import attach
 
 __all__ = [
@@ -93,20 +94,20 @@ class BenchReport:
     outcomes: list
 
 
-def _run_one(kernel, strategy, vector, layout, memory_size, cost_model, budget,
+def _run_one(kernel, strategy, vector, memory_size, cost_model, budget,
              translations):
     """Run one vector on a fresh machine; returns (status, detail, machine)."""
     m = Machine(memory_size=memory_size, cost_model=cost_model,
                 translations=translations)
     if strategy == "shatr":
         attach(m)
-    m.load_program(kernel)
-    end = layout.message + len(vector.message)
-    if end > memory_size:
-        return "error", f"message of {len(vector.message)} bytes does not fit", m
-    m.memory[layout.message:end] = vector.message
-    m.regs[10] = len(vector.message)
     try:
+        m.load_program(kernel)
+        end = MESSAGE_ADDR + len(vector.message)
+        if end > memory_size:
+            return "error", f"message of {len(vector.message)} bytes does not fit", m
+        m.memory[MESSAGE_ADDR:end] = vector.message
+        m.regs[10] = len(vector.message)
         status = m.run(max_instructions=budget)
     except EmulatorError as e:
         return "error", str(e), m
@@ -121,8 +122,7 @@ def _run_one(kernel, strategy, vector, layout, memory_size, cost_model, budget,
 
 
 def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
-                  layout=None, memory_size=DEFAULT_MEMORY_SIZE,
-                  budget=DEFAULT_BUDGET):
+                  memory_size=DEFAULT_MEMORY_SIZE, budget=DEFAULT_BUDGET):
     """Run every vector under every strategy and aggregate the results."""
     for s in strategies:
         if s not in STRATEGIES:
@@ -131,8 +131,6 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
     check_budget(budget)
     if cost_model is None:
         cost_model = CostModel()
-    if layout is None:
-        layout = GuestLayout()
 
     kernels = {}
     translations = Translations()
@@ -148,10 +146,10 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
             for strategy in strategies:
                 key = (vs.variant, strategy)
                 if key not in kernels:
-                    kernels[key] = generate_kernel(strategy, vs.variant, layout)
+                    kernels[key] = generate_kernel(strategy, vs.variant)
                 status, detail, m = _run_one(
-                    kernels[key], strategy, vector, layout,
-                    memory_size, cost_model, budget, translations)
+                    kernels[key], strategy, vector, memory_size, cost_model,
+                    budget, translations)
                 stats = m.stats
                 outcomes.append(VectorOutcome(
                     vs.variant, strategy, msg_class, index, vector.length_bits,

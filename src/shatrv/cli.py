@@ -200,10 +200,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (AsmError, CavpError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (AsmError, CavpError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

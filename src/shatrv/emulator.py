@@ -711,27 +711,22 @@ class Machine:
 
     # -- construction ------------------------------------------------------
 
-    def load_program(self, image, entry_offset=None):
+    def load_program(self, image):
         """Place an assembled image (or raw code bytes) into memory, point pc
-        at the entry, and set sp to the 16-byte aligned top of memory. Data
+        at CODE_BASE, and set sp to the 16-byte aligned top of memory. Data
         segments may not overlap the code or each other."""
         raw = isinstance(image, (bytes, bytearray))
         code = bytes(image) if raw else getattr(image, "code", None)
         segments = [] if raw else getattr(image, "data_segments", None)
-        entry = 0 if raw else getattr(image, "entry_offset", None)
-        if entry_offset is not None:
-            entry = entry_offset
         if not (isinstance(code, (bytes, bytearray)) and isinstance(segments, (list, tuple))):
             raise LoadError(f"not code bytes or an image of code bytes and a list "
                             f"of data segments: {image!r:.60}")
+        if not code:
+            raise LoadError("no code")
         mem = self.memory
         code_end = CODE_BASE + len(code)
         if code_end > len(mem):
             raise LoadError(f"code ({len(code)} bytes) exceeds memory")
-        if type(entry) is not int:
-            raise LoadError(f"entry offset must be an int, got {entry!r}")
-        if not 0 <= entry < len(code):
-            raise LoadError(f"entry offset {entry:#x} outside code")
         # check every segment before writing anything, so a rejected image
         # leaves memory as it was
         for addr, blob in segments:
@@ -750,7 +745,7 @@ class Machine:
         mem[CODE_BASE:code_end] = code
         for addr, blob in segments:
             mem[addr:addr + len(blob)] = blob
-        self.pc = CODE_BASE + entry
+        self.pc = CODE_BASE
         self.regs[2] = len(mem) & ~0xF
         self.halted = False
         self._code = code

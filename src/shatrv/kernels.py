@@ -3,7 +3,7 @@ construction, one generator per implementation strategy.
 
 Every kernel shares the same host contract:
 
-  * the host writes the message bytes at layout.message before the run
+  * the host writes the message bytes at MESSAGE_ADDR before the run
     and passes the byte length in a0,
   * the kernel absorbs, pads (0x06 domain byte, 0x80 final bit), squeezes,
     emits the digest through hypercall 3, and exits with status 0,
@@ -26,17 +26,22 @@ the permute label differs.  Permute may clobber every register, so the
 driver keeps its loop state in scratch spill slots across calls.
 """
 
-from dataclasses import dataclass
-
 from . import keccak
 from .asm import assemble
-from .shatr import LANE_CSR_BASE
+from .isa import LANE_CSR_BASE
 
-__all__ = ["STRATEGIES", "GuestLayout", "generate_kernel", "kernel_source"]
+__all__ = ["MESSAGE_ADDR", "STRATEGIES", "generate_kernel", "kernel_source"]
 
 STRATEGIES = ("sw-regopt", "sw-mem", "shatr")
 
-# scratch area map (offsets from layout.scratch)
+# guest memory map, every address 8-byte aligned
+_RC_TABLE = 0x100000   # 24 round constants, 192 bytes
+_STATE = 0x100100      # 200-byte sponge state
+_DIGEST = 0x100200     # squeezed digest, up to 64 bytes
+_SCRATCH = 0x100300    # spill slots and work buffers
+MESSAGE_ADDR = 0x110000  # input bytes, written by the host
+
+# scratch area map (offsets from _SCRATCH)
 _RA_SLOT = 0x00        # permute return address
 _CURSOR_SLOT = 0x08    # driver message cursor across permute calls
 _REMAIN_SLOT = 0x10    # driver remaining-length across permute calls
@@ -44,45 +49,12 @@ _PARITY_SLOT = 0x18    # sw-regopt column parity park
 _BLOCK_OFF = 0x40      # padded final block, up to 144 bytes
 _C_BUF_OFF = 0x100     # sw-mem column buffer, 40 bytes
 _B_BUF_OFF = 0x200     # sw-mem lane buffer, 200 bytes
-_SCRATCH_SIZE = _B_BUF_OFF + 200
 
 
-@dataclass(frozen=True)
-class GuestLayout:
-    """Guest-physical placement of kernel data. Every address must be
-    8-byte aligned and the regions must not overlap."""
-
-    rc_table: int = 0x100000   # 24 round constants, 192 bytes
-    state: int = 0x100100      # 200-byte sponge state
-    digest: int = 0x100200     # squeezed digest, up to 64 bytes
-    scratch: int = 0x100300    # spill slots and work buffers
-    message: int = 0x110000    # input bytes, written by the host
-
-
-def _check_layout(layout):
-    spans = [
-        ("rc_table", layout.rc_table, 192),
-        ("state", layout.state, 200),
-        ("digest", layout.digest, 64),
-        ("scratch", layout.scratch, _SCRATCH_SIZE),
-        ("message", layout.message, 8),
-    ]
-    for name, addr, _ in spans:
-        if addr % 8:
-            raise ValueError(f"layout.{name} must be 8-byte aligned: {addr:#x}")
-        if addr < 0:
-            raise ValueError(f"layout.{name} is negative")
-    for i, (a_name, a_addr, a_size) in enumerate(spans):
-        for b_name, b_addr, b_size in spans[i + 1:]:
-            if a_addr < b_addr + b_size and b_addr < a_addr + a_size:
-                raise ValueError(f"layout.{a_name} overlaps layout.{b_name}")
-
-
-def _driver(layout, rate, digest_len):
-    scr = layout.scratch
+def _driver(rate, digest_len):
     return [
-        f"li   s0, {layout.state:#x}",
-        f"li   s1, {layout.message:#x}",
+        f"li   s0, {_STATE:#x}",
+        f"li   s1, {MESSAGE_ADDR:#x}",
         "mv   s2, a0",
         f"li   s3, {rate}",
         "addi t0, s0, 0",
@@ -103,20 +75,20 @@ def _driver(layout, rate, digest_len):
         "sd   t4, 0(t3)",
         "addi t0, t0, 8",
         "bltu t0, s3, absorb_xor",
-        f"li   t0, {scr:#x}",
+        f"li   t0, {_SCRATCH:#x}",
         f"sd   s1, {_CURSOR_SLOT}(t0)",
         f"sd   s2, {_REMAIN_SLOT}(t0)",
         "jal  ra, permute",
-        f"li   t0, {scr:#x}",
+        f"li   t0, {_SCRATCH:#x}",
         f"ld   s1, {_CURSOR_SLOT}(t0)",
         f"ld   s2, {_REMAIN_SLOT}(t0)",
-        f"li   s0, {layout.state:#x}",
+        f"li   s0, {_STATE:#x}",
         f"li   s3, {rate}",
         "add  s1, s1, s3",
         "sub  s2, s2, s3",
         "j    absorb",
         "last_block:",
-        f"li   s6, {scr + _BLOCK_OFF:#x}",
+        f"li   s6, {_SCRATCH + _BLOCK_OFF:#x}",
         "addi t1, s6, 0",
         f"addi t2, s6, {rate}",
         "pad_zero:",
@@ -152,8 +124,8 @@ def _driver(layout, rate, digest_len):
         "addi t0, t0, 8",
         "bltu t0, s3, pad_xor",
         "jal  ra, permute",
-        f"li   s0, {layout.state:#x}",
-        f"li   t1, {layout.digest:#x}",
+        f"li   s0, {_STATE:#x}",
+        f"li   t1, {_DIGEST:#x}",
         f"li   t2, {digest_len}",
         "addi t0, zero, 0",
         "squeeze:",
@@ -163,7 +135,7 @@ def _driver(layout, rate, digest_len):
         "sb   t4, 0(t3)",
         "addi t0, t0, 1",
         "bne  t0, t2, squeeze",
-        f"li   a0, {layout.digest:#x}",
+        f"li   a0, {_DIGEST:#x}",
         f"li   a1, {digest_len}",
         "addi a7, zero, 3",
         "ecall",
@@ -173,15 +145,15 @@ def _driver(layout, rate, digest_len):
     ]
 
 
-def _shatr_permute(layout):
+def _shatr_permute():
     lines = [
         "permute:",
-        f"li   t0, {layout.scratch:#x}",
+        f"li   t0, {_SCRATCH:#x}",
         f"sd   ra, {_RA_SLOT}(t0)",
         "addi a0, zero, 1",
         "addi a7, zero, 1",
         "ecall",
-        f"li   t0, {layout.state:#x}",
+        f"li   t0, {_STATE:#x}",
     ]
     for i in range(25):
         lines += ["ld   t1, 0(t0)",
@@ -191,7 +163,7 @@ def _shatr_permute(layout):
     lines.append("shatr t2")
     for _ in range(23):
         lines += ["addi t2, t2, 1", "shatr t2"]
-    lines.append(f"li   t0, {layout.state:#x}")
+    lines.append(f"li   t0, {_STATE:#x}")
     for i in range(25):
         lines += [f"csrrs t1, {LANE_CSR_BASE + i:#x}, x0",
                   "sd   t1, 0(t0)",
@@ -200,24 +172,24 @@ def _shatr_permute(layout):
         "addi a0, zero, 1",
         "addi a7, zero, 2",
         "ecall",
-        f"li   t0, {layout.scratch:#x}",
+        f"li   t0, {_SCRATCH:#x}",
         f"ld   t0, {_RA_SLOT}(t0)",
         "jalr x0, t0, 0",
     ]
     return lines
 
 
-def _regopt_permute(layout):
+def _regopt_permute():
     # lanes live in x1..x25; x26..x30 carry column parities, x31 is the
     # lone temporary, so the return address parks in scratch
     lines = [
         "permute:",
-        f"li   x31, {layout.scratch:#x}",
+        f"li   x31, {_SCRATCH:#x}",
         f"sd   x1, {_RA_SLOT}(x31)",
         "addi a0, zero, 1",
         "addi a7, zero, 1",
         "ecall",
-        f"li   x31, {layout.state:#x}",
+        f"li   x31, {_STATE:#x}",
     ]
     for i in range(25):
         lines.append(f"ld   x{i + 1}, {8 * i}(x31)")
@@ -231,7 +203,7 @@ def _regopt_permute(layout):
         # each parity is needed once raw and once rotated; computing the
         # offsets in the order 0,3,1,4,2 lets every rotation happen in
         # place except the first, whose raw value parks in scratch
-        lines += [f"li   x31, {layout.scratch:#x}",
+        lines += [f"li   x31, {_SCRATCH:#x}",
                   f"sd   x{C[1]}, {_PARITY_SLOT}(x31)"]
         dreg = {}
         for x in (0, 3, 1, 4, 2):
@@ -241,7 +213,7 @@ def _regopt_permute(layout):
                       f"slli x{rot}, x{rot}, 1",
                       f"or   x{rot}, x{rot}, x31"]
             if x == 2:
-                lines += [f"li   x31, {layout.scratch:#x}",
+                lines += [f"li   x31, {_SCRATCH:#x}",
                           f"ld   x31, {_PARITY_SLOT}(x31)",
                           f"xor  x{rot}, x{rot}, x31"]
             else:
@@ -271,33 +243,33 @@ def _regopt_permute(layout):
                 lines += [f"xori x31, x{n1}, -1",
                           f"and  x31, x31, x{n2}",
                           f"xor  x{row[x]}, x{row[x]}, x31"]
-        lines += [f"li   x26, {layout.rc_table:#x}",
+        lines += [f"li   x26, {_RC_TABLE:#x}",
                   f"ld   x26, {8 * r}(x26)",
                   f"xor  x{reg_of[0]}, x{reg_of[0]}, x26"]
-    lines.append(f"li   x31, {layout.state:#x}")
+    lines.append(f"li   x31, {_STATE:#x}")
     for i in range(25):
         lines.append(f"sd   x{reg_of[i]}, {8 * i}(x31)")
     lines += [
         "addi a0, zero, 1",
         "addi a7, zero, 2",
         "ecall",
-        f"li   x31, {layout.scratch:#x}",
+        f"li   x31, {_SCRATCH:#x}",
         f"ld   x31, {_RA_SLOT}(x31)",
         "jalr x0, x31, 0",
     ]
     return lines
 
 
-def _sw_mem_permute(layout):
+def _sw_mem_permute():
     lines = [
         "permute:",
         "addi a0, zero, 1",
         "addi a7, zero, 1",
         "ecall",
-        f"li   s0, {layout.state:#x}",
-        f"li   s1, {layout.scratch + _C_BUF_OFF:#x}",
-        f"li   s2, {layout.scratch + _B_BUF_OFF:#x}",
-        f"li   s3, {layout.rc_table:#x}",
+        f"li   s0, {_STATE:#x}",
+        f"li   s1, {_SCRATCH + _C_BUF_OFF:#x}",
+        f"li   s2, {_SCRATCH + _B_BUF_OFF:#x}",
+        f"li   s3, {_RC_TABLE:#x}",
         "addi s4, zero, 0",
         "mem_round:",
     ]
@@ -361,23 +333,20 @@ _PERMUTE_BODIES = {
 }
 
 
-def kernel_source(strategy, variant, layout=None):
+def kernel_source(strategy, variant):
     """Return the assembly source of one hashing kernel."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if variant not in keccak.VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if layout is None:
-        layout = GuestLayout()
-    _check_layout(layout)
     params = keccak.VARIANTS[variant]
-    lines = _driver(layout, params.rate_bytes, params.digest_bytes)
-    lines += _PERMUTE_BODIES[strategy](layout)
-    lines += [".data", f".org {layout.rc_table:#x}", "rc_table:"]
+    lines = _driver(params.rate_bytes, params.digest_bytes)
+    lines += _PERMUTE_BODIES[strategy]()
+    lines += [".data", f".org {_RC_TABLE:#x}", "rc_table:"]
     lines += [f".dword {rc:#018x}" for rc in keccak.ROUND_CONSTANTS]
     return "".join(line + "\n" for line in lines)
 
 
-def generate_kernel(strategy, variant, layout=None):
+def generate_kernel(strategy, variant):
     """Generate and assemble one hashing kernel."""
-    return assemble(kernel_source(strategy, variant, layout))
+    return assemble(kernel_source(strategy, variant))

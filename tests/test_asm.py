@@ -79,7 +79,6 @@ class TestAssembleUnits:
         prog = assemble("# nothing here\n\n   # still nothing\n")
         assert prog.code == b""
         assert prog.data_segments == []
-        assert prog.entry_offset == 0
 
     def test_label_and_comment_forms(self):
         src = """
@@ -356,7 +355,7 @@ class TestRoundTrips:
             name, kw = _random_instruction(rng)
             words.append(isa.encode(name, **kw))
         code = b"".join(w.to_bytes(4, "little") for w in words)
-        prog = AssembledProgram(code=code, data_segments=[], entry_offset=0)
+        prog = AssembledProgram(code=code, data_segments=[])
         text = disassemble(prog)
         assert assemble(text).code == code
 
@@ -364,7 +363,7 @@ class TestRoundTrips:
         (b"abc", "code length 3 is not a multiple of 4"),
         ("abcd", "not code bytes or a program of code bytes: 'abcd'"),
         (None, "not code bytes or a program of code bytes: None"),
-        (AssembledProgram(code="abcd", data_segments=[], entry_offset=0),
+        (AssembledProgram(code="abcd", data_segments=[]),
          "not code bytes or a program of code bytes: AssembledProgram("),
     ], ids=["odd-length", "str", "none", "program-of-str"])
     def test_disassemble_refuses_what_is_not_code_bytes(self, program, message):

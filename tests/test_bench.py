@@ -88,8 +88,8 @@ class TestRunBenchmark:
         # sha3-256 vectors after it still run
         real = bench.generate_kernel
 
-        def kernel(strategy, variant, layout=None):
-            k = real(strategy, variant, layout)
+        def kernel(strategy, variant):
+            k = real(strategy, variant)
             if variant == "sha3-224":
                 k = dataclasses.replace(k, code=bytes(4) + k.code[4:])
             return k
@@ -101,6 +101,18 @@ class TestRunBenchmark:
         assert statuses == [("sha3-224", "error")] * 2 + [("sha3-256", "pass")] * 3
         assert all("unsupported opcode" in o.detail
                    for o in report.outcomes if o.status == "error")
+
+    @pytest.mark.parametrize("memory_size, detail", [
+        (8192, "exceeds memory"),                 # no kernel's code fits
+        (1 << 20, "data segment at 0x100000"),    # the code fits, its data not
+    ], ids=["code", "data"])
+    def test_a_kernel_that_does_not_fit_is_an_error_not_an_abort(
+            self, memory_size, detail):
+        report = run_benchmark([SMALL], memory_size=memory_size)
+        assert len(report.outcomes) == 3 * len(STRATEGIES)
+        assert all(o.status == "error" and detail in o.detail
+                   for o in report.outcomes)
+        assert all(g.errors == g.vectors for g in report.groups)
 
     def test_budget_exhaustion_is_an_error_outcome(self):
         report = run_benchmark([SMALL], strategies=("sw-mem",), budget=100)

@@ -151,6 +151,16 @@ class TestBench:
         assert captured.out == ""
         assert field in captured.err and "negative" in captured.err
 
+    @pytest.mark.parametrize("mem_size", ["8192", "1048576"])
+    def test_a_memory_too_small_for_the_kernel_exits_1(
+            self, capsys, good_rsp, mem_size):
+        rc = main(["bench", "--vectors", str(good_rsp), "--variant", "sha3-256",
+                   "--mem-size", mem_size])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        assert {v["status"] for v in doc["vectors"]} == {"error"}
 
     def test_a_memory_size_past_the_ceiling_exits_2(self, capsys, good_rsp):
         rc = main(["bench", "--vectors", str(good_rsp), "--strategy", "shatr",

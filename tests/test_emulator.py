@@ -386,7 +386,6 @@ class TestMemorySemantics:
             ])
             data_segments = [(0x8000, image([addi(10, 0, 1),
                                              enc_i(0x67, 0, 0, 1, 0)]))]
-            entry_offset = 0
 
         m = Machine(memory_size=MEM)
         m.load_program(Img())
@@ -667,7 +666,6 @@ class TestHypercalls:
             code = image([enc_u(0x37, 10, 2), addi(11, 0, 32), addi(17, 0, 3),
                           ECALL] + exit_seq())
             data_segments = [(0x2000, payload)]
-            entry_offset = 0
 
         m = Machine(memory_size=MEM)
         m.load_program(Img())
@@ -783,7 +781,6 @@ class TestLoader:
         class Img:
             code = image(exit_seq())
             data_segments = [(MEM - 4, b"\x00" * 8)]
-            entry_offset = 0
 
         m = Machine(memory_size=MEM)
         with pytest.raises(LoadError):
@@ -800,7 +797,6 @@ class TestLoader:
         class Img:
             code = image(exit_seq())          # 12 bytes
             data_segments = [(addr, b"\x5A" * size)]
-            entry_offset = 0
 
         m = Machine(memory_size=MEM)
         if overlaps:
@@ -812,37 +808,30 @@ class TestLoader:
             assert m.memory[addr:addr + size] == b"\x5A" * size
 
     # a dict is a good image with those fields changed
-    @pytest.mark.parametrize("img, entry_offset", [
-        (dict(entry_offset=0), 1.5),
-        (dict(entry_offset=0), "4"),
-        (dict(entry_offset=0), True),
-        (dict(entry_offset=4.0), None),
-        (dict(entry_offset=False), None),
-        (dict(data_segments=[(8192.0, b"\x01")]), None),
-        (dict(data_segments=[(True, b"\x01")]), None),
-        (dict(data_segments=[(8192, b"\x01"), (8200, "abc")]), None),
-        (dict(data_segments=[(8192, [1, 2, 3])]), None),
-        (dict(code="abcd"), None),
-        (dict(data_segments=None), None),
-        ("abcd", None),
-        (memoryview(image(exit_seq())), None),
-        (dict(data_segments=[(0x2000, b"\x01" * 16), (0x2008, b"\x07")]), None),
-    ], ids=["entry-float", "entry-str", "entry-bool", "image-entry-float",
-            "image-entry-bool", "segment-address-float", "segment-address-bool",
-            "segment-blob-str", "segment-blob-list", "code-str", "segments-none",
+    @pytest.mark.parametrize("img", [
+        dict(data_segments=[(8192.0, b"\x01")]),
+        dict(data_segments=[(True, b"\x01")]),
+        dict(data_segments=[(8192, b"\x01"), (8200, "abc")]),
+        dict(data_segments=[(8192, [1, 2, 3])]),
+        dict(code="abcd"),
+        dict(code=b""),
+        dict(data_segments=None),
+        "abcd",
+        memoryview(image(exit_seq())),
+        dict(data_segments=[(0x2000, b"\x01" * 16), (0x2008, b"\x07")]),
+    ], ids=["segment-address-float", "segment-address-bool", "segment-blob-str",
+            "segment-blob-list", "code-str", "code-empty", "segments-none",
             "image-str", "image-memoryview", "segments-overlap"])
-    def test_a_bad_image_raises_load_error_and_changes_nothing(
-            self, img, entry_offset):
+    def test_a_bad_image_raises_load_error_and_changes_nothing(self, img):
         if isinstance(img, dict):
             img = types.SimpleNamespace(**{"code": image(exit_seq()),
-                                           "data_segments": [],
-                                           "entry_offset": 0, **img})
+                                           "data_segments": [], **img})
         m = Machine(memory_size=MEM)
         m.memory[:] = bytes((29 * i + 3) & 0xFF for i in range(MEM))
         m.regs[5], m.pc = 77, CODE_BASE + 8
         before = (bytes(m.memory), m.pc, list(m.regs))
         with pytest.raises(LoadError):
-            m.load_program(img, entry_offset=entry_offset)
+            m.load_program(img)
         assert (bytes(m.memory), m.pc, m.regs) == before
 
     @pytest.mark.parametrize("segments, message", [
@@ -855,7 +844,7 @@ class TestLoader:
     ], ids=["later-inside", "earlier-inside", "out-of-order", "touching", "empty"])
     def test_data_segments_may_touch_but_not_overlap(self, segments, message):
         img = types.SimpleNamespace(
-            code=image(exit_seq()), entry_offset=0,
+            code=image(exit_seq()),
             data_segments=[(addr, bytes([i + 1]) * size)
                            for i, (addr, size) in enumerate(segments)])
         m = Machine(memory_size=MEM)

@@ -31,7 +31,7 @@ from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError, EmulatorError,
     HypercallFault, Machine, MemoryFault, Translations,
 )
-from shatrv.kernels import STRATEGIES, GuestLayout, generate_kernel
+from shatrv.kernels import MESSAGE_ADDR, STRATEGIES, generate_kernel
 from shatrv.shatr import attach
 
 MEM = 1 << 21
@@ -223,8 +223,7 @@ def _loaded(strategy, message=MESSAGE, **machine_args):
     if strategy == "shatr":
         attach(m)
     m.load_program(generate_kernel(strategy, "sha3-256"))
-    at = GuestLayout().message
-    m.memory[at:at + len(message)] = message
+    m.memory[MESSAGE_ADDR:MESSAGE_ADDR + len(message)] = message
     m.regs[10] = len(message)
     return m
 
@@ -517,8 +516,7 @@ def test_attach_after_load_routes_the_lane_csrs_on_a_shared_cache():
     late = Machine(memory_size=MEM, translations=shared)
     late.load_program(kernel)
     attach(late)
-    at = GuestLayout().message
-    late.memory[at:at + len(MESSAGE)] = MESSAGE
+    late.memory[MESSAGE_ADDR:MESSAGE_ADDR + len(MESSAGE)] = MESSAGE
     late.regs[10] = len(MESSAGE)
     assert _ran(late) == _ran(_loaded("shatr"))
 

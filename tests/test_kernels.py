@@ -11,11 +11,10 @@ from shatrv import keccak
 from shatrv.asm import assemble, disassemble
 from shatrv.emulator import Machine
 from shatrv.kernels import (
-    STRATEGIES, GuestLayout, generate_kernel, kernel_source,
+    MESSAGE_ADDR, STRATEGIES, generate_kernel, kernel_source,
 )
 from shatrv.shatr import attach
 
-LAYOUT = GuestLayout()
 MEM = 4 * 1024 * 1024
 BUDGET = 5_000_000
 
@@ -27,7 +26,7 @@ def run_kernel(strategy, variant, message, budget=BUDGET):
     if strategy == "shatr":
         attach(m)
     m.load_program(generate_kernel(strategy, variant))
-    m.memory[LAYOUT.message:LAYOUT.message + len(message)] = message
+    m.memory[MESSAGE_ADDR:MESSAGE_ADDR + len(message)] = message
     m.regs[10] = len(message)
     status = m.run(max_instructions=budget)
     assert status == 0
@@ -131,31 +130,13 @@ class TestGeneratorSurface:
         with pytest.raises(ValueError):
             generate_kernel("shatr", "sha3-123")
 
-    def test_misaligned_layout_rejected(self):
-        bad = GuestLayout(state=0x100101)
-        with pytest.raises(ValueError):
-            generate_kernel("shatr", "sha3-256", layout=bad)
-
     def test_kernel_code_survives_disassembly(self):
         for strategy in STRATEGIES:
             prog = generate_kernel(strategy, "sha3-256")
             assert assemble(disassemble(prog)).code == prog.code
 
-    def test_custom_layout_is_honored(self):
-        layout = GuestLayout(rc_table=0x200000, state=0x200100,
-                             digest=0x200200, scratch=0x200300,
-                             message=0x210000)
-        m = Machine(memory_size=MEM)
-        attach(m)
-        m.load_program(generate_kernel("shatr", "sha3-256", layout=layout))
-        msg = b"layout"
-        m.memory[layout.message:layout.message + len(msg)] = msg
-        m.regs[10] = len(msg)
-        assert m.run(max_instructions=BUDGET) == 0
-        assert m.emitted[0] == reference("sha3-256", msg)
 
-
-# SHA-256 of every kernel's code bytes at the default layout.  A change to
+# SHA-256 of every kernel's code bytes.  A change to
 # the assembler or to a generator that moves any byte must be deliberate:
 # update a hash only together with a CHANGES.md line that explains it.
 KERNEL_SHA256 = {
