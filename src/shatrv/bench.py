@@ -280,8 +280,14 @@ def _format_table(report):
     for s in report.speedups:
         srows.append([s["variant"], s["class"], s["baseline"],
                       f"{s['speedup']:.2f}x"])
-    lines += _align(srows) if report.speedups else [
-        "  (needs shatr plus at least one software strategy)"]
+    ran = {g.strategy for g in report.groups}
+    if report.speedups:
+        lines += _align(srows)
+    elif "shatr" in ran and len(ran) > 1:
+        lines.append("  (no class has cycles under both shatr and a software "
+                     "strategy: see the err column)")
+    else:
+        lines.append("  (needs shatr plus at least one software strategy)")
     return "".join(line + "\n" for line in lines)
 
 

@@ -42,6 +42,7 @@ lane CSRs 0x800..0x818, the only CSRs the machine has.
 """
 
 import math
+import mmap
 import operator
 import sys
 from collections import Counter, defaultdict
@@ -63,7 +64,9 @@ __all__ = [
 
 CODE_BASE = 0x1000
 DEFAULT_MEMORY_SIZE = 16 * 1024 * 1024
-MAX_MEMORY_SIZE = 1 << 32    # a machine allocates all its memory up front
+# memory is mapped whole and each page zeroed when first touched, so the
+# ceiling bounds the host memory one guest can make a machine hold
+MAX_MEMORY_SIZE = 1 << 32
 
 _M64 = (1 << 64) - 1
 # a block ends after a branch, jal, jalr (category branch) or ecall (other)
@@ -534,7 +537,7 @@ def _compile(entries):
     lines.append(f"m.pc += {4 * len(entries)}")
     prologue = ["r = m.regs"] + [f"x{n} = r[{n}]" for n in sorted(live - {0})]
     if views:
-        prologue += ["V = m._views", "top = len(m._memory)", "end = m._code_end"]
+        prologue += ["V = m._views", "top = len(V[0])", "end = m._code_end"]
         prologue += [f"V{v} = V[{v}]" for v in sorted(views)]
     source = "def run(m):\n" + "".join(f"    {line}\n"
                                          for line in prologue + lines)
@@ -687,8 +690,8 @@ class Machine:
         if translations is not None and not isinstance(translations, Translations):
             raise ValueError(
                 f"translations must be a Translations, got {translations!r}")
-        self._memory = bytearray(memory_size)
-        memory = memoryview(self._memory)     # each view cut to whole items
+        # each view cut to whole items; the views keep the mapping alive
+        memory = memoryview(mmap.mmap(-1, memory_size))
         self._views = tuple(memory[:memory_size & -size].cast(f) for f, size in _VIEWS)
         self.regs = [0] * 32
         self.pc = CODE_BASE
@@ -700,23 +703,27 @@ class Machine:
         self._translations = (translations if translations is not None
                               else Translations())
         self._code = b""
+        self._words = memoryview(self._code).cast("I")
         self._code_end = CODE_BASE
 
     @property
     def memory(self):
-        """Guest memory, a bytearray of fixed length. It cannot be replaced
-        or resized, as every load and store indexes it through the
-        machine's typed views."""
-        return self._memory
+        """Guest memory as the machine's unsigned byte view, a writable
+        memoryview of fixed length. It cannot be replaced or resized, as
+        every load and store indexes the machine's typed views; a write of
+        the same length shows through them."""
+        return self._views[0]
 
     # -- construction ------------------------------------------------------
 
     def load_program(self, image):
         """Place an assembled image (or raw code bytes) into memory, point pc
         at CODE_BASE, and set sp to the 16-byte aligned top of memory. Data
-        segments may not overlap the code or each other."""
+        segments may not overlap the code or each other. Code is fetched
+        from the machine's own copy, so a later change to the image's
+        buffer changes nothing the machine runs."""
         raw = isinstance(image, (bytes, bytearray))
-        code = bytes(image) if raw else getattr(image, "code", None)
+        code = image if raw else getattr(image, "code", None)
         segments = [] if raw else getattr(image, "data_segments", None)
         if not (isinstance(code, (bytes, bytearray)) and isinstance(segments, (list, tuple))):
             raise LoadError(f"not code bytes or an image of code bytes and a list "
@@ -748,7 +755,8 @@ class Machine:
         self.pc = CODE_BASE
         self.regs[2] = len(mem) & ~0xF
         self.halted = False
-        self._code = code
+        self._code = bytes(code)
+        self._words = memoryview(self._code)[:len(code) & -4].cast("I")
         self._code_end = code_end
 
     # -- decode ------------------------------------------------------------
@@ -772,8 +780,7 @@ class Machine:
                 f"instruction fetch outside the loaded code at {pc:#x}")
         # the loaded code, which the cache is keyed by, equals memory there
         # since stores into it fault
-        offset = pc - CODE_BASE
-        word = int.from_bytes(self._code[offset:offset + 4], "little")
+        word = self._words[(pc - CODE_BASE) >> 2]
         attached = self.round_unit is not None
         words = self._translations.words
         cached = words.get((word, attached))
@@ -791,12 +798,17 @@ class Machine:
     def _translate(self, pc):
         """Translate the block at pc: through the first branch, jump or
         ecall, and short of a word that does not fetch or decode (it
-        faults once the guest reaches it). Each stretch of instructions
-        with a straight-line entry becomes one run executor."""
+        faults once the guest reaches it). The first word goes through
+        _build's fetch checks; the rest are read off the word view of the
+        code, and only one the cache lacks goes through _build. Each stretch
+        of instructions with a straight-line entry becomes one run executor."""
         executor = self._translations.run
+        words, attached = self._translations.words, self.round_unit is not None
+        code, i = self._words, (pc - CODE_BASE) >> 2
         executors, cats, run = [], [], []
-        ex, cat, entry = self._build(pc)
+        cached = self._build(pc)
         while True:
+            ex, cat, entry = cached
             if entry is None:
                 if run:
                     executors.append(executor(tuple(run)))
@@ -805,12 +817,12 @@ class Machine:
             else:
                 run.append(entry)
             cats.append(cat)
-            if cat in _ENDS_BLOCK:
+            i += 1
+            if cat in _ENDS_BLOCK or i == len(code):
                 break
-            pc += 4
             try:
-                ex, cat, entry = self._build(pc)
-            except (MemoryFault, CsrFault, DecodeError):
+                cached = words.get((code[i], attached)) or self._build(CODE_BASE + 4 * i)
+            except (CsrFault, DecodeError):
                 break
         if run:
             executors.append(executor(tuple(run)))

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from shatrv import bench
+from shatrv.asm import assemble
 from shatrv.bench import BenchReport, emit_report, run_benchmark
 from shatrv.cavp import CavpVector, CavpVectorSet, load_bundled
 from shatrv.emulator import CostModel, Machine
@@ -83,15 +84,27 @@ class TestRunBenchmark:
         g = report.groups[0]
         assert (g.passed, g.failed, g.errors) == (1, 1, 0)
 
-    def test_undecodable_word_is_an_error_not_an_abort(self, monkeypatch):
-        # the sha3-224 kernel starts with a word no decoder accepts; the
+    @pytest.mark.parametrize("patch, detail", [
+        (bytes(4), "unsupported opcode"),
+        (assemble("li a7, 9\necall").code, "unknown hypercall 9"),
+        (assemble("li a0, 5\nli a7, 2\necall").code,
+         "region 5 ended without begin"),
+        # the emit check reads the length of the machine's memory view
+        (assemble(f"li a0, {bench.DEFAULT_MEMORY_SIZE - 16}\nli a1, 32\n"
+                  "li a7, 3\necall").code,
+         f"emit of 32 bytes at {bench.DEFAULT_MEMORY_SIZE - 16:#x} outside memory"),
+    ], ids=["undecodable-word", "unknown-hypercall", "region-end-without-begin",
+            "emit-outside-memory"])
+    def test_a_faulting_kernel_is_an_error_not_an_abort(
+            self, monkeypatch, patch, detail):
+        # the sha3-224 kernel starts with the patch, which faults; the
         # sha3-256 vectors after it still run
         real = bench.generate_kernel
 
         def kernel(strategy, variant):
             k = real(strategy, variant)
             if variant == "sha3-224":
-                k = dataclasses.replace(k, code=bytes(4) + k.code[4:])
+                k = dataclasses.replace(k, code=patch + k.code[len(patch):])
             return k
 
         monkeypatch.setattr(bench, "generate_kernel", kernel)
@@ -99,7 +112,7 @@ class TestRunBenchmark:
         report = run_benchmark([broken, SMALL], strategies=("sw-mem",))
         statuses = [(o.variant, o.status) for o in report.outcomes]
         assert statuses == [("sha3-224", "error")] * 2 + [("sha3-256", "pass")] * 3
-        assert all("unsupported opcode" in o.detail
+        assert all(detail in o.detail
                    for o in report.outcomes if o.status == "error")
 
     @pytest.mark.parametrize("memory_size, detail", [
@@ -173,6 +186,21 @@ class TestEmitReport:
         for g in report.groups:
             assert g.strategy in text
         assert "speedup" in text
+
+    @pytest.mark.parametrize("kwargs, note", [
+        # every strategy ran, and every outcome is an error with 0 cycles
+        ({"memory_size": 8192}, "(no class has cycles under both shatr and a "
+                                "software strategy: see the err column)"),
+        ({"strategies": ("sw-regopt", "sw-mem")},
+         "(needs shatr plus at least one software strategy)"),
+        ({"strategies": ("shatr",)},
+         "(needs shatr plus at least one software strategy)"),
+    ], ids=["no-cycles", "no-shatr", "no-software"])
+    def test_table_names_why_there_is_no_speedup(self, kwargs, note):
+        report = run_benchmark([SMALL], **kwargs)
+        assert report.speedups == []
+        assert emit_report(report, "table").endswith(
+            "speedup vs shatr (total cycles):\n  " + note + "\n")
 
     def test_empty_report_serializes_everywhere(self):
         report = run_benchmark([])

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 from shatrv import isa
+from shatrv.asm import AssembledProgram
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError,
     EmulatorError, HypercallFault, LoadError, Machine, MemoryFault,
@@ -368,6 +369,28 @@ class TestMemorySemantics:
         with pytest.raises(MemoryFault):
             m.run()
 
+    @pytest.mark.parametrize("tail", range(4))
+    def test_running_off_the_code_faults_alike_under_run_and_step(self, tail):
+        # code of 4k + tail bytes: its word view holds k words, and the
+        # fetch of the partial word or of the one past the end faults
+        words = [addi(5, 0, 1), addi(6, 5, 2), addi(7, 6, 3)]
+        end = CODE_BASE + 4 * len(words)
+
+        def outcome(stepping):
+            m = Machine(memory_size=MEM)
+            m.load_program(image(words) + image([addi(8, 0, 4)])[:tail])
+            with pytest.raises(MemoryFault) as e:
+                if stepping:
+                    while True:
+                        m.step()
+                m.run()
+            return str(e.value), m.pc, m.regs, m.stats.total_retired
+
+        got = outcome(False)
+        assert got == outcome(True)
+        assert got[0] == f"instruction fetch outside the loaded code at {end:#x}"
+        assert (got[1], got[2][5:9], got[3]) == (end, [1, 3, 6, 0], len(words))
+
     def test_fetch_from_a_data_segment_faults(self):
         # a function in a data segment (addi a0, zero, 1; ret), called,
         # patched to addi a0, zero, 7 and called again would exit 1 from a
@@ -510,10 +533,10 @@ class TestWordView:
         m = Machine(memory_size=MEM)
         with pytest.raises(AttributeError):
             m.memory = bytearray(MEM)       # the views would miss it
-        with pytest.raises(BufferError):
-            m.memory.extend(b"\0")
-        with pytest.raises(BufferError):
-            m.memory[0:1] = b"ab"
+        with pytest.raises(AttributeError):
+            m.memory.extend(b"\0")         # a memoryview cannot grow
+        with pytest.raises(ValueError):
+            m.memory[0:1] = b"ab"           # nor take a slice of another length
         assert len(m.memory) == MEM
         # a write of the same length shows through the view
         m.memory[0x2000:0x2008] = (0x0123456789ABCDEF).to_bytes(8, "little")
@@ -776,6 +799,22 @@ class TestLoader:
         m = Machine(memory_size=MEM)
         with pytest.raises(LoadError):
             m.load_program(b"\x00" * MEM)
+
+    @pytest.mark.parametrize("stepping", [False, True], ids=["run", "step"])
+    def test_a_bytearray_image_runs_from_a_copy_of_its_code(self, stepping):
+        # the code keys the translations, so the machine must hold it as
+        # bytes, and a later change to the caller's buffer must not reach
+        # the fetches
+        code = bytearray(image([addi(5, 0, 1)] + exit_seq()))
+        m = Machine(memory_size=MEM)
+        m.load_program(AssembledProgram(code=code))
+        code[:] = image([addi(5, 0, 9)] + exit_seq(3))
+        if stepping:
+            while not m.halted:
+                m.step()
+        else:
+            m.run()
+        assert (m.exit_status, m.regs[5]) == (0, 1)
 
     def test_data_segment_out_of_range(self):
         class Img:
