@@ -21,13 +21,16 @@ Strategies:
   shatr      lanes move through the lane CSR file once per block and the
              24 rounds are 24 shatr instructions.
 
-The generated driver is identical across strategies; only the body after
-the permute label differs.  Permute may clobber every register, so the
-driver keeps its loop state in scratch spill slots across calls.
+Strategies share the driver and variants share the routine after the
+permute label, which may clobber every register, so the driver keeps its
+loop state in scratch spill slots.  The routine is assembled once per process,
+and generate_kernel assembles only the variant's driver, ending at the label.
 """
 
+import functools
+
 from . import keccak
-from .asm import assemble
+from .asm import AssembledProgram, assemble
 from .isa import LANE_CSR_BASE
 
 __all__ = ["MESSAGE_ADDR", "STRATEGIES", "generate_kernel", "kernel_source"]
@@ -49,6 +52,10 @@ _PARITY_SLOT = 0x18    # sw-regopt column parity park
 _BLOCK_OFF = 0x40      # padded final block, up to 144 bytes
 _C_BUF_OFF = 0x100     # sw-mem column buffer, 40 bytes
 _B_BUF_OFF = 0x200     # sw-mem lane buffer, 200 bytes
+
+# hypercalls 1 and 2 with a0 = 1 begin and end region 1
+_REGION_BEGIN = ("addi a0, zero, 1", "addi a7, zero, 1", "ecall")
+_REGION_END = ("addi a0, zero, 1", "addi a7, zero, 2", "ecall")
 
 
 def _driver(rate, digest_len):
@@ -150,9 +157,7 @@ def _shatr_permute():
         "permute:",
         f"li   t0, {_SCRATCH:#x}",
         f"sd   ra, {_RA_SLOT}(t0)",
-        "addi a0, zero, 1",
-        "addi a7, zero, 1",
-        "ecall",
+        *_REGION_BEGIN,
         f"li   t0, {_STATE:#x}",
     ]
     for i in range(25):
@@ -169,9 +174,7 @@ def _shatr_permute():
                   "sd   t1, 0(t0)",
                   "addi t0, t0, 8"]
     lines += [
-        "addi a0, zero, 1",
-        "addi a7, zero, 2",
-        "ecall",
+        *_REGION_END,
         f"li   t0, {_SCRATCH:#x}",
         f"ld   t0, {_RA_SLOT}(t0)",
         "jalr x0, t0, 0",
@@ -186,9 +189,7 @@ def _regopt_permute():
         "permute:",
         f"li   x31, {_SCRATCH:#x}",
         f"sd   x1, {_RA_SLOT}(x31)",
-        "addi a0, zero, 1",
-        "addi a7, zero, 1",
-        "ecall",
+        *_REGION_BEGIN,
         f"li   x31, {_STATE:#x}",
     ]
     for i in range(25):
@@ -250,9 +251,7 @@ def _regopt_permute():
     for i in range(25):
         lines.append(f"sd   x{reg_of[i]}, {8 * i}(x31)")
     lines += [
-        "addi a0, zero, 1",
-        "addi a7, zero, 2",
-        "ecall",
+        *_REGION_END,
         f"li   x31, {_SCRATCH:#x}",
         f"ld   x31, {_RA_SLOT}(x31)",
         "jalr x0, x31, 0",
@@ -263,9 +262,7 @@ def _regopt_permute():
 def _sw_mem_permute():
     lines = [
         "permute:",
-        "addi a0, zero, 1",
-        "addi a7, zero, 1",
-        "ecall",
+        *_REGION_BEGIN,
         f"li   s0, {_STATE:#x}",
         f"li   s1, {_SCRATCH + _C_BUF_OFF:#x}",
         f"li   s2, {_SCRATCH + _B_BUF_OFF:#x}",
@@ -303,8 +300,8 @@ def _sw_mem_permute():
         for x in range(5):
             lines += [f"ld   t0, {8 * (x + 5 * y)}(s2)",
                       f"ld   t1, {8 * ((x + 1) % 5 + 5 * y)}(s2)",
-                      "xori t1, t1, -1",
                       f"ld   t2, {8 * ((x + 2) % 5 + 5 * y)}(s2)",
+                      "xori t1, t1, -1",
                       "and  t1, t1, t2",
                       "xor  t0, t0, t1",
                       f"sd   t0, {8 * (x + 5 * y)}(s0)"]
@@ -318,9 +315,7 @@ def _sw_mem_permute():
         "addi s4, s4, 1",
         "addi t0, zero, 24",
         "bne  s4, t0, mem_round",
-        "addi a0, zero, 1",
-        "addi a7, zero, 2",
-        "ecall",
+        *_REGION_END,
         "jalr x0, ra, 0",
     ]
     return lines
@@ -333,20 +328,40 @@ _PERMUTE_BODIES = {
 }
 
 
-def kernel_source(strategy, variant):
-    """Return the assembly source of one hashing kernel."""
+@functools.cache
+def _routine(strategy):
+    """A permutation routine's source, the same text in every variant."""
+    return "\n".join(_PERMUTE_BODIES[strategy]())
+
+
+@functools.cache
+def _assembled(strategy):
+    """The routine assembled alone; it is pc-relative, so only labels move."""
+    return assemble(_routine(strategy))
+
+
+def _source(strategy, variant, routine):
+    # names are checked before any memo, so an unhashable one is refused too
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if variant not in keccak.VARIANTS:
+    if variant not in tuple(keccak.VARIANTS):
         raise ValueError(f"unknown variant {variant!r}")
     params = keccak.VARIANTS[variant]
     lines = _driver(params.rate_bytes, params.digest_bytes)
-    lines += _PERMUTE_BODIES[strategy]()
-    lines += [".data", f".org {_RC_TABLE:#x}", "rc_table:"]
+    lines += [routine(strategy), ".data", f".org {_RC_TABLE:#x}", "rc_table:"]
     lines += [f".dword {rc:#018x}" for rc in keccak.ROUND_CONSTANTS]
     return "".join(line + "\n" for line in lines)
 
 
+def kernel_source(strategy, variant):
+    """Return the assembly source of one hashing kernel."""
+    return _source(strategy, variant, _routine)
+
+
 def generate_kernel(strategy, variant):
-    """Generate and assemble one hashing kernel."""
-    return assemble(kernel_source(strategy, variant))
+    """Assemble one hashing kernel: the variant's driver, then the routine."""
+    driver = assemble(_source(strategy, variant, lambda _: "permute:"))
+    body = _assembled(strategy)
+    shift = driver.symbols["permute"] - body.symbols["permute"]
+    return AssembledProgram(driver.code + body.code, driver.data_segments, {
+        **driver.symbols, **{k: a + shift for k, a in body.symbols.items()}})

@@ -7,6 +7,7 @@ import pytest
 
 from shatrv.cli import main
 from shatrv.emulator import MAX_MEMORY_SIZE
+from shatrv.kernels import generate_kernel
 
 GOOD_256 = f"""[L = 256]
 Len = 0
@@ -66,6 +67,30 @@ class TestUsageErrors:
     def test_a_variant_that_drops_every_vector_file_exits_2(self, capsys, good_rsp):
         assert main(["validate", "--vectors", str(good_rsp), "--variant", "sha3-224"]) == 2
         assert capsys.readouterr() == ("", "error: no vectors selected\n")
+
+    @pytest.mark.parametrize("content,reason", [
+        (b"\xff\xfe[L = 256]\n\x80\x81\n", "can't decode"),
+        (b"Len = 8\nMsg = 616\nMD = " + b"0" * 64 + b"\n", "bad message hex"),
+        (b"Len = 16\nMsg = 61\nMD = " + b"0" * 64 + b"\n", "but Len = 16"),
+        (b"[L = 256]\nLen = 8\nMsg = 61\n", "unterminated record"),
+        (None, "Is a directory"),
+    ], ids=["undecodable", "odd-hex", "len-mismatch", "unterminated", "directory"])
+    def test_a_garbage_vector_file_exits_2(self, capsys, tmp_path, content, reason):
+        vectors = tmp_path / "vectors"
+        vectors.mkdir()
+        rsp = vectors / "SHA3_256ShortMsg.rsp"
+        if content is None:
+            rsp.mkdir()
+        else:
+            rsp.write_bytes(content)
+        out = tmp_path / "report.json"
+        assert main(["bench", "--vectors", str(vectors), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
 
 class TestValidate:
@@ -188,6 +213,19 @@ class TestGenKernels:
         assert [p.name for p in tmp_path.glob("*.s")] == ["sha3-512-sw-mem.s"]
         text = (tmp_path / "sha3-512-sw-mem.s").read_text()
         assert "mem_round:" in text
+        capsys.readouterr()
+
+
+    def test_assembling_each_written_source_gives_the_bench_image(
+            self, capsys, tmp_path):
+        assert main(["gen-kernels", "--out", str(tmp_path)]) == 0
+        sources = sorted(tmp_path.glob("*.s"))
+        assert len(sources) == 12
+        for src in sources:
+            variant, strategy = src.stem[:8], src.stem[9:]
+            assert main(["asm", str(src)]) == 0
+            code = src.with_suffix(".bin").read_bytes()
+            assert code == generate_kernel(strategy, variant).code, src.name
         capsys.readouterr()
 
 

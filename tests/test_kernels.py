@@ -4,12 +4,15 @@ strategy promises."""
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 
-from shatrv import keccak
+from shatrv import emulator, kernels, keccak
 from shatrv.asm import assemble, disassemble
-from shatrv.emulator import Machine
+from shatrv.bench import run_benchmark
+from shatrv.cavp import CavpVector, CavpVectorSet
+from shatrv.emulator import Machine, Translations
 from shatrv.kernels import (
     MESSAGE_ADDR, STRATEGIES, generate_kernel, kernel_source,
 )
@@ -130,10 +133,69 @@ class TestGeneratorSurface:
         with pytest.raises(ValueError):
             generate_kernel("shatr", "sha3-123")
 
+    @pytest.mark.parametrize("make", [generate_kernel, kernel_source])
+    @pytest.mark.parametrize("strategy,variant", [
+        (["shatr"], "sha3-256"), ("shatr", ["sha3-256"]), ({}, "sha3-256"),
+        ("shatr", {}), (None, None), ("sw-turbo", "sha3-256"),
+    ], ids=["list-strategy", "list-variant", "dict-strategy", "dict-variant",
+            "none", "unknown"])
+    def test_rejects_unhashable_or_unknown_names(self, make, strategy, variant):
+        # the names are checked before the routine's memo hashes them
+        with pytest.raises(ValueError):
+            make(strategy, variant)
+
     def test_kernel_code_survives_disassembly(self):
         for strategy in STRATEGIES:
             prog = generate_kernel(strategy, "sha3-256")
             assert assemble(disassemble(prog)).code == prog.code
+
+
+class TestComposedKernel:
+    """generate_kernel assembles each variant's driver and joins it to the
+    strategy's routine, assembled once per process."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_assembling_the_whole_source(self, strategy, variant):
+        composed = generate_kernel(strategy, variant)
+        whole = assemble(kernel_source(strategy, variant))
+        assert composed.code == whole.code
+        assert composed.data_segments == whole.data_segments
+        assert composed.symbols == whole.symbols
+
+    def test_one_bench_call_assembles_each_routine_once(self):
+        sets = [CavpVectorSet(v, "inline", [CavpVector(0, b"", reference(v, b""))])
+                for v in VARIANTS]
+        kernels._routine.cache_clear()
+        kernels._assembled.cache_clear()
+        with mock.patch.object(kernels, "assemble", wraps=assemble) as counted:
+            report = run_benchmark(sets)
+        assert all(o.status == "pass" for o in report.outcomes)
+        routines = [c for c in counted.call_args_list
+                    if c.args[0].startswith("permute:")]
+        assert len(routines) == len(STRATEGIES)
+        assert counted.call_count - len(routines) == len(STRATEGIES) * len(VARIANTS)
+
+    def test_callers_share_no_mutable_state(self):
+        a = generate_kernel("sw-mem", "sha3-256")
+        b = generate_kernel("sw-mem", "sha3-256")
+        assert a.symbols is not b.symbols
+        assert a.data_segments is not b.data_segments
+        a.symbols["permute"] = 0
+        a.data_segments.clear()
+        c = generate_kernel("sw-mem", "sha3-256")
+        assert b.symbols == c.symbols and b.symbols["permute"] != 0
+        assert b.data_segments == c.data_segments != []
+
+    def test_sw_mem_round_fuses_every_and_not(self):
+        # the chi step loads both lanes before the xori/and/xor triple, so
+        # run() fuses each of the round's 25 and-nots
+        shared = Translations()
+        m = Machine(memory_size=MEM, translations=shared)
+        m.load_program(generate_kernel("sw-mem", "sha3-256"))
+        assert m.run() == 0
+        round_run = emulator._fuse(max(shared.runs, key=len))
+        assert sum(1 for e in round_run if e and e[0] == emulator._ANDN) == 25
 
 
 # SHA-256 of every kernel's code bytes.  A change to
@@ -149,13 +211,13 @@ KERNEL_SHA256 = {
     ("sw-regopt", "sha3-512"):
         "507fb510d865da526b439649ee7f279ae862e47eee6b4f0d8298ad1c5a1c7167",
     ("sw-mem", "sha3-224"):
-        "90168d0e08dfa2f5e45907ef9e47793818c8b8bda5bff7ebbbedcd6753c4b1ec",
+        "172b34a262482c2fc85261d309a54ac3db800e1aa12a4b68c398f0966ab01f53",
     ("sw-mem", "sha3-256"):
-        "a09d32c068d8a0443bb684b6b686636d5269a3e2a10dd6c2437ef71365164cc9",
+        "7c1c2950a9aacd5009a2426014a052a5d5e279eb9589d0d84f7befd172e56061",
     ("sw-mem", "sha3-384"):
-        "2d222edefc64b5bf6fe17896920d4dd3527076e1dba6a8f85a1ce76bb186ec44",
+        "5cec05541148c3b2353d3d0cedd83e68090c254850cbc009033cd50847cd90b5",
     ("sw-mem", "sha3-512"):
-        "a61f575930d5906f44c857b9d5666ab8cf94bcbdeab2fef56564982b8f090497",
+        "6b1fd0c5b914c162990f3a5e2b939227be22f5d59a678d5225490078f5875eb5",
     ("shatr", "sha3-224"):
         "0371305b3471b94790a71df1e13c006e037f20ae4acd48a279760025b01c5202",
     ("shatr", "sha3-256"):
