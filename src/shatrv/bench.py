@@ -133,6 +133,7 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
         cost_model = CostModel()
 
     kernels = {}
+    routines = {}
     translations = Translations()
     groups = {}
     outcomes = []
@@ -146,7 +147,7 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
             for strategy in strategies:
                 key = (vs.variant, strategy)
                 if key not in kernels:
-                    kernels[key] = generate_kernel(strategy, vs.variant)
+                    kernels[key] = generate_kernel(strategy, vs.variant, routines)
                 status, detail, m = _run_one(
                     kernels[key], strategy, vector, memory_size, cost_model,
                     budget, translations)

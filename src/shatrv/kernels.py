@@ -22,12 +22,10 @@ Strategies:
              24 rounds are 24 shatr instructions.
 
 Strategies share the driver and variants share the routine after the
-permute label, which may clobber every register, so the driver keeps its
-loop state in scratch spill slots.  The routine is assembled once per process,
-and generate_kernel assembles only the variant's driver, ending at the label.
+permute label.  Permute may clobber every register, so the driver keeps its
+loop state in scratch spill slots.  generate_kernel assembles the driver per
+variant and the pc-relative routine once per routines dict a caller passes.
 """
-
-import functools
 
 from . import keccak
 from .asm import AssembledProgram, assemble
@@ -52,10 +50,6 @@ _PARITY_SLOT = 0x18    # sw-regopt column parity park
 _BLOCK_OFF = 0x40      # padded final block, up to 144 bytes
 _C_BUF_OFF = 0x100     # sw-mem column buffer, 40 bytes
 _B_BUF_OFF = 0x200     # sw-mem lane buffer, 200 bytes
-
-# hypercalls 1 and 2 with a0 = 1 begin and end region 1
-_REGION_BEGIN = ("addi a0, zero, 1", "addi a7, zero, 1", "ecall")
-_REGION_END = ("addi a0, zero, 1", "addi a7, zero, 2", "ecall")
 
 
 def _driver(rate, digest_len):
@@ -157,7 +151,9 @@ def _shatr_permute():
         "permute:",
         f"li   t0, {_SCRATCH:#x}",
         f"sd   ra, {_RA_SLOT}(t0)",
-        *_REGION_BEGIN,
+        "addi a0, zero, 1",
+        "addi a7, zero, 1",
+        "ecall",
         f"li   t0, {_STATE:#x}",
     ]
     for i in range(25):
@@ -174,7 +170,9 @@ def _shatr_permute():
                   "sd   t1, 0(t0)",
                   "addi t0, t0, 8"]
     lines += [
-        *_REGION_END,
+        "addi a0, zero, 1",
+        "addi a7, zero, 2",
+        "ecall",
         f"li   t0, {_SCRATCH:#x}",
         f"ld   t0, {_RA_SLOT}(t0)",
         "jalr x0, t0, 0",
@@ -189,7 +187,9 @@ def _regopt_permute():
         "permute:",
         f"li   x31, {_SCRATCH:#x}",
         f"sd   x1, {_RA_SLOT}(x31)",
-        *_REGION_BEGIN,
+        "addi a0, zero, 1",
+        "addi a7, zero, 1",
+        "ecall",
         f"li   x31, {_STATE:#x}",
     ]
     for i in range(25):
@@ -251,7 +251,9 @@ def _regopt_permute():
     for i in range(25):
         lines.append(f"sd   x{reg_of[i]}, {8 * i}(x31)")
     lines += [
-        *_REGION_END,
+        "addi a0, zero, 1",
+        "addi a7, zero, 2",
+        "ecall",
         f"li   x31, {_SCRATCH:#x}",
         f"ld   x31, {_RA_SLOT}(x31)",
         "jalr x0, x31, 0",
@@ -262,7 +264,9 @@ def _regopt_permute():
 def _sw_mem_permute():
     lines = [
         "permute:",
-        *_REGION_BEGIN,
+        "addi a0, zero, 1",
+        "addi a7, zero, 1",
+        "ecall",
         f"li   s0, {_STATE:#x}",
         f"li   s1, {_SCRATCH + _C_BUF_OFF:#x}",
         f"li   s2, {_SCRATCH + _B_BUF_OFF:#x}",
@@ -315,7 +319,9 @@ def _sw_mem_permute():
         "addi s4, s4, 1",
         "addi t0, zero, 24",
         "bne  s4, t0, mem_round",
-        *_REGION_END,
+        "addi a0, zero, 1",
+        "addi a7, zero, 2",
+        "ecall",
         "jalr x0, ra, 0",
     ]
     return lines
@@ -328,40 +334,33 @@ _PERMUTE_BODIES = {
 }
 
 
-@functools.cache
-def _routine(strategy):
-    """A permutation routine's source, the same text in every variant."""
-    return "\n".join(_PERMUTE_BODIES[strategy]())
-
-
-@functools.cache
-def _assembled(strategy):
-    """The routine assembled alone; it is pc-relative, so only labels move."""
-    return assemble(_routine(strategy))
-
-
 def _source(strategy, variant, routine):
-    # names are checked before any memo, so an unhashable one is refused too
+    # names are checked before any dict lookup, so an unhashable one is refused too
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if variant not in tuple(keccak.VARIANTS):
         raise ValueError(f"unknown variant {variant!r}")
     params = keccak.VARIANTS[variant]
     lines = _driver(params.rate_bytes, params.digest_bytes)
-    lines += [routine(strategy), ".data", f".org {_RC_TABLE:#x}", "rc_table:"]
+    lines += routine(strategy)
+    lines += [".data", f".org {_RC_TABLE:#x}", "rc_table:"]
     lines += [f".dword {rc:#018x}" for rc in keccak.ROUND_CONSTANTS]
     return "".join(line + "\n" for line in lines)
 
 
 def kernel_source(strategy, variant):
     """Return the assembly source of one hashing kernel."""
-    return _source(strategy, variant, _routine)
+    return _source(strategy, variant, lambda s: _PERMUTE_BODIES[s]())
 
 
-def generate_kernel(strategy, variant):
-    """Assemble one hashing kernel: the variant's driver, then the routine."""
-    driver = assemble(_source(strategy, variant, lambda _: "permute:"))
-    body = _assembled(strategy)
-    shift = driver.symbols["permute"] - body.symbols["permute"]
+def generate_kernel(strategy, variant, routines=None):
+    """Assemble one hashing kernel: the variant's driver, then the routine.
+    Pass one routines dict for all the variants built: each strategy's
+    routine is assembled into it once, and only its labels move."""
+    driver = assemble(_source(strategy, variant, lambda _: ["permute:"]))
+    routines = {} if routines is None else routines
+    if strategy not in routines:
+        routines[strategy] = assemble("\n".join(_PERMUTE_BODIES[strategy]()))
+    body, shift = routines[strategy], len(driver.code)
     return AssembledProgram(driver.code + body.code, driver.data_segments, {
         **driver.symbols, **{k: a + shift for k, a in body.symbols.items()}})

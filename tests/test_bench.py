@@ -101,8 +101,8 @@ class TestRunBenchmark:
         # sha3-256 vectors after it still run
         real = bench.generate_kernel
 
-        def kernel(strategy, variant):
-            k = real(strategy, variant)
+        def kernel(strategy, variant, *routines):
+            k = real(strategy, variant, *routines)
             if variant == "sha3-224":
                 k = dataclasses.replace(k, code=patch + k.code[len(patch):])
             return k

@@ -140,7 +140,7 @@ class TestGeneratorSurface:
     ], ids=["list-strategy", "list-variant", "dict-strategy", "dict-variant",
             "none", "unknown"])
     def test_rejects_unhashable_or_unknown_names(self, make, strategy, variant):
-        # the names are checked before the routine's memo hashes them
+        # the names are checked before the routines dict hashes them
         with pytest.raises(ValueError):
             make(strategy, variant)
 
@@ -152,38 +152,50 @@ class TestGeneratorSurface:
 
 class TestComposedKernel:
     """generate_kernel assembles each variant's driver and joins it to the
-    strategy's routine, assembled once per process."""
+    strategy's routine, assembled once into the routines dict it is given."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_equals_assembling_the_whole_source(self, strategy, variant):
-        composed = generate_kernel(strategy, variant)
         whole = assemble(kernel_source(strategy, variant))
-        assert composed.code == whole.code
-        assert composed.data_segments == whole.data_segments
-        assert composed.symbols == whole.symbols
+        routines = {}
+        alone = generate_kernel(strategy, variant, routines)
+        other = next(v for v in VARIANTS if v != variant)
+        generate_kernel(strategy, other, routines)
+        reused = generate_kernel(strategy, variant, routines)
+        for composed in (alone, reused, generate_kernel(strategy, variant)):
+            assert composed.code == whole.code
+            assert composed.data_segments == whole.data_segments
+            assert composed.symbols == whole.symbols
 
-    def test_one_bench_call_assembles_each_routine_once(self):
+    @staticmethod
+    def _counted_bench():
         sets = [CavpVectorSet(v, "inline", [CavpVector(0, b"", reference(v, b""))])
                 for v in VARIANTS]
-        kernels._routine.cache_clear()
-        kernels._assembled.cache_clear()
         with mock.patch.object(kernels, "assemble", wraps=assemble) as counted:
             report = run_benchmark(sets)
         assert all(o.status == "pass" for o in report.outcomes)
-        routines = [c for c in counted.call_args_list
-                    if c.args[0].startswith("permute:")]
-        assert len(routines) == len(STRATEGIES)
-        assert counted.call_count - len(routines) == len(STRATEGIES) * len(VARIANTS)
+        return [c.args[0].startswith("permute:") for c in counted.call_args_list]
+
+    def test_one_bench_call_assembles_each_routine_once(self):
+        is_routine = self._counted_bench()
+        assert sum(is_routine) == len(STRATEGIES)
+        assert is_routine.count(False) == len(STRATEGIES) * len(VARIANTS)
+
+    def test_every_bench_call_assembles_the_same(self):
+        # the routines live as long as one bench call, so a second call in
+        # the same process assembles exactly what the first did
+        assert self._counted_bench() == self._counted_bench()
 
     def test_callers_share_no_mutable_state(self):
-        a = generate_kernel("sw-mem", "sha3-256")
-        b = generate_kernel("sw-mem", "sha3-256")
+        routines = {}
+        a = generate_kernel("sw-mem", "sha3-256", routines)
+        b = generate_kernel("sw-mem", "sha3-256", routines)
         assert a.symbols is not b.symbols
         assert a.data_segments is not b.data_segments
-        a.symbols["permute"] = 0
+        a.symbols["permute"] = a.symbols["mem_round"] = 0
         a.data_segments.clear()
-        c = generate_kernel("sw-mem", "sha3-256")
+        c = generate_kernel("sw-mem", "sha3-256", routines)
         assert b.symbols == c.symbols and b.symbols["permute"] != 0
         assert b.data_segments == c.data_segments != []
 
