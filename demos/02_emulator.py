@@ -2,7 +2,8 @@
 
 The guest sums an array of dwords, brackets the loop with region
 markers, and reports the result through the exit hypercall. The host
-then reads back the per-category instruction counts the run produced.
+then reads back the per-category instruction counts the run produced
+and prices them in cycles with a cost model.
 """
 
 from shatrv.asm import assemble, disassemble
@@ -38,7 +39,7 @@ print("disassembly (first 8 instructions):")
 for line in disassemble(prog).splitlines()[:8]:
     print("   ", line)
 
-machine = Machine(memory_size=1 << 16, cost_model=CostModel(extra_mem_access_cycles=2))
+machine = Machine(memory_size=1 << 16)
 machine.load_program(prog)
 for i in range(8):
     machine.memory[0x2000 + 8 * i: 0x2008 + 8 * i] = (i + 1).to_bytes(8, "little")
@@ -48,5 +49,6 @@ print()
 print("exit status (sum of 1..8):", status)
 print("retired by category:", {k: v for k, v in machine.stats.counts.items() if v})
 print("region 7 counts:    ", {k: v for k, v in machine.stats.regions[7].items() if v})
-print("total cycles:       ", machine.stats.total_cycles,
+print("total cycles:       ",
+      CostModel(extra_mem_access_cycles=2).cycles(machine.stats.counts),
       "(each memory access costs 2 extra under this cost model)")

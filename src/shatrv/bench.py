@@ -1,5 +1,6 @@
 """Benchmark harness: runs known-answer vectors through the guest
-kernels, checks digests, and aggregates instruction statistics.
+kernels, checks digests, and aggregates instruction statistics; each
+outcome's cycles are its machine's counts priced by the call's CostModel.
 
 Every vector runs on a fresh machine per strategy; the machines of one
 run_benchmark call share one translation cache, so each kernel is
@@ -19,6 +20,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field
 
+from .cavp import BUNDLED_CLASSES
 from .emulator import CostModel, EmulatorError, Machine, Translations, check_budget
 from .isa import CATEGORIES
 from .kernels import MESSAGE_ADDR, STRATEGIES, generate_kernel
@@ -31,7 +33,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_MEMORY_SIZE = 2 * 1024 * 1024
-_CLASSES = ("short", "long")
 _REGION = 1
 
 
@@ -94,11 +95,9 @@ class BenchReport:
     outcomes: list
 
 
-def _run_one(kernel, strategy, vector, memory_size, cost_model, budget,
-             translations):
+def _run_one(kernel, strategy, vector, memory_size, budget, translations):
     """Run one vector on a fresh machine; returns (status, detail, machine)."""
-    m = Machine(memory_size=memory_size, cost_model=cost_model,
-                translations=translations)
+    m = Machine(memory_size=memory_size, translations=translations)
     if strategy == "shatr":
         attach(m)
     try:
@@ -129,8 +128,9 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
             raise ValueError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
     strategies = tuple(s for s in STRATEGIES if s in strategies)
     check_budget(budget)
-    if cost_model is None:
-        cost_model = CostModel()
+    cost_model = CostModel() if cost_model is None else cost_model
+    if not isinstance(cost_model, CostModel):
+        raise ValueError(f"cost_model must be a CostModel, got {cost_model!r}")
 
     kernels = {}
     routines = {}
@@ -149,12 +149,13 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                 if key not in kernels:
                     kernels[key] = generate_kernel(strategy, vs.variant, routines)
                 status, detail, m = _run_one(
-                    kernels[key], strategy, vector, memory_size, cost_model,
-                    budget, translations)
+                    kernels[key], strategy, vector, memory_size, budget,
+                    translations)
                 stats = m.stats
+                vector_cycles = cost_model.cycles(stats.counts)
                 outcomes.append(VectorOutcome(
                     vs.variant, strategy, msg_class, index, vector.length_bits,
-                    status, detail, stats.total_retired, stats.total_cycles))
+                    status, detail, stats.total_retired, vector_cycles))
                 g = groups.setdefault(
                     (vs.variant, strategy, msg_class),
                     BenchGroup(vs.variant, strategy, msg_class))
@@ -163,7 +164,7 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                 g.failed += status == "fail"
                 g.errors += status == "error"
                 g.total_retired += stats.total_retired
-                g.total_cycles += stats.total_cycles
+                g.total_cycles += vector_cycles
                 for cat, n in stats.counts.items():
                     g.counts[cat] += n
                 g.region_entries += stats.region_entry_count.get(_REGION, 0)
@@ -172,17 +173,17 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
 
     def order(key):
         variant, strategy, msg_class = key
-        return (variant, STRATEGIES.index(strategy), _CLASSES.index(msg_class))
+        return (variant, STRATEGIES.index(strategy), BUNDLED_CLASSES.index(msg_class))
 
     sorted_groups = [groups[k] for k in sorted(groups, key=order)]
     outcomes.sort(key=lambda o: (o.variant, STRATEGIES.index(o.strategy),
-                                 _CLASSES.index(o.msg_class), o.index))
+                                 BUNDLED_CLASSES.index(o.msg_class), o.index))
 
     speedups = []
     cycles = {(g.variant, g.msg_class, g.strategy): g.total_cycles
               for g in sorted_groups}
     seen = sorted({(g.variant, g.msg_class) for g in sorted_groups},
-                  key=lambda vc: (vc[0], _CLASSES.index(vc[1])))
+                  key=lambda vc: (vc[0], BUNDLED_CLASSES.index(vc[1])))
     for variant, msg_class in seen:
         base = cycles.get((variant, msg_class, "shatr"))
         if not base:

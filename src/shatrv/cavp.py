@@ -52,7 +52,7 @@ def parse_rsp(text, *, variant=None, source="<string>"):
     the first digest's length; disagreement between any of these is an
     error.  Raises CavpError with a line number on malformed input.
     """
-    if variant is not None and variant not in keccak.VARIANTS:
+    if variant is not None and variant not in tuple(keccak.VARIANTS):
         raise ValueError(f"unknown variant {variant!r}")
 
     resolved = variant
@@ -136,7 +136,7 @@ def parse_rsp(text, *, variant=None, source="<string>"):
 
 
 def _bundle_name(variant, msg_class):
-    if variant not in keccak.VARIANTS:
+    if variant not in tuple(keccak.VARIANTS):
         raise ValueError(f"unknown variant {variant!r}")
     if msg_class not in BUNDLED_CLASSES:
         raise ValueError(f"unknown vector class {msg_class!r}")

@@ -101,7 +101,11 @@ def _load_sets(args):
             else:
                 paths.append(path)
         for path in paths:
-            vs = parse_rsp(path.read_text(), source=path.name)
+            try:
+                text = path.read_text()
+            except UnicodeDecodeError as e:
+                raise CavpError(f"{path}: {e}") from None
+            vs = parse_rsp(text, source=path.name)
             if vs.variant in variants:
                 sets.append(vs)
     else:

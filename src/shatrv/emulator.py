@@ -22,8 +22,8 @@ RV64I rotate (srli/slli/or) and and-not (xori -1/and/xor) triples into
 one entry each; a fused triple still retires and counts as three
 instructions, and step() never fuses. A block's per-category counts are
 added before it runs, and a fault takes back those of the faulting
-instruction and the ones after it; cycles are priced from the counts when
-read. Regions are read off the counts (ExecutionStats) and never count
+instruction and the ones after it; a CostModel prices the counts outside
+the machine. Regions are read off the counts (ExecutionStats) and never count
 hypercall ecalls. A Translations cache, which machines may share, maps each
 word to its closure or entry, each (code bytes, unit attached) to its
 blocks, which never change, and each distinct run to the one executor
@@ -109,8 +109,8 @@ class BudgetExceeded(EmulatorError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Cycles per retired instruction. Frozen, because a machine's stats
-    price their counts with the model the machine was built with."""
+    """Cycles per retired instruction. It prices counts a machine has
+    already made, so one run can be priced under any number of models."""
     base_cycles_per_instruction: int = 1
     extra_mem_access_cycles: int = 0
     shatr_cycles: int = 1
@@ -121,14 +121,15 @@ class CostModel:
             if type(value) is not int or value < 0:
                 raise ValueError(f"{f.name} must be a non-negative int, got {value!r}")
 
-    def category_cycles(self):
-        """Cycles of one instruction of each category, indexed like
-        CATEGORIES: shatr costs shatr_cycles instead of the base."""
+    def cycles(self, counts):
+        """Cycles of a dict of per-category counts (a machine's, a region's
+        or a group's): shatr costs shatr_cycles instead of the base, and a
+        load or store the base plus extra_mem_access_cycles."""
         base = self.base_cycles_per_instruction
         mem = base + self.extra_mem_access_cycles
-        return tuple(self.shatr_cycles if c == CUSTOM
-                     else mem if c in (MEM_READ, MEM_WRITE) else base
-                     for c in CATEGORIES)
+        return sum(n * (self.shatr_cycles if c == CUSTOM
+                        else mem if c in (MEM_READ, MEM_WRITE) else base)
+                   for c, n in counts.items())
 
 
 class ExecutionStats:
@@ -137,8 +138,7 @@ class ExecutionStats:
     adds them back, so each span counts what they gained in it, and an
     open region counts up to now. Regions never count "other"."""
 
-    def __init__(self, cost_model):
-        self.cost_model = cost_model        # prices total_cycles
+    def __init__(self):
         self._counts = [0] * len(CATEGORIES)
         self._regions = defaultdict(lambda: [0] * len(CATEGORIES))
         self._open = set()
@@ -170,11 +170,6 @@ class ExecutionStats:
     @property
     def total_retired(self):
         return sum(self._counts)
-
-    @property
-    def total_cycles(self):
-        return sum(map(operator.mul, self._counts,
-                       self.cost_model.category_cycles()))
 
 
 def _signed(v):
@@ -672,8 +667,7 @@ class Translations:
 
 
 class Machine:
-    def __init__(self, memory_size=DEFAULT_MEMORY_SIZE, cost_model=None,
-                 translations=None):
+    def __init__(self, memory_size=DEFAULT_MEMORY_SIZE, translations=None):
         """`translations` shares a Translations cache with other machines;
         by default the machine gets a private one."""
         if sys.byteorder != "little":
@@ -685,8 +679,6 @@ class Machine:
         if memory_size > MAX_MEMORY_SIZE:
             raise ValueError(f"memory too large: {memory_size} "
                              f"(at most {MAX_MEMORY_SIZE} bytes)")
-        if cost_model is not None and not isinstance(cost_model, CostModel):
-            raise ValueError(f"cost_model must be a CostModel, got {cost_model!r}")
         if translations is not None and not isinstance(translations, Translations):
             raise ValueError(
                 f"translations must be a Translations, got {translations!r}")
@@ -697,7 +689,7 @@ class Machine:
         self.pc = CODE_BASE
         self.halted = False
         self.exit_status = None
-        self.stats = ExecutionStats(cost_model or CostModel())
+        self.stats = ExecutionStats()
         self.emitted = []
         self.round_unit = None
         self._translations = (translations if translations is not None

@@ -213,7 +213,9 @@ def pad_message(message, rate_bytes):
 
 def sha3_digest(message, variant):
     """Hash message with one of the VARIANTS keys or a SpongeParams."""
-    params = VARIANTS[variant] if isinstance(variant, str) else variant
+    if not isinstance(variant, SpongeParams) and variant not in tuple(VARIANTS):
+        raise ValueError(f"unknown variant {variant!r}")
+    params = variant if isinstance(variant, SpongeParams) else VARIANTS[variant]
     rate = params.rate_bytes
     padded = pad_message(message, rate)
     lanes = [0] * 25

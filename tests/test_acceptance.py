@@ -15,7 +15,7 @@ from shatrv import isa, keccak
 from shatrv.asm import assemble, disassemble
 from shatrv.bench import emit_report, run_benchmark
 from shatrv.cavp import BUNDLED_CLASSES, load_bundled
-from shatrv.emulator import CODE_BASE, Machine
+from shatrv.emulator import CODE_BASE, CostModel, Machine
 from shatrv.keccak import VARIANTS, chi, iota, keccak_f, keccak_round, pi, rho, theta
 from shatrv.kernels import STRATEGIES, generate_kernel
 from shatrv.shatr import attach, encode_shatr
@@ -240,6 +240,15 @@ def test_bundled_report_hash_is_golden(bench_twice):
     blob = bench_twice[1]
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         "594879a709106d4667e28c62bb482324c9ce0a8ee5fc05931c042ef527415704"
+
+
+def test_priced_report_hash_is_golden(bundled_sets):
+    # the same report priced by a non-flat model: its cycles are the counts
+    # above priced with memory and shatr latencies, so its bytes hold too
+    report = run_benchmark(bundled_sets, cost_model=CostModel(
+        extra_mem_access_cycles=2, shatr_cycles=4))
+    assert hashlib.sha256(emit_report(report, "json").encode()).hexdigest() == \
+        "9b9d400a1cb47fcadec9080c6d9ba43980c57ccb641a9a238a1427cc22c37493"
 
 
 def test_criterion_8_suite_runtime():

@@ -145,6 +145,14 @@ class TestRunBenchmark:
         assert (str(from_bench.value) == str(from_run.value)
                 == f"budget must be None or a non-negative int, got {budget!r}")
 
+    @pytest.mark.parametrize("cost_model, message", [
+        ("x", "cost_model must be a CostModel, got 'x'"),
+        ({}, "cost_model must be a CostModel"),
+    ], ids=["cost-model-str", "cost-model-dict"])
+    def test_a_bad_cost_model_is_refused(self, cost_model, message):
+        with pytest.raises(ValueError, match=message):
+            run_benchmark([SMALL], strategies=("shatr",), cost_model=cost_model)
+
     def test_no_budget_means_no_limit(self):
         report = run_benchmark([SMALL], strategies=("shatr",), budget=None)
         assert all(o.status == "pass" for o in report.outcomes)

@@ -131,3 +131,13 @@ class TestBundled:
     def test_unknown_bundle(self):
         with pytest.raises(ValueError):
             load_bundled("sha3-256", "medium")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_rsp("", variant=[]),
+    lambda: load_bundled([], "short"),
+    lambda: keccak.sha3_digest(b"", []),
+], ids=["parse-rsp", "load-bundled", "sha3-digest"])
+def test_a_bad_variant_name_is_a_value_error(call):
+    with pytest.raises(ValueError, match="unknown variant"):
+        call()

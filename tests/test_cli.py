@@ -88,6 +88,7 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and reason in captured.err
+        assert "SHA3_256ShortMsg.rsp" in captured.err
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert not out.exists()

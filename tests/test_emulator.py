@@ -68,8 +68,8 @@ def image(words):
     return b"".join(w.to_bytes(4, "little") for w in words)
 
 
-def run_words(words, mem=MEM, cost=None, setup=None):
-    m = Machine(memory_size=mem, cost_model=cost)
+def run_words(words, mem=MEM, setup=None):
+    m = Machine(memory_size=mem)
     m.load_program(image(words))
     if setup:
         setup(m)
@@ -716,7 +716,7 @@ class TestAccounting:
         m = run_words(ws)
         stats = m.stats
         assert sum(stats.counts.values()) == stats.total_retired
-        assert stats.total_cycles == stats.total_retired
+        assert CostModel().cycles(stats.counts) == stats.total_retired
         assert stats.counts["mem_read"] == 1
         assert stats.counts["mem_write"] == 1
         assert stats.counts["branch"] == 1
@@ -725,8 +725,9 @@ class TestAccounting:
     def test_memory_latency_knob(self):
         ws = [enc_u(0x37, 2, 2), enc_s(0x23, 3, 2, 1, 0), enc_i(0x03, 4, 3, 2, 0)]
         ws += exit_seq()
-        m = run_words(ws, cost=CostModel(extra_mem_access_cycles=3))
-        assert m.stats.total_cycles == m.stats.total_retired + 3 * 2
+        m = run_words(ws)
+        cycles = CostModel(extra_mem_access_cycles=3).cycles(m.stats.counts)
+        assert cycles == m.stats.total_retired + 3 * 2
 
     @pytest.mark.parametrize("field", [
         "base_cycles_per_instruction", "extra_mem_access_cycles", "shatr_cycles"])
@@ -776,12 +777,9 @@ class TestLoader:
             Machine(memory_size=size)
 
     @pytest.mark.parametrize("machine_args, message", [
-        ({"cost_model": "x"}, "cost_model must be a CostModel, got 'x'"),
-        ({"cost_model": {}}, "cost_model must be a CostModel"),
         ({"translations": "y"}, "translations must be a Translations, got 'y'"),
         ({"translations": {}}, "translations must be a Translations"),
-    ], ids=["cost-model-str", "cost-model-dict", "translations-str",
-            "translations-dict"])
+    ], ids=["translations-str", "translations-dict"])
     def test_a_bad_cost_model_or_cache_fails_at_construction(
             self, machine_args, message):
         with pytest.raises(ValueError, match=message):
@@ -903,7 +901,8 @@ class TestLoader:
         runs = [run_words(ws) for _ in range(2)]
         assert runs[0].regs == runs[1].regs
         assert runs[0].stats.counts == runs[1].stats.counts
-        assert runs[0].stats.total_cycles == runs[1].stats.total_cycles
+        assert CostModel().cycles(runs[0].stats.counts) \
+            == CostModel().cycles(runs[1].stats.counts)
 
 
 class TestCsrAndExtensions:

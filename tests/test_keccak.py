@@ -342,5 +342,5 @@ class TestDigests:
             assert len(keccak.sha3_digest(b"xyz", variant)) == params.digest_bytes
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown variant 'sha3-333'"):
             keccak.sha3_digest(b"", "sha3-333")

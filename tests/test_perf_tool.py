@@ -1,6 +1,7 @@
 """tools/perf.py: the summary of alternating parent/change benchmark runs,
 on canned perfbench/run.py result lines."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -112,3 +113,19 @@ def test_src_lines_counts_the_py_files_under_src_shatrv(tmp_path):
     (package / "notes.txt").write_text("not\ncode\n")
     (tmp_path / "src" / "other.py").write_text("z = 3\n")
     assert perf.src_lines(tmp_path) == 4
+
+
+def test_report_sha256_passes_the_flags_to_the_cli(monkeypatch, tmp_path):
+    calls = []
+
+    def run(argv, cwd, env, capture_output, check):
+        calls.append((argv, cwd, env["PYTHONPATH"]))
+        out = pathlib.Path(argv[argv.index("--out") + 1])
+        out.write_bytes(" ".join(argv[4:argv.index("--out")]).encode())
+
+    monkeypatch.setattr(perf.subprocess, "run", run)
+    assert perf.report_sha256(tmp_path) == hashlib.sha256(b"").hexdigest()
+    assert perf.report_sha256(tmp_path, *perf.PRICED) == \
+        hashlib.sha256(b"--mem-latency 2 --shatr-cycles 4").hexdigest()
+    assert [argv[1:4] for argv, _, _ in calls] == [["-m", "shatrv.cli", "bench"]] * 2
+    assert {(cwd, path) for _, cwd, path in calls} == {(tmp_path, str(tmp_path / "src"))}

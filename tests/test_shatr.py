@@ -112,13 +112,13 @@ class TestRoundEquivalence:
 
     def test_counts_as_custom_with_shatr_cycles(self):
         from shatrv.emulator import CostModel
-        m = Machine(memory_size=MEM, cost_model=CostModel(shatr_cycles=5))
+        m = Machine(memory_size=MEM)
         attach(m)
         m.load_program(image([isa.encode("shatr", rs1=0)] + exit_seq()))
         m.run()
         assert m.stats.counts["custom"] == 1
         # 3 base-cost instructions + one 5-cycle shatr
-        assert m.stats.total_cycles == 3 + 5
+        assert CostModel(shatr_cycles=5).cycles(m.stats.counts) == 3 + 5
 
 
 class TestLaneCsrFile:

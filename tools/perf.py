@@ -21,7 +21,8 @@ each side's median and quartiles and the number of pairs the change won.
 in the same alternating order, and records per per-layer metric each
 side's values, median and quartiles with the change - parent delta of
 the medians, and the SHA-256 of each side's bundled `shatrv bench` JSON
-report.
+report: report_sha256 at the default cost model, priced_report_sha256
+with the PRICED flags.
 
 src_lines gives each side's count of lines in the .py files under
 src/shatrv.
@@ -44,6 +45,8 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACED_PAIRS = 3
+# a non-flat cost model, so that a report's priced cycles are checked too
+PRICED = ("--mem-latency", "2", "--shatr-cycles", "4")
 
 
 class PerfError(Exception):
@@ -85,13 +88,15 @@ def run_bench(checkout, workload, seed, seconds, trace):
     return lines[-1]
 
 
-def report_sha256(checkout):
-    """SHA-256 of the bundled `shatrv bench` JSON report built in checkout."""
+def report_sha256(checkout, *flags):
+    """SHA-256 of the bundled `shatrv bench` JSON report built in checkout,
+    with these extra `shatrv bench` flags."""
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "report.json"
         env = _child_env()
         env["PYTHONPATH"] = str(pathlib.Path(checkout) / "src")
-        subprocess.run([sys.executable, "-m", "shatrv.cli", "bench", "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "shatrv.cli", "bench", *flags,
+                        "--out", str(out)],
                        cwd=checkout, env=env, capture_output=True, check=True)
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
@@ -212,6 +217,9 @@ def main(argv=None):
                     for w in workloads}
                 result["report_sha256"] = {side: report_sha256(sides[side])
                                            for side in ("parent", "change")}
+                result["priced_report_sha256"] = {
+                    side: report_sha256(sides[side], *PRICED)
+                    for side in ("parent", "change")}
         except (PerfError, subprocess.SubprocessError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
