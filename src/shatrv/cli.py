@@ -174,7 +174,10 @@ def _cmd_gen_kernels(args):
 
 
 def _cmd_asm(args):
-    source = pathlib.Path(args.input).read_text()
+    try:
+        source = pathlib.Path(args.input).read_text()
+    except UnicodeDecodeError as e:
+        raise AsmError(f"{args.input}: {e}") from None
     program = assemble(source)
     out = pathlib.Path(args.out or pathlib.Path(args.input).with_suffix(".bin"))
     out.write_bytes(program.code)

@@ -27,12 +27,17 @@ the machine. Regions are read off the counts (ExecutionStats) and never count
 hypercall ecalls. A Translations cache, which machines may share, maps each
 word to its closure or entry, each (code bytes, unit attached) to its
 blocks, which never change, and each distinct run to the one executor
-every block holding it shares: it fuses the run once, interprets it, and
-from its _HOT-th call runs the unfused run compiled to one Python
-function over registers in locals. Each segment of that opens with one
-guard per base register that proves no access in it can fault: the base
-is aligned to its largest access and inside memory. A failed guard hands
-the rest of the run to the interpreter, which alone raises faults.
+every block holding it shares. A block whose branch or jal lands back in
+it splits its run there: the rest is a loop body, whose runs the block
+at the target holds too. An executor fuses its run once, interprets it, and
+from its _HOT-th call (_HOT_LOOP-th for a loop body) runs the unfused run
+compiled to one Python function over registers in locals. Each segment
+of that opens with one guard per base register that proves no access in
+it can fault: the base is aligned to its largest access and inside
+memory; where the segment stores, the guard also proves the spans of its
+bases disjoint. Inside a segment a load of bytes it has loaded or stored
+at that width reads the local that holds them. A failed guard hands the
+rest of the run to the interpreter, which alone raises faults.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -400,15 +405,17 @@ def _run(entries):
     return ex
 
 
-# A straight-line run is compiled on its _HOT-th call. A run breaks even
-# after its compile time over the time a compiled call saves, measured on
-# a 2-vCPU Xeon with Python 3.11: sw-mem's 460-entry round run compiles
-# in 6-12 ms and saves 60-130 us a call (0.3x), even after 74-107 calls;
-# sw-regopt's 5,600-entry permutation run compiles in 110-150 ms and saves
-# 0.5-0.7 ms a call (0.4x), even after 187-244 calls. _HOT sits above
-# both, so the permutation run, which runs at most 239 times in one
-# `shatrv bench` call (the bundled vectors), stays cold.
+# A straight-line run is compiled on its _HOT-th call, a loop body on its
+# _HOT_LOOP-th. A run breaks even after its compile time over the time a
+# compiled call saves, measured on a 2-vCPU Xeon with Python 3.11: sw-mem's
+# 460-entry round, a loop body, compiles with its loads forwarded in 8-11
+# ms and saves 100-115 us a call, even after 74-101 calls, which sets
+# _HOT_LOOP; sw-regopt's 5,600-entry permutation run, which is no loop
+# body, compiles in 90-160 ms and saves 0.3-0.65 ms a call, even after
+# 190-320 calls. It runs at most 239 times in one `shatrv bench` call (the
+# bundled vectors), below _HOT, so it stays cold.
 _HOT = 300
+_HOT_LOOP = 80
 
 # the expression of an op on 64-bit images that needs no call; M is the
 # 64-bit mask, which xor, or, and and a right shift never need
@@ -479,27 +486,49 @@ def _compile(entries):
     """The compiled function of a straight-line run: its unfused entries
     (a key of Translations.runs) as plain Python over registers held in
     locals, x0 read as 0. The run is cut into segments (_segments); each
-    opens with one guard per base register (_guard), after which its
-    accesses are bare indexes into the views.
+    opens with one guard per base register (_guard) and, if it stores,
+    one test per pair of bases that their spans overlap, after which its
+    accesses are bare indexes into the views. Inside a segment a load of
+    a (base, offset, view) the segment has loaded, or stored at that
+    width, reads the local that holds the value, and a store forgets the
+    values of the bytes it overlaps; a value's local is never written
+    while a register or such a fact still holds it.
     A failed guard writes the locals back, points pc at the segment and
     runs _run of the rest of the run, which finishes it or raises what
     step() would. Each call of the function otherwise does what a call of
     _run(entries) does."""
+    names = {}      # register -> the local holding it, once written
     def reg(n):
-        return f"x{n}" if n else "0"
+        return names.get(n, f"x{n}") if n else "0"
+
+    def target(n):
+        # the local a new value of register n goes in: a fresh one, named
+        # by the line that writes it, while its own is still held
+        name = reg(n)
+        if (name == "0" or name in facts.values()
+                or list(names.values()).count(name) > (n in names)):
+            name = f"v{len(lines)}"
+        names[n] = name
+        return name
 
     env, ops, views = {"_run": _run, "E": entries}, {}, set()
     lines, written, live = [], set(), set()
     starts = _segments(entries)
     for start, stop in zip(starts, starts[1:] + [len(entries)]):
-        bases = {}
+        bases, facts = {}, {}
         for e in entries[start:stop]:
             if e and e[0] >= _LOAD:
                 bases.setdefault(e[3], []).append((e[0], e[4], e[5] + 1))
         tests = [_guard(reg(s), accesses) for s, accesses in bases.items()]
+        if any(kind == _STORE for accesses in bases.values() for kind, _, _ in accesses):
+            spans = [(reg(s), min(x for _, x, _ in a), max(x + n for _, x, n in a))
+                     for s, a in bases.items()]
+            tests += [f"{lo2 - hi1} < {b1} - {b2} < {hi2 - lo1}"
+                      for i, (b1, lo1, hi1) in enumerate(spans)
+                      for b2, lo2, hi2 in spans[i + 1:]]
         if tests:
             lines.append(f"if {' or '.join(tests)}:")
-            lines += [f"    r[{n}] = x{n}" for n in sorted(written)]
+            lines += [f"    r[{n}] = {reg(n)}" for n in sorted(written)]
             if start:
                 lines.append(f"    m.pc += {4 * start}")
             lines.append(f"    return _run(E[{start}:])(m)")
@@ -516,19 +545,27 @@ def _compile(entries):
                 index = _plus(f"b{s}_{w}", x >> w)
                 views.add(op)
                 if kind == _STORE:
-                    value = reg(d) if mask == _M64 else f"{reg(d)} & {mask}"
-                    lines.append(f"V{op}[{index}] = {value}")
+                    facts = {k: v for k, v in facts.items() if k[0] != s
+                             or k[1] + _VIEWS[k[2]][1] <= x or x + align < k[1]}
+                    value = reg(d) if mask == _M64 else f"v{len(lines)}"
+                    lines.append(f"V{op}[{index}] = {value}" + (
+                        f" = {reg(d)} & {mask}" if mask != _M64 else ""))
+                    facts[s, x, op] = value
+                elif d and (s, x, op) in facts:
+                    names[abs(d)] = facts[s, x, op]
                 elif d:
-                    lines.append(f"x{abs(d)} = V{op}[{index}]"
-                                 + (f" & {_M64}" if d < 0 else ""))
+                    value = f"V{op}[{index}]" + (f" & {_M64}" if d < 0 else "")
+                    lines.append(f"{target(abs(d))} = {value}")
+                    facts[s, x, op] = reg(abs(d))
             else:
                 b = reg(x) if kind == _REG else str(x)
                 template = _EXPR.get(op)
                 if template is None:
                     template = ops.setdefault(op, f"f{len(ops)}") + "({}, {}) & {M}"
-                lines.append(f"x{d} = " + template.format(reg(s), b, M=_M64))
+                value = template.format(reg(s), b, M=_M64)
+                lines.append(f"{target(d)} = {value}")
             written.update(n for n in _writes(e) if n)
-    lines += [f"r[{n}] = x{n}" for n in sorted(written)]
+    lines += [f"r[{n}] = {reg(n)}" for n in sorted(written)]
     lines.append(f"m.pc += {4 * len(entries)}")
     prologue = ["r = m.regs"] + [f"x{n} = r[{n}]" for n in sorted(live - {0})]
     if views:
@@ -541,18 +578,19 @@ def _compile(entries):
     return env["run"]
 
 
-def _executor(run):
+def _executor(run, loop):
     """The one executor of a straight-line run, given by its unfused
     entries: it fuses them once and interprets them (_run) until its
-    _HOT-th call, which compiles the unfused entries (_compile); every
-    later call runs the compiled function."""
+    _HOT-th call, or _HOT_LOOP-th for a loop body, which compiles the
+    unfused entries (_compile); every later call runs the compiled
+    function."""
     cold = _run(_fuse(run))
     calls, compiled = 0, None
     def ex(m):
         nonlocal calls, compiled
         if compiled is None:
             calls += 1
-            if calls < _HOT:
+            if calls < (_HOT_LOOP if loop else _HOT):
                 return cold(m)
             compiled = _compile(run)
         return compiled(m)
@@ -656,10 +694,12 @@ class Translations:
         self.runs = {}
         self._tables = {}
 
-    def run(self, entries):
-        """The executor of the straight-line run of these unfused entries."""
+    def run(self, entries, loop):
+        """The executor of the straight-line run of these unfused entries;
+        `loop` says the run is a loop body, which the first block to hold
+        it decides."""
         runs = self.runs
-        return runs.get(entries) or runs.setdefault(entries, _executor(entries))
+        return runs.get(entries) or runs.setdefault(entries, _executor(entries, loop))
 
     def blocks(self, code, attached):
         """The table of blocks, by entry pc, for this key."""
@@ -793,22 +833,20 @@ class Machine:
         faults once the guest reaches it). The first word goes through
         _build's fetch checks; the rest are read off the word view of the
         code, and only one the cache lacks goes through _build. Each stretch
-        of instructions with a straight-line entry becomes one run executor."""
-        executor = self._translations.run
+        of instructions with a straight-line entry becomes one run executor,
+        split at the target of a branch or jal back into the block: from
+        there on the block is a loop body, whose runs the block at the
+        target holds too."""
         words, attached = self._translations.words, self.round_unit is not None
         code, i = self._words, (pc - CODE_BASE) >> 2
-        executors, cats, run = [], [], []
+        cats, entries, closures = [], [], {}
         cached = self._build(pc)
         while True:
             ex, cat, entry = cached
-            if entry is None:
-                if run:
-                    executors.append(executor(tuple(run)))
-                    run = []
-                executors.append(ex)
-            else:
-                run.append(entry)
+            if ex is not None:
+                closures[len(cats)] = ex
             cats.append(cat)
+            entries.append(entry)
             i += 1
             if cat in _ENDS_BLOCK or i == len(code):
                 break
@@ -816,9 +854,16 @@ class Machine:
                 cached = words.get((code[i], attached)) or self._build(CODE_BASE + 4 * i)
             except (CsrFault, DecodeError):
                 break
-        if run:
-            executors.append(executor(tuple(run)))
-        return _block(executors, cats)
+        # the index the block's backward branch or jal lands on, if any
+        loop = len(cats)
+        if cat == CATEGORY_INDEX[BRANCH]:
+            inst = isa.decode(code[i - 1])
+            if (inst.mnemonic != "jalr" and -4 * loop < inst.imm <= 0
+                    and not inst.imm & 3):
+                loop += (inst.imm >> 2) - 1
+        bounds = sorted({0, loop, len(cats), *closures, *[c + 1 for c in closures]})
+        return _block([closures.get(a) or self._translations.run(tuple(entries[a:b]), a >= loop)
+                       for a, b in zip(bounds, bounds[1:])], cats)
 
     # -- hypercalls --------------------------------------------------------
 

@@ -250,3 +250,13 @@ class TestAsmDisasm:
         src.write_text("bogus x1\n")
         assert main(["asm", str(src)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_asm_of_a_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "prog.s"
+        src.write_bytes(b"\xff\xfe")
+        assert main(["asm", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {src}: ")
+        assert "can't decode" in captured.err and captured.err.count("\n") == 1
+        assert not (tmp_path / "prog.bin").exists()

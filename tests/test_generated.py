@@ -19,6 +19,7 @@ written from the RISC-V spec, and the assembler's statement memo against
 assembling without it.
 Hypothesis runs derandomized, so the suite is reproducible."""
 
+import importlib.util
 import itertools
 from unittest import mock
 
@@ -27,6 +28,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from shatrv import asm, emulator, isa, keccak
 from shatrv.asm import AsmError, assemble
+from shatrv.bench import run_benchmark
+from shatrv.cavp import BUNDLED_CLASSES, load_bundled
 from shatrv.emulator import (
     CODE_BASE, BudgetExceeded, CostModel, CsrFault, DecodeError, EmulatorError,
     HypercallFault, Machine, MemoryFault, Translations,
@@ -723,8 +726,9 @@ def test_memory_access_matches_the_reference(mnemonic, cls, data):
 
 @pytest.fixture
 def compiled_tier(monkeypatch):
-    """Every straight-line run compiles on its first call."""
+    """Every straight-line run, loop bodies too, compiles on its first call."""
     monkeypatch.setattr(emulator, "_HOT", 1)
+    monkeypatch.setattr(emulator, "_HOT_LOOP", 1)
 
 
 def test_step_until_halt_matches_a_compiled_run(compiled_tier, stepped):
@@ -870,6 +874,114 @@ def test_compiled_guards_hand_back_what_the_interpreter_does(
         assert outcome(machine(), Machine.run) == stepped
     assert hot.call_count >= 1
     assert cold.call_count == 0
+
+
+# a run that reloads bytes it has just loaded or stored, through another
+# base register (x6, at x5 + 0, + 4 or + 8) or at another width through
+# the same one: a compiled run must read what memory holds, so overlapping
+# bases hand the segment back, a store forgets what it overlaps and a
+# narrow store's value is reloaded masked to its width
+_ALIASED = (_enc("lw", rd=18, rs1=6) + _enc("sd", rs1=5, rs2=19)
+            + _enc("lw", rd=20, rs1=6))
+
+
+@pytest.mark.parametrize("code, x6", [
+    (_ALIASED, DATA),
+    (_ALIASED, DATA + 4),
+    (_ALIASED, DATA + 8),
+    (_enc("sd", rs1=5, rs2=19) + _enc("lw", rd=20, rs1=5), DATA),
+    (_enc("sd", rs1=5, rs2=19) + _enc("lbu", rd=20, rs1=5), DATA),
+    (_enc("sd", rs1=5, rs2=19) + _enc("lb", rd=20, rs1=5, imm=7), DATA),
+    (_enc("ld", rd=18, rs1=5) + _enc("sb", rs1=5, rs2=19, imm=3)
+     + _enc("ld", rd=20, rs1=5), DATA),
+    (_enc("sw", rs1=5, rs2=19, imm=4) + _enc("lwu", rd=20, rs1=5, imm=4)
+     + _enc("add", rd=21, rs1=19), DATA),
+], ids=["alias", "alias-overlapping", "disjoint", "sd-lw", "sd-lbu", "sd-lb",
+        "sb-ld", "sw-lwu"])
+def test_reloads_in_a_compiled_run_read_what_steps_read(compiled_tier, code, x6):
+    def machine():
+        m = _region_machine(code + _EXIT)
+        m.memory[DATA:DATA + 16] = bytes(range(0x81, 0x91))
+        m.regs[5:7] = DATA, x6
+        m.regs[19] = 0xF0E1D2C3B4A59687
+        return m
+
+    stepped = machine()
+    while not stepped.halted:
+        stepped.step()
+    with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        ran = machine()
+        ran.run()
+    assert compile_.call_count == 1
+    assert _observed(ran) + (ran.memory,) == _observed(stepped) + (stepped.memory,)
+
+
+def test_a_loop_entry_and_its_back_edge_share_one_body():
+    # the round loop's entry block holds the prologue as a run of its own,
+    # then the round, which is the back-edge block's run
+    shared = Translations()
+    image = generate_kernel("sw-mem", "sha3-256")
+    m = Machine(memory_size=MEM, translations=shared)
+    m.load_program(image)
+    assert m.run() == 0
+    lengths = sorted(map(len, shared.runs))
+    assert lengths[-1] == 460 and 468 not in lengths
+    body = shared.runs[max(shared.runs, key=len)]
+    table = shared.blocks(m._code, False)
+    holders = sorted(pc for pc, b in table.items() if body in b.executors)
+    assert len(holders) == 2 and holders[0] < holders[1] == image.symbols["mem_round"]
+
+
+# 200 rounds of a 5-entry loop body that the block of a 2-entry prologue
+# enters mid-block: x5 counts down, x6 steps, x9 sums x6 through memory
+_MID_BLOCK_LOOP = b"".join([
+    _enc("addi", rd=5, imm=200),
+    _enc("lui", rd=7, imm=DATA >> 12),
+    _enc("addi", rd=6, rs1=6, imm=7),
+    _enc("sd", rs1=7, rs2=6, imm=8),
+    _enc("ld", rd=8, rs1=7, imm=8),
+    _enc("add", rd=9, rs1=9, rs2=8),
+    _enc("addi", rd=5, rs1=5, imm=-1),
+    _enc("bne", rs1=5, rs2=0, imm=-20),
+]) + _EXIT
+
+
+def test_a_loop_that_starts_mid_block_runs_like_steps():
+    stepped = _region_machine(_MID_BLOCK_LOOP)
+    while not stepped.halted:
+        stepped.step()
+    shared = Translations()
+    ran = Machine(memory_size=_MEMORY_SIZE, translations=shared)
+    ran.load_program(_MID_BLOCK_LOOP)
+    with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        ran.run()
+    assert sorted(map(len, shared.runs)) == [1, 2, 5]
+    assert 5 in [len(run) for (run,), _ in compile_.call_args_list]
+    assert _observed(ran) + (ran.memory,) == _observed(stepped) + (stepped.memory,)
+    assert ran.regs[9] == 7 * 200 * 201 // 2
+
+
+@pytest.fixture
+def shipped_thresholds(monkeypatch):
+    """_HOT and _HOT_LOOP as emulator.py sets them, where a caller has
+    forced them too: read off a fresh copy of the module."""
+    spec = importlib.util.find_spec("shatrv.emulator")
+    shipped = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shipped)
+    for name in ("_HOT", "_HOT_LOOP"):
+        monkeypatch.setattr(emulator, name, getattr(shipped, name))
+
+
+def test_a_bundled_bench_compiles_the_round_and_not_the_permutation(
+        shipped_thresholds):
+    # sw-regopt's 5,600-entry straight-line permutation runs fewer times
+    # than _HOT in one bundled bench call; sw-mem's round loop reaches
+    # _HOT_LOOP
+    sets = [load_bundled(v, c) for v in keccak.VARIANTS for c in BUNDLED_CLASSES]
+    with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        run_benchmark(sets)
+    lengths = [len(run) for (run,), _ in compile_.call_args_list]
+    assert 460 in lengths and max(lengths) < 5600
 
 
 # -- ALU executors against the spec -----------------------------------------
