@@ -413,7 +413,12 @@ def _run(entries):
 # _HOT_LOOP; sw-regopt's 5,600-entry permutation run, which is no loop
 # body, compiles in 90-160 ms and saves 0.3-0.65 ms a call, even after
 # 190-320 calls. It runs at most 239 times in one `shatrv bench` call (the
-# bundled vectors), below _HOT, so it stays cold.
+# bundled vectors), below _HOT, so it stays cold. Loop-ness, not size,
+# picks the threshold, as a compile pays only if enough calls follow it:
+# each later entry of a hot loop calls its body once a trip (24 times a
+# permutation for the round), while a run outside a loop is called once
+# a call of the code around it, which may stop first, as that
+# permutation run stops at 239 calls, inside its break-even.
 _HOT = 300
 _HOT_LOOP = 80
 
@@ -502,11 +507,13 @@ def _compile(entries):
         return names.get(n, f"x{n}") if n else "0"
 
     def target(n):
-        # the local a new value of register n goes in: a fresh one, named
-        # by the line that writes it, while its own is still held
-        name = reg(n)
-        if (name == "0" or name in facts.values()
-                or list(names.values()).count(name) > (n in names)):
+        # the local a new value of register n goes in: its own, x{n}, unless
+        # a fact or another register still holds that, then a fresh one
+        # named by the line that writes it. Only x{n} is ever rewritten,
+        # and another register holds it only through names.
+        name = f"x{n}"
+        if (name in facts.values()
+                or list(names.values()).count(name) > (names.get(n) == name)):
             name = f"v{len(lines)}"
         names[n] = name
         return name

@@ -883,6 +883,12 @@ def test_compiled_guards_hand_back_what_the_interpreter_does(
 # narrow store's value is reloaded masked to its width
 _ALIASED = (_enc("lw", rd=18, rs1=6) + _enc("sd", rs1=5, rs2=19)
             + _enc("lw", rd=20, rs1=6))
+# x20 reads x19 through a stored and reloaded doubleword; once that fact
+# is gone (a later store, or the next segment), a new x20 or x19 must not
+# land in the local that the other still holds
+_REUSED = (_enc("sd", rs1=5, rs2=19) + _enc("ld", rd=20, rs1=5)
+           + _enc("sd", rs1=5, rs2=21))
+_RENAMED = _enc("addi", rd=20, rs1=20, imm=1) + _enc("add", rd=22, rs1=19)
 
 
 @pytest.mark.parametrize("code, x6", [
@@ -896,9 +902,20 @@ _ALIASED = (_enc("lw", rd=18, rs1=6) + _enc("sd", rs1=5, rs2=19)
      + _enc("ld", rd=20, rs1=5), DATA),
     (_enc("sw", rs1=5, rs2=19, imm=4) + _enc("lwu", rd=20, rs1=5, imm=4)
      + _enc("add", rd=21, rs1=19), DATA),
+    (_REUSED + _RENAMED, DATA),
+    (_REUSED + _enc("addi", rd=19, rs1=19, imm=1) + _enc("add", rd=22, rs1=20),
+     DATA),
+    (_enc("sd", rs1=5, rs2=19) + _enc("ld", rd=20, rs1=5)
+     + _enc("addi", rd=5, rs1=5) + _enc("ld", rd=23, rs1=5, imm=8) + _RENAMED,
+     DATA),
 ], ids=["alias", "alias-overlapping", "disjoint", "sd-lw", "sd-lbu", "sd-lb",
-        "sb-ld", "sw-lwu"])
+        "sb-ld", "sw-lwu", "renamed-after-store", "source-renamed-after-store",
+        "renamed-next-segment"])
 def test_reloads_in_a_compiled_run_read_what_steps_read(compiled_tier, code, x6):
+    _reloads_read_what_steps_read(code, x6)
+
+
+def _reloads_read_what_steps_read(code, x6):
     def machine():
         m = _region_machine(code + _EXIT)
         m.memory[DATA:DATA + 16] = bytes(range(0x81, 0x91))
@@ -914,6 +931,27 @@ def test_reloads_in_a_compiled_run_read_what_steps_read(compiled_tier, code, x6)
         ran.run()
     assert compile_.call_count == 1
     assert _observed(ran) + (ran.memory,) == _observed(stepped) + (stepped.memory,)
+
+
+_REGS = st.sampled_from([18, 19, 20])
+# accesses through x5 alone at two offsets, so that most loads reload a
+# value the segment holds, between writes that move a register out of the
+# local it shared and rebases that start a new segment
+_FORWARDS = st.one_of(
+    st.builds(lambda name, rd, imm: _enc(name, rd=rd, rs1=5, imm=imm),
+              st.sampled_from(["ld", "lwu", "lbu", "lw"]), _REGS, st.sampled_from([0, 8])),
+    st.builds(lambda name, rs2, imm: _enc(name, rs1=5, rs2=rs2, imm=imm),
+              st.sampled_from(["sd", "sw", "sb"]), _REGS, st.sampled_from([0, 8])),
+    st.builds(lambda rd, rs1: _enc("addi", rd=rd, rs1=rs1, imm=1), _REGS, _REGS),
+    st.just(_enc("addi", rd=5, rs1=5)),
+)
+
+
+@generated(300)
+@given(pieces=st.lists(_FORWARDS, min_size=1, max_size=16))
+def test_drawn_reloads_in_a_compiled_run_read_what_steps_read(pieces):
+    with mock.patch.object(emulator, "_HOT", 1):
+        _reloads_read_what_steps_read(b"".join(pieces), DATA)
 
 
 def test_a_loop_entry_and_its_back_edge_share_one_body():
