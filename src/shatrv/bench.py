@@ -1,6 +1,8 @@
 """Benchmark harness: runs known-answer vectors through the guest
 kernels, checks digests, and aggregates instruction statistics; each
 outcome's cycles are its machine's counts priced by the call's CostModel.
+A speedup is a baseline's cycles over a round-unit strategy's, in one
+variant and class; kernels.STRATEGY_TABLE says which strategy is which.
 
 Every vector runs on a fresh machine per strategy; the machines of one
 run_benchmark call share one translation cache, so each kernel is
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from .cavp import BUNDLED_CLASSES
 from .emulator import CostModel, EmulatorError, Machine, Translations, check_budget
 from .isa import CATEGORIES
-from .kernels import MESSAGE_ADDR, STRATEGIES, generate_kernel
+from .kernels import MESSAGE_ADDR, STRATEGIES, STRATEGY_TABLE, generate_kernel, select
 from .shatr import attach
 
 __all__ = [
@@ -98,7 +100,7 @@ class BenchReport:
 def _run_one(kernel, strategy, vector, memory_size, budget, translations):
     """Run one vector on a fresh machine; returns (status, detail, machine)."""
     m = Machine(memory_size=memory_size, translations=translations)
-    if strategy == "shatr":
+    if STRATEGY_TABLE[strategy].round_unit:
         attach(m)
     try:
         m.load_program(kernel)
@@ -123,21 +125,15 @@ def _run_one(kernel, strategy, vector, memory_size, budget, translations):
 def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                   memory_size=DEFAULT_MEMORY_SIZE, budget=DEFAULT_BUDGET):
     """Run every vector under every strategy and aggregate the results."""
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
-    strategies = tuple(s for s in STRATEGIES if s in strategies)
+    strategies = select(strategies)
     check_budget(budget)
     cost_model = CostModel() if cost_model is None else cost_model
     if not isinstance(cost_model, CostModel):
         raise ValueError(f"cost_model must be a CostModel, got {cost_model!r}")
 
-    kernels = {}
-    routines = {}
+    kernels, routines, groups, indices = {}, {}, {}, {}
     translations = Translations()
-    groups = {}
     outcomes = []
-    indices = {}
 
     for vs in vector_sets:
         for vector in vs.vectors:
@@ -171,32 +167,21 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                 for cat, n in stats.regions.get(_REGION, {}).items():
                     g.region_counts[cat] += n
 
-    def order(key):
-        variant, strategy, msg_class = key
-        return (variant, STRATEGIES.index(strategy), BUNDLED_CLASSES.index(msg_class))
+    def order(x):   # a group or an outcome
+        return x.variant, strategies.index(x.strategy), BUNDLED_CLASSES.index(x.msg_class)
 
-    sorted_groups = [groups[k] for k in sorted(groups, key=order)]
-    outcomes.sort(key=lambda o: (o.variant, STRATEGIES.index(o.strategy),
-                                 BUNDLED_CLASSES.index(o.msg_class), o.index))
+    sorted_groups = sorted(groups.values(), key=order)
+    outcomes.sort(key=lambda o: (*order(o), o.index))
 
-    speedups = []
+    baselines = [s for s in strategies if not STRATEGY_TABLE[s].round_unit]
     cycles = {(g.variant, g.msg_class, g.strategy): g.total_cycles
               for g in sorted_groups}
-    seen = sorted({(g.variant, g.msg_class) for g in sorted_groups},
-                  key=lambda vc: (vc[0], BUNDLED_CLASSES.index(vc[1])))
-    for variant, msg_class in seen:
-        base = cycles.get((variant, msg_class, "shatr"))
-        if not base:
-            continue
-        for baseline in ("sw-regopt", "sw-mem"):
-            other = cycles.get((variant, msg_class, baseline))
-            if other:
-                speedups.append({
-                    "variant": variant,
-                    "class": msg_class,
-                    "baseline": baseline,
-                    "speedup": round(other / base, 3),
-                })
+    speedups = [
+        {"variant": g.variant, "class": g.msg_class, "baseline": baseline,
+         "speedup": round(other / g.total_cycles, 3)}
+        for g in sorted_groups if g.total_cycles and g.strategy not in baselines
+        for baseline in baselines
+        if (other := cycles.get((g.variant, g.msg_class, baseline)))]
 
     return BenchReport(cost_model=asdict(cost_model), groups=sorted_groups,
                        speedups=speedups, outcomes=outcomes)
@@ -277,19 +262,19 @@ def _format_table(report):
                      f"{g.per_round_instructions:.1f}"])
     lines = _align(rows)
     lines.append("")
-    lines.append("speedup vs shatr (total cycles):")
-    srows = [["variant", "class", "baseline", "speedup"]]
-    for s in report.speedups:
-        srows.append([s["variant"], s["class"], s["baseline"],
-                      f"{s['speedup']:.2f}x"])
-    ran = {g.strategy for g in report.groups}
+    unit = "/".join(s for s, row in STRATEGY_TABLE.items() if row.round_unit)
+    lines.append(f"speedup vs {unit} (total cycles):")
+    srows = [["variant", "class", "baseline", "speedup"]] + [
+        [s["variant"], s["class"], s["baseline"], f"{s['speedup']:.2f}x"]
+        for s in report.speedups]
+    roles = {STRATEGY_TABLE[g.strategy].round_unit for g in report.groups}
     if report.speedups:
         lines += _align(srows)
-    elif "shatr" in ran and len(ran) > 1:
-        lines.append("  (no class has cycles under both shatr and a software "
+    elif len(roles) == 2:   # a strategy with the unit ran, and one without
+        lines.append(f"  (no class has cycles under both {unit} and a software "
                      "strategy: see the err column)")
     else:
-        lines.append("  (needs shatr plus at least one software strategy)")
+        lines.append(f"  (needs {unit} plus at least one software strategy)")
     return "".join(line + "\n" for line in lines)
 
 

@@ -25,7 +25,7 @@ from .bench import (
 )
 from .cavp import BUNDLED_CLASSES, CavpError, load_bundled, parse_rsp
 from .emulator import CostModel
-from .kernels import STRATEGIES, kernel_source
+from .kernels import STRATEGIES, kernel_source, select
 
 __all__ = ["main"]
 
@@ -136,7 +136,7 @@ def _cmd_validate(args):
                 print(f"{o.variant} {o.msg_class} #{o.index} [{o.strategy}]: "
                       f"{o.status}: {o.detail}")
         total = len(report.outcomes)
-        checked = "guest " + "/".join(s for s in STRATEGIES if s in args.strategy)
+        checked = "guest " + "/".join(select(args.strategy))
     else:
         total = 0
         for vs in _load_sets(args):

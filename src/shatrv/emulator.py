@@ -690,7 +690,8 @@ class Translations:
     """Translation cache for machines that run the same code, such as the
     machines of one benchmark run. Every (instruction word, unit attached)
     maps to its (closure or None, category index, straight-line entry or
-    None), one of the two set, every (code bytes, unit attached) to its
+    None, offset or None), with a closure or an entry, and for a branch or
+    jal its pc-relative offset; every (code bytes, unit attached) to its
     table of blocks by entry pc, and every straight-line run, by its
     unfused entries, to the one executor that all blocks holding it share
     (_executor). Nothing here holds a machine, so any machine whose key
@@ -809,9 +810,9 @@ class Machine:
         return inst
 
     def _build(self, pc):
-        """Fetch the word at pc and translate it to (closure or None,
-        category index, straight-line entry or None), decoding only words
-        the cache has not seen. Only the loaded code can be fetched."""
+        """Fetch the word at pc and translate it to its words-cache value
+        (see Translations), decoding only words the cache has not seen.
+        Only the loaded code can be fetched."""
         if pc & 3:
             raise MemoryFault(f"misaligned instruction fetch at {pc:#x}")
         if pc < CODE_BASE or pc + 4 > self._code_end:
@@ -830,8 +831,9 @@ class Machine:
                 ex = _closure(inst, attached) if entry is None else None
             except (DecodeError, CsrFault) as e:
                 raise type(e)(f"at pc={pc:#x}: {e}") from None
+            offset = inst.imm if inst.mnemonic in ("jal", *_BRANCH_COND) else None
             cached = words[word, attached] = (
-                ex, CATEGORY_INDEX[inst.category], entry)
+                ex, CATEGORY_INDEX[inst.category], entry, offset)
         return cached
 
     def _translate(self, pc):
@@ -849,7 +851,7 @@ class Machine:
         cats, entries, closures = [], [], {}
         cached = self._build(pc)
         while True:
-            ex, cat, entry = cached
+            ex, cat, entry, offset = cached
             if ex is not None:
                 closures[len(cats)] = ex
             cats.append(cat)
@@ -863,11 +865,8 @@ class Machine:
                 break
         # the index the block's backward branch or jal lands on, if any
         loop = len(cats)
-        if cat == CATEGORY_INDEX[BRANCH]:
-            inst = isa.decode(code[i - 1])
-            if (inst.mnemonic != "jalr" and -4 * loop < inst.imm <= 0
-                    and not inst.imm & 3):
-                loop += (inst.imm >> 2) - 1
+        if offset is not None and -4 * loop < offset <= 0 and not offset & 3:
+            loop += (offset >> 2) - 1
         bounds = sorted({0, loop, len(cats), *closures, *[c + 1 for c in closures]})
         return _block([closures.get(a) or self._translations.run(tuple(entries[a:b]), a >= loop)
                        for a, b in zip(bounds, bounds[1:])], cats)
@@ -925,7 +924,7 @@ class Machine:
         while budget > 0 and not self.halted:
             start = self.pc
             if stepping:
-                ex, cat, entry = self._build(start)
+                ex, cat, entry, _ = self._build(start)
                 block = _block([ex or _run((entry,))], (cat,))
             else:
                 block = blocks.get(start)

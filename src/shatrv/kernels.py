@@ -1,5 +1,5 @@
 """Deterministic guest kernels that hash a message with the sponge
-construction, one generator per implementation strategy.
+construction, one permutation routine per implementation strategy.
 
 Every kernel shares the same host contract:
 
@@ -11,7 +11,11 @@ Every kernel shares the same host contract:
     so region 1 of the run statistics isolates permutation work and the
     region entry count equals the number of absorbed blocks.
 
-Strategies:
+STRATEGY_TABLE holds the strategies in report order, one row each: the
+generator of its permute routine, and whether it runs on the shatr round
+unit.  That flag decides that bench attaches a unit to the strategy's
+machines, and that its cycles are a speedup's base against each strategy
+without one.  A new strategy is one row.
 
   sw-regopt  fully unrolled rounds with all 25 lanes pinned in x1..x25;
              the lane permutation step is compile-time register renaming,
@@ -27,13 +31,14 @@ loop state in scratch spill slots.  generate_kernel assembles the driver per
 variant and the pc-relative routine once per routines dict a caller passes.
 """
 
+from collections import namedtuple
+
 from . import keccak
 from .asm import AssembledProgram, assemble
 from .isa import LANE_CSR_BASE
 
-__all__ = ["MESSAGE_ADDR", "STRATEGIES", "generate_kernel", "kernel_source"]
-
-STRATEGIES = ("sw-regopt", "sw-mem", "shatr")
+__all__ = ["MESSAGE_ADDR", "STRATEGIES", "STRATEGY_TABLE", "generate_kernel",
+           "kernel_source", "select"]
 
 # guest memory map, every address 8-byte aligned
 _RC_TABLE = 0x100000   # 24 round constants, 192 bytes
@@ -327,22 +332,33 @@ def _sw_mem_permute():
     return lines
 
 
-_PERMUTE_BODIES = {
-    "sw-regopt": _regopt_permute,
-    "sw-mem": _sw_mem_permute,
-    "shatr": _shatr_permute,
+Strategy = namedtuple("Strategy", "permute round_unit")
+STRATEGY_TABLE = {
+    "sw-regopt": Strategy(_regopt_permute, False),
+    "sw-mem": Strategy(_sw_mem_permute, False),
+    "shatr": Strategy(_shatr_permute, True),
 }
+STRATEGIES = tuple(STRATEGY_TABLE)
 
 
-def _source(strategy, variant, routine):
-    # names are checked before any dict lookup, so an unhashable one is refused too
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+def select(strategies):
+    """The named strategies, from any iterable, in table order; a name not
+    in the table, even an unhashable one, is a ValueError naming the choices."""
+    names, strategies = tuple(STRATEGY_TABLE), tuple(strategies)
+    for s in strategies:
+        if s not in names:
+            raise ValueError(f"unknown strategy {s!r}, expected one of {names}")
+    return tuple(s for s in names if s in strategies)
+
+
+def _source(strategy, variant, body=None):
+    """The kernel's text; `body` replaces the lines of the row's routine."""
+    select([strategy])
     if variant not in tuple(keccak.VARIANTS):
         raise ValueError(f"unknown variant {variant!r}")
     params = keccak.VARIANTS[variant]
     lines = _driver(params.rate_bytes, params.digest_bytes)
-    lines += routine(strategy)
+    lines += STRATEGY_TABLE[strategy].permute() if body is None else body
     lines += [".data", f".org {_RC_TABLE:#x}", "rc_table:"]
     lines += [f".dword {rc:#018x}" for rc in keccak.ROUND_CONSTANTS]
     return "".join(line + "\n" for line in lines)
@@ -350,17 +366,17 @@ def _source(strategy, variant, routine):
 
 def kernel_source(strategy, variant):
     """Return the assembly source of one hashing kernel."""
-    return _source(strategy, variant, lambda s: _PERMUTE_BODIES[s]())
+    return _source(strategy, variant)
 
 
 def generate_kernel(strategy, variant, routines=None):
     """Assemble one hashing kernel: the variant's driver, then the routine.
     Pass one routines dict for all the variants built: each strategy's
     routine is assembled into it once, and only its labels move."""
-    driver = assemble(_source(strategy, variant, lambda _: ["permute:"]))
+    driver = assemble(_source(strategy, variant, ["permute:"]))
     routines = {} if routines is None else routines
     if strategy not in routines:
-        routines[strategy] = assemble("\n".join(_PERMUTE_BODIES[strategy]()))
+        routines[strategy] = assemble("\n".join(STRATEGY_TABLE[strategy].permute()))
     body, shift = routines[strategy], len(driver.code)
     return AssembledProgram(driver.code + body.code, driver.data_segments, {
         **driver.symbols, **{k: a + shift for k, a in body.symbols.items()}})

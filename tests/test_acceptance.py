@@ -242,6 +242,17 @@ def test_bundled_report_hash_is_golden(bench_twice):
         "594879a709106d4667e28c62bb482324c9ce0a8ee5fc05931c042ef527415704"
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "48ac31480c7243d827ca3aef560b0389648265ce6980eed539cf1efb61b212d8"),
+    ("table", "865bac89f3d8aed3e10ccd276afc1f388e50ecfaa0cdb39ec4a47fd0393225fb"),
+])
+def test_text_report_hashes_are_golden(bench_twice, fmt, digest):
+    # the same report as CSV and as a table, whose speedup section and
+    # its notes name the round-unit strategy
+    blob = emit_report(bench_twice[0], fmt)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def test_priced_report_hash_is_golden(bundled_sets):
     # the same report priced by a non-flat model: its cycles are the counts
     # above priced with memory and shatr latencies, so its bytes hold too

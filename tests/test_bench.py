@@ -6,10 +6,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
-from shatrv import bench
+from shatrv import bench, kernels
 from shatrv.asm import assemble
 from shatrv.bench import BenchReport, emit_report, run_benchmark
 from shatrv.cavp import CavpVector, CavpVectorSet, load_bundled
@@ -157,6 +158,11 @@ class TestRunBenchmark:
         report = run_benchmark([SMALL], strategies=("shatr",), budget=None)
         assert all(o.status == "pass" for o in report.outcomes)
 
+    def test_strategies_may_be_any_iterable(self):
+        # a generator is read once, so the names it gives still run
+        report = run_benchmark([SMALL], strategies=(s for s in ("shatr", "sw-mem")))
+        assert [g.strategy for g in report.groups] == ["sw-mem", "shatr"]
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark([SMALL], strategies=("hw",))
@@ -169,6 +175,81 @@ class TestRunBenchmark:
         mem_ops = g0.counts["mem_read"] + g0.counts["mem_write"]
         assert g1.total_cycles == g0.total_cycles + 4 * mem_ops
         assert g1.total_retired == g0.total_retired
+
+
+class TestStrategyTable:
+    """Test-only rows: a strategy is one row of kernels.STRATEGY_TABLE, and
+    bench takes its role from the row alone."""
+
+    @pytest.fixture
+    def attached(self, monkeypatch):
+        """Add the test rows; returns the machines bench attaches a unit to.
+        After the stock rows come a second unit strategy, a second baseline,
+        and sw-mem's kernel in the unit's role (it never touches the unit)."""
+        table = kernels.STRATEGY_TABLE
+        monkeypatch.setitem(table, "shatr-2", table["shatr"])
+        monkeypatch.setitem(table, "sw-mem-2", table["sw-mem"])
+        monkeypatch.setitem(table, "sw-mem-unit", table["sw-mem"]._replace(round_unit=True))
+        attached = []
+        real = bench.attach
+
+        def attach(m):
+            attached.append(m)
+            return real(m)
+
+        monkeypatch.setattr(bench, "attach", attach)
+        return attached
+
+    def test_a_row_runs_only_when_selected(self, attached):
+        stock = run_benchmark([SMALL], strategies=("sw-mem", "shatr"))
+        assert [g.strategy for g in stock.groups] == ["sw-mem", "shatr"]
+        report = run_benchmark([SMALL], strategies=("sw-mem-2", "shatr-2", "sw-mem"))
+        assert [g.strategy for g in report.groups] == ["sw-mem", "shatr-2", "sw-mem-2"]
+        assert all(o.status == "pass" for o in report.outcomes)
+
+    @pytest.mark.parametrize("strategy, attaches", [
+        ("shatr-2", 3), ("sw-mem-2", 0), ("sw-mem-unit", 3), ("sw-regopt", 0),
+    ])
+    def test_the_unit_is_attached_exactly_when_the_row_says(
+            self, attached, strategy, attaches):
+        report = run_benchmark([SMALL], strategies=(strategy,))
+        assert len(attached) == attaches
+        assert all(o.status == "pass" for o in report.outcomes)
+
+    def test_each_unit_row_gets_a_speedup_against_each_baseline_that_ran(self, attached):
+        names = ("sw-regopt", "sw-mem", "shatr", "shatr-2", "sw-mem-2", "sw-mem-unit")
+        report = run_benchmark([SMALL], strategies=names)
+        cycles = {g.strategy: g.total_cycles for g in report.groups}
+        pairs = [(unit, base) for unit in ("shatr", "shatr-2", "sw-mem-unit")
+                 for base in ("sw-regopt", "sw-mem", "sw-mem-2")]
+        assert [(s["variant"], s["class"], s["baseline"], s["speedup"])
+                for s in report.speedups] == [
+            ("sha3-256", "short", base, round(cycles[base] / cycles[unit], 3))
+            for unit, base in pairs]
+        # the stock rows alone give the stock report's speedups
+        stock = run_benchmark([SMALL])
+        assert report.speedups[:2] == stock.speedups
+
+    def test_the_table_note_names_every_unit_row(self, attached):
+        report = run_benchmark([SMALL], strategies=("shatr-2",))
+        assert emit_report(report, "table").endswith(
+            "speedup vs shatr/shatr-2/sw-mem-unit (total cycles):\n"
+            "  (needs shatr/shatr-2/sw-mem-unit plus at least one software strategy)\n")
+        report = run_benchmark([SMALL], strategies=("sw-mem-2", "sw-mem-unit"),
+                               memory_size=8192)
+        assert "(no class has cycles under both shatr/shatr-2/sw-mem-unit and" \
+            in emit_report(report, "table")
+
+    @pytest.mark.parametrize("name", ["hw", "shatr-3", ["shatr"], {}, None],
+                             ids=["unknown", "near-miss", "list", "dict", "none"])
+    def test_an_unknown_or_unhashable_name_lists_the_choices(self, attached, name):
+        choices = repr(tuple(kernels.STRATEGY_TABLE))
+        assert "'shatr-2'" in choices
+        message = f"unknown strategy {name!r}, expected one of {choices}"
+        for call in (lambda: run_benchmark([SMALL], strategies=(name,)),
+                     lambda: kernels.generate_kernel(name, "sha3-256")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
 
 
 class TestEmitReport:

@@ -453,6 +453,24 @@ def test_more_machines_on_a_shared_cache_build_no_blocks():
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_word_the_cache_holds_is_decoded_once(strategy):
+    # a block's backward branch target comes from the words cache, so
+    # translating a block decodes no word a second time
+    shared = Translations()
+    m = _loaded(strategy, b"abc", translations=shared)
+    decode, decoded = isa.decode, []
+
+    def counted(word):
+        decoded.append(word)
+        return decode(word)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isa, "decode", counted)
+        _ran(m)
+    assert len(decoded) == len(shared.words)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @generated(5)
 @given(message=st.binary(max_size=300), cost_model=_cost_models)
 def test_total_cycles_is_the_closed_form_of_the_counts(
