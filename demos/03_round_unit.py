@@ -10,7 +10,8 @@ import random
 from shatrv import keccak
 from shatrv.asm import assemble
 from shatrv.emulator import Machine
-from shatrv.shatr import LANE_CSR_BASE, attach, encode_shatr
+from shatrv.isa import LANE_CSR_BASE
+from shatrv.shatr import attach, encode_shatr
 
 rng = random.Random(7)
 state = [rng.getrandbits(64) for _ in range(25)]

@@ -8,7 +8,9 @@ hypercall. The permutation styles differ wildly in size and shape.
 import hashlib
 
 from shatrv.emulator import Machine
-from shatrv.kernels import MESSAGE_ADDR, STRATEGIES, generate_kernel, kernel_source
+from shatrv.kernels import (
+    MESSAGE_ADDR, PERMUTE_REGION, STRATEGIES, generate_kernel, kernel_source,
+)
 from shatrv.shatr import attach
 
 variant = "sha3-256"
@@ -44,5 +46,5 @@ print("hashlib says:", hashlib.sha3_256(message).hexdigest())
 assert digest == hashlib.sha3_256(message).digest()
 
 blocks = len(message) // 136 + 1
-regions = machine.stats.region_entry_count[1]
+regions = machine.stats.region_entry_count[PERMUTE_REGION]
 print(f"permutation regions entered: {regions} (= {blocks} absorbed blocks)")

@@ -120,17 +120,7 @@ def _target_offset(tok, addr, symbols):
         raise ValueError(f"unknown label {tok!r}") from None
 
 
-# operand slots of each isa format in source order: registers, an
-# immediate (imm20 is the raw upper field of lui/auipc), a csr address, an
-# offset(base) memory operand, or a branch or jal target, which is a label
-# or a pc-relative byte offset
-_SYNTAX = {fmt: tuple(slots.split()) for fmt, slots in {
-    "R": "rd rs1 rs2", "I": "rd rs1 imm", "shift6": "rd rs1 imm",
-    "shift5": "rd rs1 imm", "load": "rd imm(rs1)", "store": "rs2 imm(rs1)",
-    "branch": "rs1 rs2 target", "jal": "rd target", "U": "rd imm20",
-    "csr": "rd csr rs1", "csri": "rd csr imm", "ecall": "", "shatr": "rs1",
-}.items()}
-# how format_instruction prints each slot
+# how format_instruction prints each operand slot of an isa.Format syntax
 _PRINT = {
     "rd": "x{0.rd}", "rs1": "x{0.rs1}", "rs2": "x{0.rs2}", "imm": "{0.imm}",
     "imm20": "{0.imm:#x}", "csr": "{0.csr:#x}", "target": "{0.imm}",
@@ -140,7 +130,7 @@ _PRINT = {
 
 def _syntax(name, unknown="unknown mnemonic"):
     try:
-        return _SYNTAX[isa.INSTRUCTIONS[name][0]]
+        return isa.FORMATS[isa.INSTRUCTIONS[name][0]].slots
     except KeyError:
         raise ValueError(f"{unknown} {name!r}") from None
 

@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass, field
 from .cavp import BUNDLED_CLASSES
 from .emulator import CostModel, EmulatorError, Machine, Translations, check_budget
 from .isa import CATEGORIES
-from .kernels import MESSAGE_ADDR, STRATEGIES, STRATEGY_TABLE, generate_kernel, select
+from .kernels import (MESSAGE_ADDR, PERMUTE_REGION, STRATEGIES, STRATEGY_TABLE,
+                      generate_kernel, select)
 from .shatr import attach
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_MEMORY_SIZE = 2 * 1024 * 1024
-_REGION = 1
 
 
 def vector_class(source, length_bits):
@@ -163,8 +163,8 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                 g.total_cycles += vector_cycles
                 for cat, n in stats.counts.items():
                     g.counts[cat] += n
-                g.region_entries += stats.region_entry_count.get(_REGION, 0)
-                for cat, n in stats.regions.get(_REGION, {}).items():
+                g.region_entries += stats.region_entry_count.get(PERMUTE_REGION, 0)
+                for cat, n in stats.regions.get(PERMUTE_REGION, {}).items():
                     g.region_counts[cat] += n
 
     def order(x):   # a group or an outcome

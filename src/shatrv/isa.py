@@ -7,10 +7,10 @@ custom-0 opcode.
 INSTRUCTIONS holds one row per mnemonic: its operand format and its match
 word, the word with every fixed field (opcode, funct3, funct7 or funct6)
 set, as in riscv-opcodes' MATCH/MASK convention. FORMATS gives each format
-the mask of the bits its rows fix, a category, and where its operands sit.
-encode, decode, the assembler and the disassembler all derive from these
-two tables, so a new instruction is one row here plus its semantics in the
-emulator. Immediate conventions in DecodedInstruction:
+the mask of the bits its rows fix, a category, its operand syntax and its
+immediate. encode, decode, the assembler and the disassembler all derive
+from these two tables, so a new instruction is one row here (two with a
+new format) plus its semantics in the emulator. Immediate conventions in DecodedInstruction:
 
   - I/S/B/J forms: imm is the sign-extended byte value (branch/jump
     immediates are pc-relative byte offsets).
@@ -19,7 +19,7 @@ emulator. Immediate conventions in DecodedInstruction:
   - CSR immediate forms: imm is the 5-bit zero-extended operand.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 INT_ALU = "int_alu"
@@ -104,31 +104,40 @@ INSTRUCTIONS = {
 
 
 # the fields of the register operands rd, rs1 and rs2
-RD, RS1, RS2 = 0x1F << 7, 0x1F << 15, 0x1F << 20
+_REG_FIELDS = {"rd": 0x1F << 7, "rs1": 0x1F << 15, "rs2": 0x1F << 20}
 
 
-class Format(NamedTuple):
+@dataclass(frozen=True)
+class Format:
     mask: int               # the bits every row of the format fixes
     category: str           # what its rows retire as; jalr (I) is a branch
-    registers: int          # its register operands' fields, of RD | RS1 | RS2
+    syntax: str             # its operand slots in source order, as asm parses them
     immediate: str | None   # a key of _IMMEDIATES
-    csr: bool               # carries a CSR address in bits 20..31
+    slots: tuple = field(init=False)    # from the syntax: its slots
+    registers: int = field(init=False)  # from the syntax: its registers' fields
+    csr: bool = field(init=False)       # from the syntax: a CSR in bits 20..31
+
+    def __post_init__(self):
+        names = self.syntax.replace("(", " ").replace(")", "").split()
+        object.__setattr__(self, "slots", tuple(self.syntax.split()))
+        object.__setattr__(self, "registers", sum(_REG_FIELDS.get(n, 0) for n in names))
+        object.__setattr__(self, "csr", "csr" in names)
 
 
 FORMATS = {
-    "R": Format(0xFE00707F, INT_ALU, RD | RS1 | RS2, None, False),
-    "I": Format(0x0000707F, INT_ALU, RD | RS1, "i12", False),
-    "shift6": Format(0xFC00707F, INT_ALU, RD | RS1, "shamt6", False),
-    "shift5": Format(0xFE00707F, INT_ALU, RD | RS1, "shamt5", False),
-    "load": Format(0x0000707F, MEM_READ, RD | RS1, "i12", False),
-    "store": Format(0x0000707F, MEM_WRITE, RS1 | RS2, "s12", False),
-    "branch": Format(0x0000707F, BRANCH, RS1 | RS2, "b13", False),
-    "jal": Format(0x0000007F, BRANCH, RD, "j21", False),
-    "U": Format(0x0000007F, INT_ALU, RD, "u20", False),
-    "csr": Format(0x0000707F, CSR, RD | RS1, None, True),
-    "csri": Format(0x0000707F, CSR, RD, "zimm5", True),
-    "ecall": Format(0xFFFFFFFF, OTHER, 0, None, False),
-    "shatr": Format(0xFFF07FFF, CUSTOM, RS1, None, False),
+    "R": Format(0xFE00707F, INT_ALU, "rd rs1 rs2", None),
+    "I": Format(0x0000707F, INT_ALU, "rd rs1 imm", "i12"),
+    "shift6": Format(0xFC00707F, INT_ALU, "rd rs1 imm", "shamt6"),
+    "shift5": Format(0xFE00707F, INT_ALU, "rd rs1 imm", "shamt5"),
+    "load": Format(0x0000707F, MEM_READ, "rd imm(rs1)", "i12"),
+    "store": Format(0x0000707F, MEM_WRITE, "rs2 imm(rs1)", "s12"),
+    "branch": Format(0x0000707F, BRANCH, "rs1 rs2 target", "b13"),
+    "jal": Format(0x0000007F, BRANCH, "rd target", "j21"),
+    "U": Format(0x0000007F, INT_ALU, "rd imm20", "u20"),
+    "csr": Format(0x0000707F, CSR, "rd csr rs1", None),
+    "csri": Format(0x0000707F, CSR, "rd csr imm", "zimm5"),
+    "ecall": Format(0xFFFFFFFF, OTHER, "", None),
+    "shatr": Format(0xFFF07FFF, CUSTOM, "rs1", None),
 }
 
 
@@ -234,10 +243,10 @@ def decode(word):
 def encode(mnemonic, rd=0, rs1=0, rs2=0, imm=0, csr=None):
     """Encode one instruction to its 32-bit word. Raises ValueError on any
     out-of-range field, and on a field that is not an int (a bool is not)."""
-    for field, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2), ("imm", imm),
-                     ("csr", 0 if csr is None else csr)):
+    for name, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2), ("imm", imm),
+                    ("csr", 0 if csr is None else csr)):
         if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{field} must be an int, got {v!r}")
+            raise ValueError(f"{name} must be an int, got {v!r}")
     for reg, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
         if not 0 <= v <= 31:
             raise ValueError(f"{reg} out of range: {v}")

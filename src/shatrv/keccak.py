@@ -15,7 +15,7 @@ __all__ = [
     "ROUND_CONSTANTS", "RHO_OFFSETS", "SpongeParams", "VARIANTS",
     "state_from_bytes", "state_to_bytes",
     "theta", "rho", "pi", "chi", "iota",
-    "keccak_round", "keccak_f", "pad_message", "sha3_digest",
+    "keccak_round", "keccak_f", "pad_message", "sha3_digest", "sponge_params",
 ]
 
 _M64 = (1 << 64) - 1
@@ -211,11 +211,16 @@ def pad_message(message, rate_bytes):
     return bytes(message) + bytes(pad)
 
 
+def sponge_params(variant):
+    """The SpongeParams of a VARIANTS key; anything else is a ValueError."""
+    if variant not in tuple(VARIANTS):
+        raise ValueError(f"unknown variant {variant!r}")
+    return VARIANTS[variant]
+
+
 def sha3_digest(message, variant):
     """Hash message with one of the VARIANTS keys or a SpongeParams."""
-    if not isinstance(variant, SpongeParams) and variant not in tuple(VARIANTS):
-        raise ValueError(f"unknown variant {variant!r}")
-    params = variant if isinstance(variant, SpongeParams) else VARIANTS[variant]
+    params = variant if isinstance(variant, SpongeParams) else sponge_params(variant)
     rate = params.rate_bytes
     padded = pad_message(message, rate)
     lanes = [0] * 25

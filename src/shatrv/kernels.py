@@ -7,15 +7,17 @@ Every kernel shares the same host contract:
     and passes the byte length in a0,
   * the kernel absorbs, pads (0x06 domain byte, 0x80 final bit), squeezes,
     emits the digest through hypercall 3, and exits with status 0,
-  * each full state permutation runs between region-1 begin/end markers,
-    so region 1 of the run statistics isolates permutation work and the
-    region entry count equals the number of absorbed blocks.
+  * each full state permutation runs inside region PERMUTE_REGION, so
+    that region of the run statistics isolates permutation work and its
+    entry count equals the number of absorbed blocks.
 
 STRATEGY_TABLE holds the strategies in report order, one row each: the
-generator of its permute routine, and whether it runs on the shatr round
-unit.  That flag decides that bench attaches a unit to the strategy's
-machines, and that its cycles are a speedup's base against each strategy
-without one.  A new strategy is one row.
+generator of its permutation body, whether it runs on the shatr round
+unit (then bench attaches one to its machines and takes its cycles as a
+speedup's base against each strategy without it), and the temporary that
+parks ra in scratch, or None if the body leaves ra alone.  _routine adds
+the permute label, the region markers and the return.  A new strategy is
+one row.
 
   sw-regopt  fully unrolled rounds with all 25 lanes pinned in x1..x25;
              the lane permutation step is compile-time register renaming,
@@ -37,8 +39,8 @@ from . import keccak
 from .asm import AssembledProgram, assemble
 from .isa import LANE_CSR_BASE
 
-__all__ = ["MESSAGE_ADDR", "STRATEGIES", "STRATEGY_TABLE", "generate_kernel",
-           "kernel_source", "select"]
+__all__ = ["MESSAGE_ADDR", "PERMUTE_REGION", "STRATEGIES", "STRATEGY_TABLE",
+           "generate_kernel", "kernel_source", "select"]
 
 # guest memory map, every address 8-byte aligned
 _RC_TABLE = 0x100000   # 24 round constants, 192 bytes
@@ -46,6 +48,7 @@ _STATE = 0x100100      # 200-byte sponge state
 _DIGEST = 0x100200     # squeezed digest, up to 64 bytes
 _SCRATCH = 0x100300    # spill slots and work buffers
 MESSAGE_ADDR = 0x110000  # input bytes, written by the host
+PERMUTE_REGION = 1     # the statistics region every permutation runs in
 
 # scratch area map (offsets from _SCRATCH)
 _RA_SLOT = 0x00        # permute return address
@@ -143,24 +146,17 @@ def _driver(rate, digest_len):
         "bne  t0, t2, squeeze",
         f"li   a0, {_DIGEST:#x}",
         f"li   a1, {digest_len}",
-        "addi a7, zero, 3",
-        "ecall",
-        "addi a0, zero, 0",
-        "addi a7, zero, 0",
-        "ecall",
-    ]
+    ] + _hypercall(3) + _hypercall(0, a0=0)
+
+
+def _hypercall(number, a0=None):
+    """The lines of hypercall `number`, setting a0 first when it is given."""
+    return ([] if a0 is None else [f"addi a0, zero, {a0}"]) + [
+        f"addi a7, zero, {number}", "ecall"]
 
 
 def _shatr_permute():
-    lines = [
-        "permute:",
-        f"li   t0, {_SCRATCH:#x}",
-        f"sd   ra, {_RA_SLOT}(t0)",
-        "addi a0, zero, 1",
-        "addi a7, zero, 1",
-        "ecall",
-        f"li   t0, {_STATE:#x}",
-    ]
+    lines = [f"li   t0, {_STATE:#x}"]
     for i in range(25):
         lines += ["ld   t1, 0(t0)",
                   f"csrrw x0, {LANE_CSR_BASE + i:#x}, t1",
@@ -174,29 +170,13 @@ def _shatr_permute():
         lines += [f"csrrs t1, {LANE_CSR_BASE + i:#x}, x0",
                   "sd   t1, 0(t0)",
                   "addi t0, t0, 8"]
-    lines += [
-        "addi a0, zero, 1",
-        "addi a7, zero, 2",
-        "ecall",
-        f"li   t0, {_SCRATCH:#x}",
-        f"ld   t0, {_RA_SLOT}(t0)",
-        "jalr x0, t0, 0",
-    ]
     return lines
 
 
 def _regopt_permute():
     # lanes live in x1..x25; x26..x30 carry column parities, x31 is the
-    # lone temporary, so the return address parks in scratch
-    lines = [
-        "permute:",
-        f"li   x31, {_SCRATCH:#x}",
-        f"sd   x1, {_RA_SLOT}(x31)",
-        "addi a0, zero, 1",
-        "addi a7, zero, 1",
-        "ecall",
-        f"li   x31, {_STATE:#x}",
-    ]
+    # lone temporary, so the return address parks in scratch through it
+    lines = [f"li   x31, {_STATE:#x}"]
     for i in range(25):
         lines.append(f"ld   x{i + 1}, {8 * i}(x31)")
     reg_of = list(range(1, 26))
@@ -255,23 +235,11 @@ def _regopt_permute():
     lines.append(f"li   x31, {_STATE:#x}")
     for i in range(25):
         lines.append(f"sd   x{reg_of[i]}, {8 * i}(x31)")
-    lines += [
-        "addi a0, zero, 1",
-        "addi a7, zero, 2",
-        "ecall",
-        f"li   x31, {_SCRATCH:#x}",
-        f"ld   x31, {_RA_SLOT}(x31)",
-        "jalr x0, x31, 0",
-    ]
     return lines
 
 
 def _sw_mem_permute():
     lines = [
-        "permute:",
-        "addi a0, zero, 1",
-        "addi a7, zero, 1",
-        "ecall",
         f"li   s0, {_STATE:#x}",
         f"li   s1, {_SCRATCH + _C_BUF_OFF:#x}",
         f"li   s2, {_SCRATCH + _B_BUF_OFF:#x}",
@@ -314,7 +282,7 @@ def _sw_mem_permute():
                       "and  t1, t1, t2",
                       "xor  t0, t0, t1",
                       f"sd   t0, {8 * (x + 5 * y)}(s0)"]
-    lines += [
+    return lines + [
         "ld   t0, 0(s0)",
         "slli t1, s4, 3",
         "add  t1, t1, s3",
@@ -324,19 +292,14 @@ def _sw_mem_permute():
         "addi s4, s4, 1",
         "addi t0, zero, 24",
         "bne  s4, t0, mem_round",
-        "addi a0, zero, 1",
-        "addi a7, zero, 2",
-        "ecall",
-        "jalr x0, ra, 0",
     ]
-    return lines
 
 
-Strategy = namedtuple("Strategy", "permute round_unit")
+Strategy = namedtuple("Strategy", "permute round_unit ra_temp")
 STRATEGY_TABLE = {
-    "sw-regopt": Strategy(_regopt_permute, False),
-    "sw-mem": Strategy(_sw_mem_permute, False),
-    "shatr": Strategy(_shatr_permute, True),
+    "sw-regopt": Strategy(_regopt_permute, False, "x31"),
+    "sw-mem": Strategy(_sw_mem_permute, False, None),
+    "shatr": Strategy(_shatr_permute, True, "t0"),
 }
 STRATEGIES = tuple(STRATEGY_TABLE)
 
@@ -351,14 +314,23 @@ def select(strategies):
     return tuple(s for s in names if s in strategies)
 
 
-def _source(strategy, variant, body=None):
-    """The kernel's text; `body` replaces the lines of the row's routine."""
+def _routine(row):
+    """A table row's permute routine: its body inside region PERMUTE_REGION,
+    then the return through ra, or through the row's ra_temp, which parks
+    ra in scratch first when the body clobbers ra."""
+    t = row.ra_temp
+    park = [f"li   {t}, {_SCRATCH:#x}", f"sd   ra, {_RA_SLOT}({t})"] if t else []
+    back = [f"li   {t}, {_SCRATCH:#x}", f"ld   {t}, {_RA_SLOT}({t})"] if t else []
+    return ["permute:", *park, *_hypercall(1, PERMUTE_REGION), *row.permute(),
+            *_hypercall(2, PERMUTE_REGION), *back, f"jalr x0, {t or 'ra'}, 0"]
+
+
+def _source(strategy, variant, routine=None):
+    """The kernel's text; `routine` replaces the lines of the row's routine."""
     select([strategy])
-    if variant not in tuple(keccak.VARIANTS):
-        raise ValueError(f"unknown variant {variant!r}")
-    params = keccak.VARIANTS[variant]
+    params = keccak.sponge_params(variant)
     lines = _driver(params.rate_bytes, params.digest_bytes)
-    lines += STRATEGY_TABLE[strategy].permute() if body is None else body
+    lines += _routine(STRATEGY_TABLE[strategy]) if routine is None else routine
     lines += [".data", f".org {_RC_TABLE:#x}", "rc_table:"]
     lines += [f".dword {rc:#018x}" for rc in keccak.ROUND_CONSTANTS]
     return "".join(line + "\n" for line in lines)
@@ -376,7 +348,7 @@ def generate_kernel(strategy, variant, routines=None):
     driver = assemble(_source(strategy, variant, ["permute:"]))
     routines = {} if routines is None else routines
     if strategy not in routines:
-        routines[strategy] = assemble("\n".join(STRATEGY_TABLE[strategy].permute()))
+        routines[strategy] = assemble("\n".join(_routine(STRATEGY_TABLE[strategy])))
     body, shift = routines[strategy], len(driver.code)
     return AssembledProgram(driver.code + body.code, driver.data_segments, {
         **driver.symbols, **{k: a + shift for k, a in body.symbols.items()}})

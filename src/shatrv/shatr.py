@@ -14,19 +14,14 @@ CSR map: lane i (state index 5*y + x) is CSR 0x800 + i, for i = 0..24.
 The lanes are ordinary 64-bit CSRs: csrrw swaps a whole lane, csrrs/csrrc
 set and clear bits, and the usual rs1=x0 forms give pure reads.
 
-The encoding is the shatr row of isa.INSTRUCTIONS and the lane CSR range
-is isa's; this module re-exports both under the unit's names.
+The encoding (the shatr row of isa.INSTRUCTIONS) and the CSR range are isa's.
 """
 
 from . import isa
 from .emulator import IllegalOperand, RegistrationError
-from .isa import LANE_CSR_BASE, LANE_CSR_LAST, OPCODE_CUSTOM0 as SHATR_OPCODE
 from .keccak import keccak_round
 
-__all__ = [
-    "SHATR_OPCODE", "LANE_CSR_BASE", "LANE_CSR_LAST",
-    "KeccakRoundUnit", "attach", "encode_shatr",
-]
+__all__ = ["KeccakRoundUnit", "attach", "encode_shatr"]
 
 
 def encode_shatr(rs1):

@@ -137,7 +137,8 @@ class TestBundled:
     lambda: parse_rsp("", variant=[]),
     lambda: load_bundled([], "short"),
     lambda: keccak.sha3_digest(b"", []),
-], ids=["parse-rsp", "load-bundled", "sha3-digest"])
+    lambda: keccak.sponge_params({}),
+], ids=["parse-rsp", "load-bundled", "sha3-digest", "sponge-params"])
 def test_a_bad_variant_name_is_a_value_error(call):
     with pytest.raises(ValueError, match="unknown variant"):
         call()

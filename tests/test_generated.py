@@ -123,6 +123,16 @@ def test_no_two_rows_overlap():
         assert isa.decode(match).mnemonic == name
 
 
+def test_a_format_s_operand_fields_follow_from_its_syntax():
+    # isa works out registers and csr from each format's syntax; they must
+    # be the fields _FIELDS gives the format, and each slot one asm prints
+    reg_bits = {"rd": 0x1F << 7, "rs1": 0x1F << 15, "rs2": 0x1F << 20}
+    for fmt, f in isa.FORMATS.items():
+        assert f.registers == sum(reg_bits.get(r, 0) for r in _FIELDS[fmt]), fmt
+        assert f.csr == ("csr" in _FIELDS[fmt]), fmt
+        assert set(f.slots) <= set(asm._PRINT), fmt
+
+
 @generated(1000)
 @given(st.sampled_from(_ROWS), st.integers(0, (1 << 32) - 1))
 def test_the_words_of_a_row_decode_to_that_row_alone(name, noise):

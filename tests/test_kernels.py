@@ -8,13 +8,14 @@ from unittest import mock
 
 import pytest
 
-from shatrv import emulator, kernels, keccak
+from shatrv import emulator, isa, kernels, keccak
 from shatrv.asm import assemble, disassemble
 from shatrv.bench import run_benchmark
 from shatrv.cavp import CavpVector, CavpVectorSet
-from shatrv.emulator import CostModel, Machine, Translations
+from shatrv.emulator import CostModel, EmulatorError, Machine, Translations
 from shatrv.kernels import (
-    MESSAGE_ADDR, STRATEGIES, generate_kernel, kernel_source,
+    MESSAGE_ADDR, PERMUTE_REGION, STRATEGIES, STRATEGY_TABLE, generate_kernel,
+    kernel_source,
 )
 from shatrv.shatr import attach
 
@@ -26,7 +27,7 @@ VARIANTS = tuple(keccak.VARIANTS)
 
 def run_kernel(strategy, variant, message, budget=BUDGET):
     m = Machine(memory_size=MEM)
-    if strategy == "shatr":
+    if STRATEGY_TABLE[strategy].round_unit:
         attach(m)
     m.load_program(generate_kernel(strategy, variant))
     m.memory[MESSAGE_ADDR:MESSAGE_ADDR + len(message)] = message
@@ -72,12 +73,12 @@ class TestRegionStructure:
         assert block_count("sha3-256", length) == blocks
         for strategy in STRATEGIES:
             _, m = run_kernel(strategy, "sha3-256", bytes(length))
-            assert m.stats.region_entry_count == {1: blocks}, strategy
+            assert m.stats.region_entry_count == {PERMUTE_REGION: blocks}, strategy
 
     def test_shatr_region_counts_are_exact(self):
         for length, blocks in ((0, 1), (200, 2)):
             _, m = run_kernel("shatr", "sha3-256", bytes(length))
-            region = m.stats.regions[1]
+            region = m.stats.regions[PERMUTE_REGION]
             assert region["custom"] == 24 * blocks
             assert region["csr"] == 50 * blocks
             assert region["mem_read"] == 25 * blocks
@@ -92,7 +93,6 @@ class TestRegionStructure:
             assert m.stats.counts["csr"] == 0
 
     def test_static_shatr_instruction_count(self):
-        from shatrv import isa
         code = generate_kernel("shatr", "sha3-256").code
         words = [int.from_bytes(code[i:i + 4], "little")
                  for i in range(0, len(code), 4)]
@@ -104,10 +104,68 @@ class TestRegionStructure:
         totals = {}
         for strategy in STRATEGIES:
             _, m = run_kernel(strategy, "sha3-256", b"x" * 10)
-            totals[strategy] = sum(m.stats.regions[1].values())
+            totals[strategy] = sum(m.stats.regions[PERMUTE_REGION].values())
         assert totals["shatr"] < totals["sw-regopt"] < totals["sw-mem"]
         # the hardware round is far below a quarter of the best software round
         assert totals["shatr"] * 4 <= totals["sw-regopt"]
+
+
+class TestRoutineWrapper:
+    """A row's generator returns only the rounds: the wrapper adds the
+    permute label, region PERMUTE_REGION around them and the return, which
+    parks ra in scratch through the row's ra_temp when one is named."""
+
+    @staticmethod
+    def _looped_shatr():
+        # shatr's 24 rounds as a loop counted in ra, so the routine returns
+        # only if the wrapper parked ra first
+        lines = [f"li   t0, {kernels._STATE:#x}"]
+        for i in range(25):
+            lines += ["ld   t1, 0(t0)",
+                      f"csrrw x0, {isa.LANE_CSR_BASE + i:#x}, t1",
+                      "addi t0, t0, 8"]
+        lines += ["addi ra, zero, 0", "addi t2, zero, 24", "rounds:",
+                  "shatr ra", "addi ra, ra, 1", "bne  ra, t2, rounds",
+                  f"li   t0, {kernels._STATE:#x}"]
+        for i in range(25):
+            lines += [f"csrrs t1, {isa.LANE_CSR_BASE + i:#x}, x0",
+                      "sd   t1, 0(t0)",
+                      "addi t0, t0, 8"]
+        return lines
+
+    @pytest.fixture
+    def looped(self, monkeypatch):
+        row = STRATEGY_TABLE["shatr"]._replace(permute=self._looped_shatr, ra_temp="t3")
+        monkeypatch.setitem(STRATEGY_TABLE, "shatr-loop", row)
+        return "shatr-loop"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_body_only_row_hashes_with_one_region_entry_per_block(
+            self, looped, variant):
+        rate = keccak.VARIANTS[variant].rate_bytes
+        for n in (0, rate - 1, rate, 2 * rate + 5):
+            msg = bytes(range(256))[:n] if n <= 256 else bytes(n)
+            digest, m = run_kernel(looped, variant, msg)
+            blocks = block_count(variant, n)
+            assert digest == reference(variant, msg), (variant, n)
+            assert m.stats.region_entry_count == {PERMUTE_REGION: blocks}, (variant, n)
+            assert m.stats.regions[PERMUTE_REGION]["custom"] == 24 * blocks
+
+    def test_without_its_temp_the_routine_returns_to_the_clobbered_ra(
+            self, looped, monkeypatch):
+        row = STRATEGY_TABLE[looped]._replace(ra_temp=None)
+        monkeypatch.setitem(STRATEGY_TABLE, looped, row)
+        with pytest.raises(EmulatorError):
+            run_kernel(looped, "sha3-256", b"abc")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_stock_generators_return_only_their_rounds(self, strategy):
+        row = STRATEGY_TABLE[strategy]
+        assert not [line for line in row.permute()
+                    if line.startswith(("permute:", "ecall", "jalr")) or "a7" in line]
+        routine = kernels._routine(row)
+        assert routine[0] == "permute:" and routine[-1].startswith("jalr x0, ")
+        assert routine.count("ecall") == 2
 
 
 class TestDeterminism:

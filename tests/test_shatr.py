@@ -10,9 +10,8 @@ from shatrv.emulator import (
     CODE_BASE, CsrFault, DecodeError, IllegalOperand, Machine,
     RegistrationError,
 )
-from shatrv.shatr import (
-    LANE_CSR_BASE, LANE_CSR_LAST, SHATR_OPCODE, KeccakRoundUnit, attach,
-)
+from shatrv.isa import LANE_CSR_BASE, LANE_CSR_LAST, OPCODE_CUSTOM0
+from shatrv.shatr import KeccakRoundUnit, attach
 
 MEM = 1 << 16
 
@@ -62,7 +61,7 @@ class TestEncoding:
             m.decode(word)
 
     def test_opcode_constant(self):
-        assert SHATR_OPCODE == 0x0B
+        assert OPCODE_CUSTOM0 == 0x0B
         assert (LANE_CSR_BASE, LANE_CSR_LAST) == (0x800, 0x818)
 
 
