@@ -97,13 +97,14 @@ def _parse_mem(tok):
 
 def _split_statement(line):
     parts = line.split(None, 1)
-    name = parts[0]
+    if not parts:
+        raise ValueError("empty statement")
     if len(parts) == 1:
-        return name, []
+        return parts[0], []
     ops = [p.strip() for p in parts[1].split(",")]
     if any(not p for p in ops):
         raise ValueError("empty operand")
-    return name, ops
+    return parts[0], ops
 
 
 def _arity(name, ops, n):

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 from .cavp import BUNDLED_CLASSES
 from .emulator import CostModel, EmulatorError, Machine, Translations, check_budget
 from .isa import CATEGORIES
+from .keccak import ROUNDS
 from .kernels import (MESSAGE_ADDR, PERMUTE_REGION, STRATEGIES, STRATEGY_TABLE,
                       generate_kernel, select)
 from .shatr import attach
@@ -86,7 +87,7 @@ class BenchGroup:
     def per_round_instructions(self):
         if not self.region_entries:
             return 0.0
-        return round(sum(self.region_counts.values()) / (24 * self.region_entries), 3)
+        return round(sum(self.region_counts.values()) / (ROUNDS * self.region_entries), 3)
 
 
 @dataclass

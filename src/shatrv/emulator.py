@@ -776,7 +776,10 @@ class Machine:
             raise LoadError(f"code ({len(code)} bytes) exceeds memory")
         # check every segment before writing anything, so a rejected image
         # leaves memory as it was
-        for addr, blob in segments:
+        for segment in segments:
+            if not (isinstance(segment, (tuple, list)) and len(segment) == 2):
+                raise LoadError(f"data segment {segment!r:.40} is not (address, bytes)")
+            addr, blob = segment
             if type(addr) is not int:
                 raise LoadError(f"data segment address must be an int, got {addr!r}")
             if not isinstance(blob, (bytes, bytearray)):

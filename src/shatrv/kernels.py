@@ -161,10 +161,8 @@ def _shatr_permute():
         lines += ["ld   t1, 0(t0)",
                   f"csrrw x0, {LANE_CSR_BASE + i:#x}, t1",
                   "addi t0, t0, 8"]
-    lines.append("addi t2, zero, 0")
-    lines.append("shatr t2")
-    for _ in range(23):
-        lines += ["addi t2, t2, 1", "shatr t2"]
+    for r in range(keccak.ROUNDS):
+        lines += ["addi t2, t2, 1" if r else "addi t2, zero, 0", "shatr t2"]
     lines.append(f"li   t0, {_STATE:#x}")
     for i in range(25):
         lines += [f"csrrs t1, {LANE_CSR_BASE + i:#x}, x0",
@@ -181,7 +179,7 @@ def _regopt_permute():
         lines.append(f"ld   x{i + 1}, {8 * i}(x31)")
     reg_of = list(range(1, 26))
     C = (26, 27, 28, 29, 30)
-    for r in range(24):
+    for r in range(keccak.ROUNDS):
         for x in range(5):
             lines.append(f"xor  x{C[x]}, x{reg_of[x]}, x{reg_of[x + 5]}")
             for y in range(2, 5):
@@ -217,7 +215,7 @@ def _regopt_permute():
                           f"slli x{reg}, x{reg}, {n}",
                           f"or   x{reg}, x{reg}, x31"]
         # lane shuffle is pure renaming; no instructions emitted
-        reg_of = [reg_of[keccak._PI_SOURCE[i]] for i in range(25)]
+        reg_of = [reg_of[keccak.PI_SOURCE[i]] for i in range(25)]
         for y in range(5):
             row = [reg_of[x + 5 * y] for x in range(5)]
             saved = {0: 26, 1: 27}
@@ -265,7 +263,7 @@ def _sw_mem_permute():
                       "xor  t1, t1, t0",
                       f"sd   t1, {off}(s0)"]
     for d in range(25):
-        s = keccak._PI_SOURCE[d]
+        s = keccak.PI_SOURCE[d]
         n = keccak.RHO_OFFSETS[s]
         lines.append(f"ld   t0, {8 * s}(s0)")
         if n:
@@ -290,7 +288,7 @@ def _sw_mem_permute():
         "xor  t0, t0, t1",
         "sd   t0, 0(s0)",
         "addi s4, s4, 1",
-        "addi t0, zero, 24",
+        f"addi t0, zero, {keccak.ROUNDS}",
         "bne  s4, t0, mem_round",
     ]
 

@@ -19,7 +19,7 @@ The encoding (the shatr row of isa.INSTRUCTIONS) and the CSR range are isa's.
 
 from . import isa
 from .emulator import IllegalOperand, RegistrationError
-from .keccak import keccak_round
+from .keccak import ROUNDS, keccak_round
 
 __all__ = ["KeccakRoundUnit", "attach", "encode_shatr"]
 
@@ -37,9 +37,9 @@ class KeccakRoundUnit:
 
     def execute(self, machine, inst):
         round_index = machine.regs[inst.rs1]
-        if round_index > 23:
+        if round_index >= ROUNDS:
             raise IllegalOperand(
-                f"shatr round index {round_index} out of range 0..23 "
+                f"shatr round index {round_index} out of range 0..{ROUNDS - 1} "
                 f"(pc={machine.pc:#x})")
         self.lanes = keccak_round(self.lanes, round_index)
 

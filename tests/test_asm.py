@@ -60,6 +60,16 @@ class TestGoldenEncodings:
         assert encode_instruction("lw x1, -8(x2)") == isa.encode("lw", rd=1, rs1=2, imm=-8)
         assert encode_instruction("sb x1, -1(x2)") == isa.encode("sb", rs1=2, rs2=1, imm=-1)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty statement"),
+        ("   ", "empty statement"),
+        ("li x5, 1", "li may expand to several words; use assemble()"),
+    ])
+    def test_what_is_not_one_instruction_raises_asm_error(self, text, message):
+        with pytest.raises(AsmError) as e:
+            encode_instruction(text)
+        assert str(e.value) == message
+
     @pytest.mark.parametrize("name, fields, message", [
         ("addi", dict(imm=1.5), "imm must be an int, got 1.5"),
         ("addi", dict(rd="x1"), "rd must be an int, got 'x1'"),

@@ -856,9 +856,13 @@ class TestLoader:
         "abcd",
         memoryview(image(exit_seq())),
         dict(data_segments=[(0x2000, b"\x01" * 16), (0x2008, b"\x07")]),
+        dict(data_segments=[(0x2000, b"\x01"), 1]),
+        dict(data_segments=[(0x2000, b"\x01"), (0x2000,)]),
+        dict(data_segments=[(0x2000, b"\x01"), (1, 2, 3)]),
     ], ids=["segment-address-float", "segment-address-bool", "segment-blob-str",
             "segment-blob-list", "code-str", "code-empty", "segments-none",
-            "image-str", "image-memoryview", "segments-overlap"])
+            "image-str", "image-memoryview", "segments-overlap", "segment-int",
+            "segment-one-field", "segment-three-fields"])
     def test_a_bad_image_raises_load_error_and_changes_nothing(self, img):
         if isinstance(img, dict):
             img = types.SimpleNamespace(**{"code": image(exit_seq()),

@@ -24,7 +24,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from shatrv import asm, emulator, isa, keccak
 from shatrv.asm import AsmError, assemble
@@ -44,8 +44,11 @@ SHATR_WORDS = {isa.encode("shatr", rs1=r): r for r in range(32)}
 
 
 def generated(max_examples):
+    # no explain phase: Hypothesis runs it only after a failure, where on a
+    # broken encoder it ran for minutes; the failure is still shrunk and shown
     return settings(derandomize=True, database=None, deadline=None,
-                    max_examples=max_examples)
+                    max_examples=max_examples,
+                    phases=[p for p in Phase if p.name != "explain"])
 
 
 @generated(2000)
@@ -231,11 +234,16 @@ def test_round_and_shatr_match_the_composed_step_maps(state):
     assert keccak.keccak_f(state) == chained
 
 
+_KERNELS = {}   # strategy -> its sha3-256 image; load_program copies what it loads
+
+
 def _loaded(strategy, message=MESSAGE, **machine_args):
     m = Machine(memory_size=MEM, **machine_args)
     if strategy == "shatr":
         attach(m)
-    m.load_program(generate_kernel(strategy, "sha3-256"))
+    if strategy not in _KERNELS:
+        _KERNELS[strategy] = generate_kernel(strategy, "sha3-256")
+    m.load_program(_KERNELS[strategy])
     m.memory[MESSAGE_ADDR:MESSAGE_ADDR + len(message)] = message
     m.regs[10] = len(message)
     return m
