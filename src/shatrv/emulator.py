@@ -11,13 +11,14 @@ hypercall ABI selected by a7:
 
 Guest code is translated once and run one basic block at a time. A block
 holds the instructions from its entry pc through the first branch, jump
-or ecall; each straight-line run of ALU, lui, load and store instructions
-in it is one executor that loops over their entries (step() runs one as
-a run of one), and every other instruction is a closure. A fault inside
-a run leaves pc at the faulting instruction and raises what a step()
-there would. Every load and store indexes the machine's typed view of
-memory of its width and signedness; the views read host byte order, so
-a machine needs a little-endian host. The interpreter of a run fuses its
+or ecall, or up to the target of its own backward branch or jal; each
+straight-line run of ALU, lui, load and store instructions in it is one
+executor that loops over their entries (step() runs one as a run of
+one), and every other instruction is a closure. A fault inside a run
+leaves pc at the faulting instruction and raises what a step() there
+would. Every load and store indexes the machine's typed view of memory
+of its width and signedness; the views read host byte order, so a
+machine needs a little-endian host. The interpreter of a run fuses its
 RV64I rotate (srli/slli/or) and and-not (xori -1/and/xor) triples into
 one entry each; a fused triple still retires and counts as three
 instructions, and step() never fuses. A block's per-category counts are
@@ -26,18 +27,20 @@ instruction and the ones after it; a CostModel prices the counts outside
 the machine. Regions are read off the counts (ExecutionStats) and never count
 hypercall ecalls. A Translations cache, which machines may share, maps each
 word to its closure or entry, each (code bytes, unit attached) to its
-blocks, which never change, and each distinct run to the one executor
-every block holding it shares. A block whose branch or jal lands back in
-it splits its run there: the rest is a loop body, whose runs the block
-at the target holds too. An executor fuses its run once, interprets it, and
-from its _HOT-th call (_HOT_LOOP-th for a loop body) runs the unfused run
-compiled to one Python function over registers in locals. Each segment
-of that opens with one guard per base register that proves no access in
-it can fault: the base is aligned to its largest access and inside
-memory; where the segment stores, the guard also proves the spans of its
-bases disjoint. Inside a segment a load of bytes it has loaded or stored
-at that width reads the local that holds them. A failed guard hands the
-rest of the run to the interpreter, which alone raises faults.
+blocks, which never change, each distinct run to the one executor every
+block holding it shares, and each loop (Machine._loop) to its executor.
+An executor fuses its run once, interprets it, and from its _HOT-th call
+runs the unfused run compiled to one Python function over registers in
+locals. A loop compiles on its _HOT_LOOP-th trip to one function that
+runs whole trips until a branch leaves it or the budget is spent (one of
+3 to 8 instructions compiles in 0.2-0.4 ms and breaks even after 200-450
+trips). Each segment of a compiled run or trip opens with one guard per
+base register that proves no access in it can fault: the base is aligned
+to its largest access and inside memory; where the segment stores, the
+guard also proves the spans of its bases disjoint. Inside a segment a
+load of bytes it has loaded or stored at that width reads the local that
+holds them. A failed guard hands the rest of a run to the interpreter,
+and the rest of a loop to the blocks, which alone raise faults.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -405,20 +408,22 @@ def _run(entries):
     return ex
 
 
-# A straight-line run is compiled on its _HOT-th call, a loop body on its
-# _HOT_LOOP-th. A run breaks even after its compile time over the time a
-# compiled call saves, measured on a 2-vCPU Xeon with Python 3.11: sw-mem's
-# 460-entry round, a loop body, compiles with its loads forwarded in 8-11
-# ms and saves 100-115 us a call, even after 74-101 calls, which sets
-# _HOT_LOOP; sw-regopt's 5,600-entry permutation run, which is no loop
-# body, compiles in 90-160 ms and saves 0.3-0.65 ms a call, even after
-# 190-320 calls. It runs at most 239 times in one `shatrv bench` call (the
-# bundled vectors), below _HOT, so it stays cold. Loop-ness, not size,
-# picks the threshold, as a compile pays only if enough calls follow it:
-# each later entry of a hot loop calls its body once a trip (24 times a
-# permutation for the round), while a run outside a loop is called once
-# a call of the code around it, which may stop first, as that
-# permutation run stops at 239 calls, inside its break-even.
+# A straight-line run is compiled on its _HOT-th call, a loop on its
+# _HOT_LOOP-th trip. Each breaks even after its compile time over the time
+# a compiled call or trip saves, measured on a 2-vCPU Xeon with Python
+# 3.11. sw-mem's round loop, 460 entries and a bne, compiles with its loads
+# forwarded in 4.7-4.9 ms and runs a trip in 25 us, not 77 us, even after
+# about 95 trips, which sets _HOT_LOOP. The driver's loops of 3 to 8
+# instructions compile in 0.2-0.4 ms and save 0.85-1.3 us a trip, even
+# after 200-450 trips, and each, shared by every kernel of a bench call,
+# runs 2,000-7,800 trips in one short-burst call. sw-regopt's 5,600-entry
+# permutation run compiles in 90-160 ms and saves 0.3-0.65 ms a call, even
+# after 190-320 calls; it runs at most 239 times in one `shatrv bench`
+# call (the bundled vectors), below _HOT, so it stays cold. Loop-ness, not
+# size, picks the threshold, as a compile pays only if enough calls follow
+# it: a hot loop runs many trips an entry (24 for the round), while a run
+# outside a loop is called once a call of the code around it, which may
+# stop first, as that permutation run does, inside its break-even.
 _HOT = 300
 _HOT_LOOP = 80
 
@@ -431,6 +436,10 @@ _EXPR = {
     operator.lshift: "({} << {}) & {M}",
     _ALU_REG["sll"]: "({} << ({} & 63)) & {M}",
 }
+# a branch's condition; S is the sign bit, whose flip orders signed values
+# as unsigned ones
+_TAKEN = {"beq": "{} == {}", "bne": "{} != {}", "bltu": "{} < {}", "bgeu": "{} >= {}",
+          "blt": "{} ^ {S} < {} ^ {S}", "bge": "{} ^ {S} >= {} ^ {S}"}
 
 
 def _reads(e):
@@ -487,7 +496,7 @@ def _plus(name, k):
     return f"{name} {'-' if k < 0 else '+'} {abs(k)}" if k else name
 
 
-def _compile(entries):
+def _compile(entries, jumps=None, categories=()):
     """The compiled function of a straight-line run: its unfused entries
     (a key of Translations.runs) as plain Python over registers held in
     locals, x0 read as 0. The run is cut into segments (_segments); each
@@ -501,10 +510,30 @@ def _compile(entries):
     A failed guard writes the locals back, points pc at the segment and
     runs _run of the rest of the run, which finishes it or raises what
     step() would. Each call of the function otherwise does what a call of
-    _run(entries) does."""
+    _run(entries) does.
+    Given `jumps`, the entries are one trip of a loop (Machine._loop):
+    jumps maps the index of each branch, whose entry is empty, to
+    (mnemonic, rs1, rs2, target's offset from the loop's first pc), the
+    last being the back edge. The function run(m, budget) then runs whole
+    trips, each a new segment at its top, until a branch leaves the loop,
+    a guard fails or the budget is spent, with every register back in its
+    own local at the back edge and on the way out. It points pc at the
+    target or the failed segment, adds the counts of what retired, by
+    `categories`, and returns how many instructions that was."""
     names = {}      # register -> the local holding it, once written
     def reg(n):
         return names.get(n, f"x{n}") if n else "0"
+
+    def home():
+        # the line that moves each renamed register back to its own local
+        moved = {f"x{n}": v for n, v in names.items() if v != f"x{n}"}
+        return [f"{', '.join(moved)} = {', '.join(moved.values())}"] if moved else []
+
+    def leave(offset, done):
+        # a loop's way out, to its first pc + offset, `done` instructions
+        # into the trip
+        return [f"    {line}" for line in home()] + [
+            f"    pc = {_plus('t', offset)}", f"    done = {done}", "    break"]
 
     def target(n):
         # the local a new value of register n goes in: its own, x{n}, unless
@@ -535,21 +564,36 @@ def _compile(entries):
                       for b2, lo2, hi2 in spans[i + 1:]]
         if tests:
             lines.append(f"if {' or '.join(tests)}:")
-            lines += [f"    r[{n}] = {reg(n)}" for n in sorted(written)]
-            if start:
-                lines.append(f"    m.pc += {4 * start}")
-            lines.append(f"    return _run(E[{start}:])(m)")
+            if jumps:
+                lines += leave(4 * start, start)
+            else:
+                lines += [f"    r[{n}] = {reg(n)}" for n in sorted(written)]
+                if start:
+                    lines.append(f"    m.pc += {4 * start}")
+                lines.append(f"    return _run(E[{start}:])(m)")
             lines += [f"b{s}_{w} = {reg(s)} >> {w}"
                       for s, accesses in bases.items()
-                      for w in sorted({n.bit_length() - 1 for _, _, n in accesses})]
-        for e in entries[start:stop]:
+                      for w in sorted({n.bit_length() - 1 for _, _, n in accesses}) if w]
+        for i, e in enumerate(entries[start:stop], start):
+            if jumps and i in jumps:
+                name, rs1, rs2, offset = jumps[i]
+                live.update(n for n in (rs1, rs2) if n not in written)
+                taken = _TAKEN.get(name, "True").format(reg(rs1), reg(rs2), S=1 << 63)
+                if i + 1 < len(entries):
+                    lines += [f"if {taken}:", *leave(offset, i + 1)]
+                    continue
+                lines += home() + ["n += 1"]
+                names.clear()
+                if name != "jal":
+                    lines += [f"if not ({taken}):",
+                              f"    pc = {_plus('t', 4 * len(entries))}", "    break"]
             if not e:
                 continue
             live.update(n for n in _reads(e) if n not in written)
             kind, op, d, s, x, align, mask, _ = e
             if kind >= _LOAD:
                 w = align.bit_length()
-                index = _plus(f"b{s}_{w}", x >> w)
+                index = _plus(f"b{s}_{w}" if w else reg(s), x >> w)
                 views.add(op)
                 if kind == _STORE:
                     facts = {k: v for k, v in facts.items() if k[0] != s
@@ -572,35 +616,50 @@ def _compile(entries):
                 value = template.format(reg(s), b, M=_M64)
                 lines.append(f"{target(d)} = {value}")
             written.update(n for n in _writes(e) if n)
-    lines += [f"r[{n}] = {reg(n)}" for n in sorted(written)]
-    lines.append(f"m.pc += {4 * len(entries)}")
+    if jumps:
+        # every register the loop writes has a local before the first trip
+        live |= written
+        length = len(entries)
+        lines = [f"trips = budget // {length} if budget < inf else budget",
+                 "t = pc = m.pc", "n = done = 0", "while n < trips:",
+                 *[f"    {line}" for line in lines],
+                 *[f"r[{n}] = x{n}" for n in sorted(written)], "m.pc = pc",
+                 "C = m.stats._counts", "for c in P[:done]:", "    C[c] += 1",
+                 *[f"C[{c}] += n * {k}" for c, k in Counter(categories).items()],
+                 f"return n * {length} + done"]
+        env.update(inf=math.inf, P=categories)
+    else:
+        lines += [f"r[{n}] = {reg(n)}" for n in sorted(written)]
+        lines.append(f"m.pc += {4 * len(entries)}")
     prologue = ["r = m.regs"] + [f"x{n} = r[{n}]" for n in sorted(live - {0})]
     if views:
         prologue += ["V = m._views", "top = len(V[0])", "end = m._code_end"]
         prologue += [f"V{v} = V[{v}]" for v in sorted(views)]
-    source = "def run(m):\n" + "".join(f"    {line}\n"
-                                         for line in prologue + lines)
+    source = "def run(m, budget=None):\n" + "".join(f"    {line}\n"
+                                                      for line in prologue + lines)
     env.update((name, op) for op, name in ops.items())
     exec(compile(source, "<compiled run>", "exec"), env)
     return env["run"]
 
 
-def _executor(run, loop):
+def _executor(run, jumps=None, categories=()):
     """The one executor of a straight-line run, given by its unfused
     entries: it fuses them once and interprets them (_run) until its
-    _HOT-th call, or _HOT_LOOP-th for a loop body, which compiles the
-    unfused entries (_compile); every later call runs the compiled
-    function."""
-    cold = _run(_fuse(run))
+    _HOT-th call, which compiles the unfused entries (_compile); every
+    later call runs the compiled function. Given the jumps and categories
+    of a loop (Machine._loop), it is the loop's executor, which _execute
+    calls with the budget left at each dispatch of the loop's header; it
+    retires nothing, and returns 0, until its _HOT_LOOP-th call."""
+    cold = None if jumps else _run(_fuse(run))
     calls, compiled = 0, None
-    def ex(m):
+    def ex(m, budget=None):
         nonlocal calls, compiled
         if compiled is None:
             calls += 1
-            if calls < (_HOT_LOOP if loop else _HOT):
-                return cold(m)
-            compiled = _compile(run)
-        return compiled(m)
+            if calls < (_HOT_LOOP if jumps else _HOT):
+                return cold(m) if cold else 0
+            compiled = _compile(run, jumps, categories)
+        return compiled(m, budget)
     return ex
 
 
@@ -678,36 +737,38 @@ class _Block(NamedTuple):
     categories: tuple       # category index of each instruction
     length: int
     counts: tuple           # (category index, count) pairs
+    loop: object            # the executor of the loop the block heads, or None
 
 
-def _block(executors, categories):
+def _block(executors, categories, loop=None):
     """Bundle executors with their accounting."""
     return _Block(tuple(executors), tuple(categories), len(categories),
-                  tuple(sorted(Counter(categories).items())))
+                  tuple(sorted(Counter(categories).items())), loop)
 
 
 class Translations:
     """Translation cache for machines that run the same code, such as the
     machines of one benchmark run. Every (instruction word, unit attached)
     maps to its (closure or None, category index, straight-line entry or
-    None, offset or None), with a closure or an entry, and for a branch or
-    jal its pc-relative offset; every (code bytes, unit attached) to its
-    table of blocks by entry pc, and every straight-line run, by its
-    unfused entries, to the one executor that all blocks holding it share
-    (_executor). Nothing here holds a machine, so any machine whose key
-    matches may run it."""
+    None, instruction or None), with a closure or an entry, and for a
+    branch or jal its decoded instruction; every (code bytes, unit
+    attached) to its table of blocks by entry pc; every straight-line run,
+    by its unfused entries, to the one executor that all blocks holding it
+    share (_executor); and every loop, by its words, to its one executor,
+    which any code may share as a loop's jumps are pc-relative.
+    Nothing here holds a machine, so any machine whose key matches may
+    run it."""
 
     def __init__(self):
         self.words = {}
         self.runs = {}
+        self.loops = {}
         self._tables = {}
 
-    def run(self, entries, loop):
-        """The executor of the straight-line run of these unfused entries;
-        `loop` says the run is a loop body, which the first block to hold
-        it decides."""
+    def run(self, entries):
+        """The executor of the straight-line run of these unfused entries."""
         runs = self.runs
-        return runs.get(entries) or runs.setdefault(entries, _executor(entries, loop))
+        return runs.get(entries) or runs.setdefault(entries, _executor(entries))
 
     def blocks(self, code, attached):
         """The table of blocks, by entry pc, for this key."""
@@ -834,9 +895,9 @@ class Machine:
                 ex = _closure(inst, attached) if entry is None else None
             except (DecodeError, CsrFault) as e:
                 raise type(e)(f"at pc={pc:#x}: {e}") from None
-            offset = inst.imm if inst.mnemonic in ("jal", *_BRANCH_COND) else None
+            jump = inst if inst.mnemonic in ("jal", *_BRANCH_COND) else None
             cached = words[word, attached] = (
-                ex, CATEGORY_INDEX[inst.category], entry, offset)
+                ex, CATEGORY_INDEX[inst.category], entry, jump)
         return cached
 
     def _translate(self, pc):
@@ -845,16 +906,16 @@ class Machine:
         faults once the guest reaches it). The first word goes through
         _build's fetch checks; the rest are read off the word view of the
         code, and only one the cache lacks goes through _build. Each stretch
-        of instructions with a straight-line entry becomes one run executor,
-        split at the target of a branch or jal back into the block: from
-        there on the block is a loop body, whose runs the block at the
-        target holds too."""
+        of instructions with a straight-line entry becomes one run executor.
+        A block ends before the target of its own backward branch or jal,
+        so that every trip of a loop starts at its header, whose block
+        holds the loop's executor (_loop)."""
         words, attached = self._translations.words, self.round_unit is not None
         code, i = self._words, (pc - CODE_BASE) >> 2
         cats, entries, closures = [], [], {}
         cached = self._build(pc)
         while True:
-            ex, cat, entry, offset = cached
+            ex, cat, entry, jump = cached
             if ex is not None:
                 closures[len(cats)] = ex
             cats.append(cat)
@@ -866,13 +927,43 @@ class Machine:
                 cached = words.get((code[i], attached)) or self._build(CODE_BASE + 4 * i)
             except (CsrFault, DecodeError):
                 break
-        # the index the block's backward branch or jal lands on, if any
-        loop = len(cats)
-        if offset is not None and -4 * loop < offset <= 0 and not offset & 3:
-            loop += (offset >> 2) - 1
-        bounds = sorted({0, loop, len(cats), *closures, *[c + 1 for c in closures]})
-        return _block([closures.get(a) or self._translations.run(tuple(entries[a:b]), a >= loop)
-                       for a, b in zip(bounds, bounds[1:])], cats)
+        n = len(cats)
+        if jump is not None and -4 * (n - 1) < jump.imm <= 0 and not jump.imm & 3:
+            n += (jump.imm >> 2) - 1
+        bounds = sorted({0, n, *[c + k for c in closures for k in (0, 1) if c < n]})
+        return _block([closures.get(a) or self._translations.run(tuple(entries[a:b]))
+                       for a, b in zip(bounds, bounds[1:])], cats[:n],
+                      self._loop(pc) if jump is not None and n == len(cats) else None)
+
+    def _loop(self, pc):
+        """The executor of the loop headed at pc, or None. A loop runs from
+        pc through its back edge, the first conditional branch or jal x0
+        back to pc, and every instruction before that is straight-line or
+        an exit, a conditional branch forward past the back edge. Loops of
+        the same words share one executor (_executor)."""
+        words, attached = self._translations.words, self.round_unit is not None
+        code, first = self._words, (pc - CODE_BASE) >> 2
+        entries, cats, jumps = [], [], {}
+        try:
+            for k, word in enumerate(code[first:]):
+                _, cat, entry, jump = words.get((word, attached)) or self._build(pc + 4 * k)
+                entries.append(entry or ())
+                cats.append(cat)
+                if entry is None:
+                    offset = 4 * k + jump.imm if jump else -1
+                    if 0 != offset <= 4 * k or jump.mnemonic == "jal" and (offset or jump.rd):
+                        return None
+                    jumps[k] = jump.mnemonic, jump.rs1, jump.rs2, offset
+                    if offset == 0:
+                        break
+            else:
+                return None
+        except (CsrFault, DecodeError):
+            return None
+        if any(0 < offset < 4 * len(cats) for *_, offset in jumps.values()):
+            return None
+        key, loops = tuple(code[first:first + len(cats)]), self._translations.loops
+        return loops.get(key) or loops.setdefault(key, _executor(entries, jumps, tuple(cats)))
 
     # -- hypercalls --------------------------------------------------------
 
@@ -914,10 +1005,12 @@ class Machine:
 
     def _execute(self, budget):
         """Run blocks until the guest halts or `budget` instructions have
-        retired. Once the next block would overrun the budget, go on one
-        instruction at a time, so the budget stops at the same instruction
-        as a run of step()s; a budget of one never needs a block, so
-        step() builds none. A halted machine raises EmulatorError."""
+        retired. A loop's header block first calls the loop's executor,
+        which runs the trips the budget holds. Once the next block would
+        overrun the budget, go on one instruction at a time, so the budget
+        stops at the same instruction as a run of step()s; a budget of one
+        never needs a block, so step() builds none. A halted machine
+        raises EmulatorError."""
         if self.halted:
             raise EmulatorError("machine is halted")
         blocks = self._translations.blocks(self._code,
@@ -935,6 +1028,10 @@ class Machine:
                     block = blocks[start] = self._translate(start)
                 if block.length > budget:
                     stepping = True
+                    continue
+                retired = block.loop and block.loop(self, budget)
+                if retired:
+                    budget -= retired
                     continue
             for cat, n in block.counts:
                 counts[cat] += n

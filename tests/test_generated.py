@@ -26,7 +26,7 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from shatrv import asm, emulator, isa, keccak
+from shatrv import asm, bench, emulator, isa, keccak
 from shatrv.asm import AsmError, assemble
 from shatrv.bench import run_benchmark
 from shatrv.cavp import BUNDLED_CLASSES, load_bundled
@@ -762,7 +762,8 @@ def test_memory_access_matches_the_reference(mnemonic, cls, data):
 
 @pytest.fixture
 def compiled_tier(monkeypatch):
-    """Every straight-line run, loop bodies too, compiles on its first call."""
+    """Every straight-line run compiles on its first call, every loop on
+    its first trip."""
     monkeypatch.setattr(emulator, "_HOT", 1)
     monkeypatch.setattr(emulator, "_HOT_LOOP", 1)
 
@@ -784,14 +785,16 @@ def test_fused_idioms_compiled_run_like_steps(compiled_tier):
 
 
 def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
-    # every run compiles on its first call, from the unfused run it is keyed
-    # by, and no block changes for it: each holds the tuple it was built
-    # with, with the same executors
+    # every run and loop compiles once, on its first call, a run from the
+    # unfused run it is keyed by, and no block changes for it: each holds
+    # the tuple it was built with, with the same executors, and the same
+    # loop executor. A run in a loop's header block is called only while
+    # the loop is cold, so with the loop compiled on its first trip it never is
     built = []
     block = emulator._block
 
-    def spy(executors, categories):
-        b = block(executors, categories)
+    def spy(executors, categories, loop=None):
+        b = block(executors, categories, loop)
         built.append((b, b.executors, list(b.executors)))
         return b
 
@@ -801,13 +804,16 @@ def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
         first = _loaded("sw-mem", translations=shared)
         assert first.run() == 0
         table = shared.blocks(first._code, False)
-        before = {pc: b.executors for pc, b in table.items()}
+        before = {pc: (b.executors, b.loop) for pc, b in table.items()}
         assert _loaded("sw-mem", translations=shared).run() == 0
-    assert compile_.call_count == len(shared.runs) > 0
-    assert all(type(run) is tuple and run in shared.runs
-               for (run,), _ in compile_.call_args_list)
+    runs = [args[0] for args, _ in compile_.call_args_list if args[1] is None]
+    loops = [args for args, _ in compile_.call_args_list if args[1] is not None]
+    assert len(set(runs)) == len(runs) > 0
+    assert all(type(run) is tuple and run in shared.runs for run in runs)
+    assert len(loops) == len(shared.loops) > 0
     assert all(type(b.executors) is tuple for b in table.values())
-    assert all(table[pc].executors is ex for pc, ex in before.items())
+    assert all(table[pc].executors is ex and table[pc].loop is loop
+               for pc, (ex, loop) in before.items())
     for b, executors, contents in built:
         assert b.executors is executors and list(executors) == contents
 
@@ -991,8 +997,9 @@ def test_drawn_reloads_in_a_compiled_run_read_what_steps_read(pieces):
 
 
 def test_a_loop_entry_and_its_back_edge_share_one_body():
-    # the round loop's entry block holds the prologue as a run of its own,
-    # then the round, which is the back-edge block's run
+    # the round loop's entry block ends at the loop's header, so the first
+    # trip and every trip after the back edge run the header's block: one
+    # 460-entry run and the round loop's executor
     shared = Translations()
     image = generate_kernel("sw-mem", "sha3-256")
     m = Machine(memory_size=MEM, translations=shared)
@@ -1002,8 +1009,10 @@ def test_a_loop_entry_and_its_back_edge_share_one_body():
     assert lengths[-1] == 460 and 468 not in lengths
     body = shared.runs[max(shared.runs, key=len)]
     table = shared.blocks(m._code, False)
-    holders = sorted(pc for pc, b in table.items() if body in b.executors)
-    assert len(holders) == 2 and holders[0] < holders[1] == image.symbols["mem_round"]
+    header = image.symbols["mem_round"]
+    assert [pc for pc, b in table.items() if body in b.executors] == [header]
+    assert table[header].length == 461 and table[header].loop is not None
+    assert any(pc + 4 * b.length == header for pc, b in table.items())
 
 
 # 200 rounds of a 5-entry loop body that the block of a 2-entry prologue
@@ -1030,7 +1039,8 @@ def test_a_loop_that_starts_mid_block_runs_like_steps():
     with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
         ran.run()
     assert sorted(map(len, shared.runs)) == [1, 2, 5]
-    assert 5 in [len(run) for (run,), _ in compile_.call_args_list]
+    # the loop compiles whole: its 5 entries and its bne
+    assert 6 in [len(args[0]) for args, _ in compile_.call_args_list]
     assert _observed(ran) + (ran.memory,) == _observed(stepped) + (stepped.memory,)
     assert ran.regs[9] == 7 * 200 * 201 // 2
 
@@ -1049,13 +1059,27 @@ def shipped_thresholds(monkeypatch):
 def test_a_bundled_bench_compiles_the_round_and_not_the_permutation(
         shipped_thresholds):
     # sw-regopt's 5,600-entry straight-line permutation runs fewer times
-    # than _HOT in one bundled bench call; sw-mem's round loop reaches
-    # _HOT_LOOP
+    # than _HOT in one bundled bench call; sw-mem's round loop, 460
+    # entries and its bne, reaches _HOT_LOOP and compiles whole
     sets = [load_bundled(v, c) for v in keccak.VARIANTS for c in BUNDLED_CLASSES]
-    with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
-        run_benchmark(sets)
-    lengths = [len(run) for (run,), _ in compile_.call_args_list]
-    assert 460 in lengths and max(lengths) < 5600
+    # stop at the first run that does not pass, within a budget from the
+    # count law (ROADMAP): a kernel retires A + B*(n // r) + 7*(n % r) for
+    # an n-byte message at rate r, and A, B and 7r are each below 12,000
+    longest = max(len(v.message) for s in sets for v in s.vectors)
+    budget = 12_000 * (longest // min(p.rate_bytes for p in keccak.VARIANTS.values()) + 2)
+    run_one = bench._run_one
+
+    def passing(*args):
+        status, detail, m = run_one(*args)
+        assert status == "pass", detail
+        return status, detail, m
+
+    with mock.patch.object(bench, "_run_one", passing), \
+            mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        run_benchmark(sets, budget=budget)
+    lengths = [len(args[0]) for args, _ in compile_.call_args_list]
+    loops = [len(args[0]) for args, _ in compile_.call_args_list if args[1] is not None]
+    assert 461 in loops and max(lengths) < 5600
 
 
 # -- ALU executors against the spec -----------------------------------------
