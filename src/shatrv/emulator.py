@@ -436,8 +436,7 @@ _EXPR = {
     operator.lshift: "({} << {}) & {M}",
     _ALU_REG["sll"]: "({} << ({} & 63)) & {M}",
 }
-# a branch's condition; S is the sign bit, whose flip orders signed values
-# as unsigned ones
+# a branch's condition; flipping the sign bit S orders signed values as unsigned
 _TAKEN = {"beq": "{} == {}", "bne": "{} != {}", "bltu": "{} < {}", "bgeu": "{} >= {}",
           "blt": "{} ^ {S} < {} ^ {S}", "bge": "{} ^ {S} >= {} ^ {S}"}
 
@@ -519,7 +518,8 @@ def _compile(entries, jumps=None, categories=()):
     a guard fails or the budget is spent, with every register back in its
     own local at the back edge and on the way out. It points pc at the
     target or the failed segment, adds the counts of what retired, by
-    `categories`, and returns how many instructions that was."""
+    `categories`, and returns how many instructions that was. A loop with
+    a guard that never passes (_guard's "True") compiles to None."""
     names = {}      # register -> the local holding it, once written
     def reg(n):
         return names.get(n, f"x{n}") if n else "0"
@@ -562,6 +562,8 @@ def _compile(entries, jumps=None, categories=()):
             tests += [f"{lo2 - hi1} < {b1} - {b2} < {hi2 - lo1}"
                       for i, (b1, lo1, hi1) in enumerate(spans)
                       for b2, lo2, hi2 in spans[i + 1:]]
+        if jumps and "True" in tests:
+            return None
         if tests:
             lines.append(f"if {' or '.join(tests)}:")
             if jumps:
@@ -619,14 +621,13 @@ def _compile(entries, jumps=None, categories=()):
     if jumps:
         # every register the loop writes has a local before the first trip
         live |= written
-        length = len(entries)
-        lines = [f"trips = budget // {length} if budget < inf else budget",
+        lines = [f"trips = budget // {len(entries)} if budget < inf else budget",
                  "t = pc = m.pc", "n = done = 0", "while n < trips:",
                  *[f"    {line}" for line in lines],
                  *[f"r[{n}] = x{n}" for n in sorted(written)], "m.pc = pc",
                  "C = m.stats._counts", "for c in P[:done]:", "    C[c] += 1",
                  *[f"C[{c}] += n * {k}" for c, k in Counter(categories).items()],
-                 f"return n * {length} + done"]
+                 f"return n * {len(entries)} + done"]
         env.update(inf=math.inf, P=categories)
     else:
         lines += [f"r[{n}] = {reg(n)}" for n in sorted(written)]
@@ -649,7 +650,8 @@ def _executor(run, jumps=None, categories=()):
     later call runs the compiled function. Given the jumps and categories
     of a loop (Machine._loop), it is the loop's executor, which _execute
     calls with the budget left at each dispatch of the loop's header; it
-    retires nothing, and returns 0, until its _HOT_LOOP-th call."""
+    retires nothing, and returns 0, until its _HOT_LOOP-th call, and ever
+    after if the loop does not compile."""
     cold = None if jumps else _run(_fuse(run))
     calls, compiled = 0, None
     def ex(m, budget=None):
@@ -658,7 +660,7 @@ def _executor(run, jumps=None, categories=()):
             calls += 1
             if calls < (_HOT_LOOP if jumps else _HOT):
                 return cold(m) if cold else 0
-            compiled = _compile(run, jumps, categories)
+            compiled = _compile(run, jumps, categories) or (lambda m, budget: 0)
         return compiled(m, budget)
     return ex
 
@@ -1005,12 +1007,11 @@ class Machine:
 
     def _execute(self, budget):
         """Run blocks until the guest halts or `budget` instructions have
-        retired. A loop's header block first calls the loop's executor,
-        which runs the trips the budget holds. Once the next block would
-        overrun the budget, go on one instruction at a time, so the budget
-        stops at the same instruction as a run of step()s; a budget of one
-        never needs a block, so step() builds none. A halted machine
-        raises EmulatorError."""
+        retired, a loop's header block after the trips its loop's executor
+        runs. Once the next block would overrun the budget, go on one
+        instruction at a time, so the budget stops at the same instruction
+        as a run of step()s; a budget of one never needs a block, so step()
+        builds none. A halted machine raises EmulatorError."""
         if self.halted:
             raise EmulatorError("machine is halted")
         blocks = self._translations.blocks(self._code,

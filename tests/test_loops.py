@@ -25,6 +25,8 @@ from shatrv.shatr import attach
 MEMORY_SIZE = 1 << 16
 DATA = 0x8000
 M64 = (1 << 64) - 1
+# what both machines hold around DATA before a loop runs
+FILL = bytes(i * 7 % 251 for i in range(4352))
 
 
 def _shipped():
@@ -51,7 +53,7 @@ def _enc(mnemonic, **fields):
 def _machine(code, regs):
     m = Machine(memory_size=MEMORY_SIZE)
     m.load_program(code)
-    m.memory[DATA - 256:DATA + 4096] = bytes(i * 7 % 251 for i in range(4352))
+    m.memory[DATA - 256:DATA + 4096] = FILL
     for r, value in regs.items():
         m.regs[r] = value
     return m
@@ -59,7 +61,7 @@ def _machine(code, regs):
 
 def _reference(code, regs):
     ref = Reference(code, MEMORY_SIZE)
-    ref.mem[DATA - 256:DATA + 4096] = bytes(i * 7 % 251 for i in range(4352))
+    ref.mem[DATA - 256:DATA + 4096] = FILL
     for r, value in regs.items():
         ref.x[r] = value
     return ref
@@ -298,6 +300,31 @@ def test_a_loop_that_faults_on_a_late_trip_ends_like_steps(hot, walk):
     assert stepped[0] is MemoryFault
     assert stepped[2][2]["branch"] == 99
     assert sum(c.args[1] is not None for c in compile_.call_args_list) == 1
+
+
+def test_a_loop_whose_guard_never_passes_stays_with_its_blocks():
+    # lw 2 past a base that is 2 mod 4 is aligned, but a guard refuses an
+    # offset that is not a multiple of its size, so the loop's function
+    # could never finish a trip: it compiles to nothing, and the blocks run
+    # every trip as stepping does
+    code = b"".join([_enc("lw", rd=18, rs1=5, imm=2), _enc("addi", rd=5, rs1=5, imm=4),
+                     _enc("addi", rd=9, rs1=9, imm=1), _enc("bne", rs1=9, rs2=8, imm=-12),
+                     _enc("addi", rd=17), _enc("ecall")])
+    regs = {5: DATA + 2, 8: 100}
+    stepped = _machine(code, regs)
+    while not stepped.halted:
+        stepped.step()
+    built, real = [], emulator._compile
+
+    def recorded(*args):
+        built.append((args[1] is not None, real(*args)))
+        return built[-1][1]
+
+    with _thresholds((1, 1)), mock.patch.object(emulator, "_compile", recorded):
+        ran = _machine(code, regs)
+        ran.run()
+    assert (True, None) in built
+    assert _observed(ran) == _observed(stepped)
 
 
 # -- which loops run whole ----------------------------------------------------
