@@ -518,8 +518,7 @@ def _compile(entries, jumps=None, categories=()):
     a guard fails or the budget is spent, with every register back in its
     own local at the back edge and on the way out. It points pc at the
     target or the failed segment, adds the counts of what retired, by
-    `categories`, and returns how many instructions that was. A loop with
-    a guard that never passes (_guard's "True") compiles to None."""
+    `categories`, and returns how many instructions that was."""
     names = {}      # register -> the local holding it, once written
     def reg(n):
         return names.get(n, f"x{n}") if n else "0"
@@ -562,8 +561,6 @@ def _compile(entries, jumps=None, categories=()):
             tests += [f"{lo2 - hi1} < {b1} - {b2} < {hi2 - lo1}"
                       for i, (b1, lo1, hi1) in enumerate(spans)
                       for b2, lo2, hi2 in spans[i + 1:]]
-        if jumps and "True" in tests:
-            return None
         if tests:
             lines.append(f"if {' or '.join(tests)}:")
             if jumps:
@@ -580,13 +577,15 @@ def _compile(entries, jumps=None, categories=()):
             if jumps and i in jumps:
                 name, rs1, rs2, offset = jumps[i]
                 live.update(n for n in (rs1, rs2) if n not in written)
-                taken = _TAKEN.get(name, "True").format(reg(rs1), reg(rs2), S=1 << 63)
                 if i + 1 < len(entries):
+                    taken = _TAKEN[name].format(reg(rs1), reg(rs2), S=1 << 63)
                     lines += [f"if {taken}:", *leave(offset, i + 1)]
                     continue
+                # the back edge tests after the moves, each register in its own local
                 lines += home() + ["n += 1"]
                 names.clear()
                 if name != "jal":
+                    taken = _TAKEN[name].format(reg(rs1), reg(rs2), S=1 << 63)
                     lines += [f"if not ({taken}):",
                               f"    pc = {_plus('t', 4 * len(entries))}", "    break"]
             if not e:
@@ -650,8 +649,7 @@ def _executor(run, jumps=None, categories=()):
     later call runs the compiled function. Given the jumps and categories
     of a loop (Machine._loop), it is the loop's executor, which _execute
     calls with the budget left at each dispatch of the loop's header; it
-    retires nothing, and returns 0, until its _HOT_LOOP-th call, and ever
-    after if the loop does not compile."""
+    retires nothing, and returns 0, until its _HOT_LOOP-th call."""
     cold = None if jumps else _run(_fuse(run))
     calls, compiled = 0, None
     def ex(m, budget=None):
@@ -660,7 +658,7 @@ def _executor(run, jumps=None, categories=()):
             calls += 1
             if calls < (_HOT_LOOP if jumps else _HOT):
                 return cold(m) if cold else 0
-            compiled = _compile(run, jumps, categories) or (lambda m, budget: 0)
+            compiled = _compile(run, jumps, categories)
         return compiled(m, budget)
     return ex
 
@@ -941,8 +939,10 @@ class Machine:
         """The executor of the loop headed at pc, or None. A loop runs from
         pc through its back edge, the first conditional branch or jal x0
         back to pc, and every instruction before that is straight-line or
-        an exit, a conditional branch forward past the back edge. Loops of
-        the same words share one executor (_executor)."""
+        an exit, a conditional branch forward past the back edge. Each
+        access offset is a multiple of its size, as no guard (_guard) passes
+        one that is not. Loops of the same words share one executor
+        (_executor)."""
         words, attached = self._translations.words, self.round_unit is not None
         code, first = self._words, (pc - CODE_BASE) >> 2
         entries, cats, jumps = [], [], {}
@@ -962,7 +962,8 @@ class Machine:
                 return None
         except (CsrFault, DecodeError):
             return None
-        if any(0 < offset < 4 * len(cats) for *_, offset in jumps.values()):
+        if (any(0 < offset < 4 * len(cats) for *_, offset in jumps.values())
+                or any(e and e[4] % (e[5] + 1) for e in entries)):
             return None
         key, loops = tuple(code[first:first + len(cats)]), self._translations.loops
         return loops.get(key) or loops.setdefault(key, _executor(entries, jumps, tuple(cats)))

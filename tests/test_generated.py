@@ -789,7 +789,8 @@ def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
     # unfused run it is keyed by, and no block changes for it: each holds
     # the tuple it was built with, with the same executors, and the same
     # loop executor. A run in a loop's header block is called only while
-    # the loop is cold, so with the loop compiled on its first trip it never is
+    # the loop is cold, so with the loop compiled on its first trip the
+    # runs that compile are those of the other blocks
     built = []
     block = emulator._block
 
@@ -808,8 +809,12 @@ def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
         assert _loaded("sw-mem", translations=shared).run() == 0
     runs = [args[0] for args, _ in compile_.call_args_list if args[1] is None]
     loops = [args for args, _ in compile_.call_args_list if args[1] is not None]
+    key = {ex: run for run, ex in shared.runs.items()}
+    outside = {key[ex] for b in table.values() if b.loop is None
+               for ex in b.executors if ex in key}
     assert len(set(runs)) == len(runs) > 0
-    assert all(type(run) is tuple and run in shared.runs for run in runs)
+    assert set(runs) == outside
+    assert all(type(run) is tuple for run in runs)
     assert len(loops) == len(shared.loops) > 0
     assert all(type(b.executors) is tuple for b in table.values())
     assert all(table[pc].executors is ex and table[pc].loop is loop

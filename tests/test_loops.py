@@ -1,10 +1,12 @@
 """Whole loops in the compiled tier against an independent reference and
 against stepping: drawn one- and two-block loops, with exits at the top,
-middle and bottom and stores through aliased bases, run by Machine.run
-at the shipped thresholds and with every loop and run compiled on its
-first call, against the reference interpreter in reference.py; budgets
-that end at every instruction of a compiled trip, and loops whose guard
-fails on a late trip, against step(); and which loops run whole.
+middle and bottom, stores through aliased bases and back edges that may
+test a forwarded value, run by Machine.run at the shipped thresholds and
+with every loop and run compiled on its first call, against the
+reference interpreter in reference.py; budgets that end at every
+instruction of a compiled trip, loops whose guard fails on a late trip,
+back edges on a forwarded value and each branch as an exit and as a back
+edge, against step(); and which loops run whole.
 Hypothesis runs derandomized, so the suite is reproducible."""
 
 import importlib.util
@@ -50,8 +52,8 @@ def _enc(mnemonic, **fields):
     return isa.encode(mnemonic, **fields).to_bytes(4, "little")
 
 
-def _machine(code, regs):
-    m = Machine(memory_size=MEMORY_SIZE)
+def _machine(code, regs, translations=None):
+    m = Machine(memory_size=MEMORY_SIZE, translations=translations)
     m.load_program(code)
     m.memory[DATA - 256:DATA + 4096] = FILL
     for r, value in regs.items():
@@ -95,16 +97,25 @@ _ALU = st.sampled_from([
     _enc("sltu", rd=20, rs1=18, rs2=19), _enc("add", rd=0, rs1=18, rs2=19),
     _enc("lui", rd=19, imm=0xFEDCB),
 ])
-_PIECES = st.lists(st.one_of(_ACCESS, _ACCESS, _STEP, _ALU), max_size=6)
+
+
+def _forward(first, src, rd, b, x):
+    """src loaded or stored at x(b), then read back into rd, which the
+    compiled tier forwards from src's local: two words."""
+    return _enc(first, rd=src, rs1=b, rs2=src, imm=x) + _enc("ld", rd=rd, rs1=b, imm=x)
+
+
+_FORWARD_FIELDS = st.tuples(st.sampled_from(["ld", "sd"]), _VALUES, _VALUES, _BASES,
+                            _OFFSETS)
+_FORWARD = _FORWARD_FIELDS.map(lambda fields: _forward(*fields))
+_PIECES = st.lists(st.one_of(_ACCESS, _ACCESS, _STEP, _ALU, _FORWARD), max_size=6)
 # an exit: a branch past the back edge, mostly on the trip count, so that
 # most loops run long enough to compile at the shipped thresholds
 _TRIP_EXITS = st.builds(lambda name: (name, 9, 11), st.sampled_from(["beq", "bgeu"]))
-_EXITS = st.one_of(
-    _TRIP_EXITS, _TRIP_EXITS, _TRIP_EXITS,
-    st.builds(lambda name, a, b: (name, a, b),
-              st.sampled_from(["beq", "bne", "blt", "bge", "bltu", "bgeu"]),
-              _VALUES, st.sampled_from([0, 18, 19, 20])),
-)
+_VALUE_TESTS = st.builds(lambda name, a, b: (name, a, b),
+                         st.sampled_from(["beq", "bne", "blt", "bge", "bltu", "bgeu"]),
+                         _VALUES, st.sampled_from([0, 18, 19, 20]))
+_EXITS = st.one_of(_TRIP_EXITS, _TRIP_EXITS, _TRIP_EXITS, _VALUE_TESTS)
 # x5 and x7 start aligned; x6 may also start misaligned, near the end of
 # memory (which a loop stepping it walks off on a late trip), in the code
 # or aliasing x5
@@ -123,17 +134,24 @@ def _loops(draw):
     """A loop and the registers it starts with: straight-line pieces before
     it (so it may start mid-block), then optional exits at its top and
     middle, then a back edge that is a bne on the trip count (so the loop
-    may also leave at its bottom) or a jal x0, after a forced exit on the
-    trip count at the top or middle."""
+    may also leave at its bottom), or a jal x0 or a branch on a value read
+    back from where another register loaded or stored it, which then
+    changes, either after a forced exit on the trip count at the top or
+    middle."""
     pre = draw(st.lists(_ALU, max_size=2))
     top, middle = draw(st.none() | _EXITS), draw(st.none() | _EXITS)
-    back = draw(st.sampled_from(["bne", "jal"]))
-    if back == "jal" and not (top and top[1:] == (9, 8) or middle and middle[1:] == (9, 8)):
+    back = draw(st.sampled_from(["bne", "jal", "value"]))
+    if back != "bne" and not (top and top[1:] == (9, 8) or middle and middle[1:] == (9, 8)):
         if draw(st.booleans()):
             top = ("beq", 9, 8)
         else:
             middle = ("beq", 9, 8)
     first, second = draw(_PIECES), draw(_PIECES)
+    if back == "value":
+        access, src, rd, b, x = draw(_FORWARD_FIELDS)
+        second = second + [_forward(access, src, rd, b, x),
+                           _enc("xori", rd=src, rs1=src, imm=-1)]
+        edge, _, other = draw(_VALUE_TESTS)
     regs = {5: draw(_ALIGNED), 6: draw(_X6), 7: draw(_ALIGNED),
             8: draw(st.sampled_from([3, 90, 130, 130])),
             11: draw(st.sampled_from([2, 100, 1000, 1000])),
@@ -143,16 +161,20 @@ def _loops(draw):
         regs[6] = regs[5] - regs[6] - 1
     body = ([top] if top else []) + first + ([middle] if middle else []) \
         + second + [_enc("addi", rd=9, rs1=9, imm=1)]
-    size = 4 * (len(body) + 1)
+    # the offset past the back edge; a _FORWARD piece is two words
+    size = 4 + sum(4 if isinstance(piece, tuple) else len(piece) for piece in body)
     words, at = [], 0
     for piece in body:
         if isinstance(piece, tuple):     # an exit to the instruction after the back edge
             name, rs1, rs2 = piece
             piece = _enc(name, rs1=rs1, rs2=rs2, imm=size - at)
         words.append(piece)
-        at += 4
-    words.append(_enc("bne", rs1=9, rs2=8, imm=-at) if back == "bne"
-                 else _enc("jal", rd=0, imm=-at))
+        at += len(piece)
+    if back == "value":
+        words.append(_enc(edge, rs1=rd, rs2=other, imm=-at))
+    else:
+        words.append(_enc("bne", rs1=9, rs2=8, imm=-at) if back == "bne"
+                     else _enc("jal", rd=0, imm=-at))
     code = b"".join(pre + words + [_enc("addi", rd=17), _enc("ecall")])
     return code, regs
 
@@ -302,11 +324,67 @@ def test_a_loop_that_faults_on_a_late_trip_ends_like_steps(hot, walk):
     assert sum(c.args[1] is not None for c in compile_.call_args_list) == 1
 
 
+# loops that read x18 or x19 off a walking table of 100 words, stay for
+# 99 trips and leave on the 100th, by case: the body, x19 and the words
+# that keep and leave the loop.
+# Each branch, as an exit and as a back edge, tests x18 against x19, with
+# values whose order differs signed and unsigned where it can: per branch,
+# x19 and a value of x18 that takes the branch and one that does not.
+_CONDITIONS = {"beq": (0, 0, 5), "bne": (0, 5, 0), "blt": (0, M64, 5), "bge": (0, 5, M64),
+               "bltu": (1 << 63, 5, M64), "bgeu": (1 << 63, M64, 5)}
+_WALK = [_enc("ld", rd=18, rs1=5), _enc("addi", rd=5, rs1=5, imm=8)]
+
+
+def _leaving_cases():
+    cases = {}
+    for name, (other, taken, not_taken) in _CONDITIONS.items():
+        cases[f"{name}-exit"] = (
+            _WALK + [_enc(name, rs1=18, rs2=19, imm=8), _enc("jal", rd=0, imm=-12)],
+            other, not_taken, taken)
+        cases[f"{name}-back-edge"] = (
+            _WALK + [_enc(name, rs1=18, rs2=19, imm=-8)], other, taken, not_taken)
+    # a back edge on x19, which holds what x18 loaded or stored, after x18
+    # changes: a compiled trip forwards x19 from x18's local, which holds
+    # the new x18 by the back edge unless the registers go home first
+    cases["forwarded-load"] = (
+        [_WALK[0], _enc("ld", rd=19, rs1=5), _enc("addi", rd=18, rs1=18, imm=1), _WALK[1],
+         _enc("bne", rs1=19, rs2=0, imm=-16)], 0, 5, 0)
+    cases["forwarded-store"] = (
+        [_WALK[0], _enc("sd", rs1=6, rs2=18), _enc("ld", rd=19, rs1=6),
+         _enc("addi", rd=18, rs1=18, imm=1), _WALK[1], _enc("addi", rd=6, rs1=6, imm=8),
+         _enc("bne", rs1=19, rs2=0, imm=-24)], 0, 5, 0)
+    return cases
+
+
+_LEAVING = _leaving_cases()
+
+
+@THRESHOLDS
+@pytest.mark.parametrize("case", _LEAVING)
+def test_a_compiled_loop_leaves_where_steps_leave(hot, case):
+    body, other, stay, leave = _LEAVING[case]
+    code = b"".join(body + [_enc("addi", rd=17), _enc("ecall")])
+    table = b"".join(v.to_bytes(8, "little") for v in [stay] * 99 + [leave])
+    regs = {5: DATA, 6: DATA + 2048, 19: other}
+    stepped = _machine(code, regs)
+    stepped.memory[DATA:DATA + 800] = table
+    while not stepped.halted:
+        stepped.step()
+    with _thresholds(hot), \
+            mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        ran = _machine(code, regs)
+        ran.memory[DATA:DATA + 800] = table
+        assert ran.run(max_instructions=10_000) == 0
+    assert _observed(ran) == _observed(stepped)
+    assert stepped.regs[5] == DATA + 800
+    assert sum(c.args[1] is not None for c in compile_.call_args_list) == 1
+
+
 def test_a_loop_whose_guard_never_passes_stays_with_its_blocks():
     # lw 2 past a base that is 2 mod 4 is aligned, but a guard refuses an
     # offset that is not a multiple of its size, so the loop's function
-    # could never finish a trip: it compiles to nothing, and the blocks run
-    # every trip as stepping does
+    # could never finish a trip: it is not a loop, and the blocks run every
+    # trip as stepping does
     code = b"".join([_enc("lw", rd=18, rs1=5, imm=2), _enc("addi", rd=5, rs1=5, imm=4),
                      _enc("addi", rd=9, rs1=9, imm=1), _enc("bne", rs1=9, rs2=8, imm=-12),
                      _enc("addi", rd=17), _enc("ecall")])
@@ -314,17 +392,13 @@ def test_a_loop_whose_guard_never_passes_stays_with_its_blocks():
     stepped = _machine(code, regs)
     while not stepped.halted:
         stepped.step()
-    built, real = [], emulator._compile
-
-    def recorded(*args):
-        built.append((args[1] is not None, real(*args)))
-        return built[-1][1]
-
-    with _thresholds((1, 1)), mock.patch.object(emulator, "_compile", recorded):
-        ran = _machine(code, regs)
+    shared = Translations()
+    with _thresholds((1, 1)):
+        ran = _machine(code, regs, shared)
         ran.run()
-    assert (True, None) in built
     assert _observed(ran) == _observed(stepped)
+    assert shared.blocks(ran._code, False)[CODE_BASE].loop is None
+    assert not shared.loops
 
 
 # -- which loops run whole ----------------------------------------------------
