@@ -39,8 +39,12 @@ base register that proves no access in it can fault: the base is aligned
 to its largest access and inside memory; where the segment stores, the
 guard also proves the spans of its bases disjoint. Inside a segment a
 load of bytes it has loaded or stored at that width reads the local that
-holds them. A failed guard hands the rest of a run to the interpreter,
-and the rest of a loop to the blocks, which alone raise faults.
+holds them. A loop keeps each 8-byte cell it reaches with ld and sd
+through a base register it never writes in a local for the whole call,
+behind one guard before the first trip, and writes the stored cells back
+on every way out. A failed guard hands the rest of a run to the
+interpreter, and the rest of a loop to the blocks, which alone raise
+faults.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -55,6 +59,7 @@ import operator
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
+from itertools import combinations, product
 from typing import NamedTuple
 
 from . import isa
@@ -260,8 +265,9 @@ _CSR_RMW.update({name + "i": rmw for name, rmw in tuple(_CSR_RMW.items())})
 
 
 # kinds of a straight-line entry: ALU kinds first, then memory accesses;
-# _ROT and _ANDN are fused idiom triples, which only _run executes
-_REG, _IMM, _ROT, _ANDN, _LOAD, _STORE = range(6)
+# _ROT and _ANDN are fused idiom triples, and _XOR a register xor, which
+# only _run's body holds
+_REG, _IMM, _ROT, _ANDN, _XOR, _LOAD, _STORE = range(7)
 
 
 def _entry(inst):
@@ -357,8 +363,10 @@ def _run(entries):
     """One executor for a straight-line run: the entry of each instruction,
     in order. It loads registers and memory once, executes the entries and
     moves pc once, past the run; a fault leaves pc at the faulting access,
-    whose entry is copied to hold its offset (ALU entries are shared)."""
-    body = tuple([e if e[0] < _LOAD else e[:-1] + (4 * i,)
+    whose entry is copied to hold its offset. A register xor gets its own
+    kind here, _XOR, which needs no call; other ALU entries are shared."""
+    body = tuple([e[:-1] + (4 * i,) if e[0] >= _LOAD
+                  else (_XOR, *e[1:]) if e[:2] == (_REG, operator.xor) else e
                   for i, e in enumerate(entries) if e])
     def ex(m, body=body, length=4 * len(entries)):
         r = m.regs
@@ -366,9 +374,21 @@ def _run(entries):
         pc = m.pc
         code_end = m._code_end
         for kind, op, d, s, x, align, mask, at in body:
-            # the kinds in order of how often the software kernels run them
-            if kind == _REG:
-                r[d] = op(r[s], r[x]) & _M64
+            # the kinds in order of how often sw-regopt's permutation runs
+            # them: 1,224 xor, 696 rotates, 600 and-nots, 366 immediates,
+            # 73 loads and 49 stores of its 3,008 fused entries
+            if kind == _XOR:
+                r[d] = r[s] ^ r[x]
+            elif kind == _ROT:
+                v = r[s]
+                r[d] = t = v >> x
+                r[s] = (v << align) & _M64 | t
+            elif kind == _ANDN:
+                # T first, so D == T ends as T ^ T
+                r[d] = t = ~r[s] & r[x]
+                r[align] ^= t
+            elif kind == _IMM:
+                r[d] = op(r[s], x) & _M64
             elif kind == _LOAD:
                 addr = (r[s] + x) & _M64
                 if addr & align:
@@ -391,16 +411,8 @@ def _run(entries):
                     views[op][addr >> op] = r[d] & mask
                 except IndexError:
                     break
-            elif kind == _ROT:
-                v = r[s]
-                r[d] = t = v >> x
-                r[s] = (v << align) & _M64 | t
-            elif kind == _IMM:
-                r[d] = op(r[s], x) & _M64
             else:
-                # T first, so D == T ends as T ^ T
-                r[d] = t = ~r[s] & r[x]
-                r[align] ^= t
+                r[d] = op(r[s], r[x]) & _M64
         else:
             m.pc = pc + length
             return
@@ -411,19 +423,20 @@ def _run(entries):
 # A straight-line run is compiled on its _HOT-th call, a loop on its
 # _HOT_LOOP-th trip. Each breaks even after its compile time over the time
 # a compiled call or trip saves, measured on a 2-vCPU Xeon with Python
-# 3.11. sw-mem's round loop, 460 entries and a bne, compiles with its loads
-# forwarded in 4.7-4.9 ms and runs a trip in 25 us, not 77 us, even after
-# about 95 trips, which sets _HOT_LOOP. The driver's loops of 3 to 8
-# instructions compile in 0.2-0.4 ms and save 0.85-1.3 us a trip, even
-# after 200-450 trips, and each, shared by every kernel of a bench call,
-# runs 2,000-7,800 trips in one short-burst call. sw-regopt's 5,600-entry
-# permutation run compiles in 90-160 ms and saves 0.3-0.65 ms a call, even
-# after 190-320 calls; it runs at most 239 times in one `shatrv bench`
-# call (the bundled vectors), below _HOT, so it stays cold. Loop-ness, not
-# size, picks the threshold, as a compile pays only if enough calls follow
-# it: a hot loop runs many trips an entry (24 for the round), while a run
-# outside a loop is called once a call of the code around it, which may
-# stop first, as that permutation run does, inside its break-even.
+# 3.11. sw-mem's round loop, 460 entries and a bne, compiles with its
+# state in promoted cells in 4.7-6.6 ms and runs a trip in 8.4-10.7 us,
+# not 78-86 us, even after 60-100 trips, which sets _HOT_LOOP. The
+# driver's loops of 3 to 8 instructions compile in 0.2-0.4 ms and save
+# 0.85-1.3 us a trip, even after 200-450 trips, and each, shared by every
+# kernel of a bench call, runs 2,000-7,800 trips in one short-burst call.
+# sw-regopt's 5,600-entry permutation run compiles in 84-91 ms and then
+# runs a call in 0.66-0.73 ms, slower than the 0.46-0.48 ms _run takes
+# with its fused and _XOR entries; it runs at most 239 times in one
+# `shatrv bench` call (the bundled vectors), below _HOT, so it stays cold.
+# Loop-ness, not size, picks the threshold, as a compile pays only if
+# enough calls follow it: a hot loop runs many trips an entry (24 for the
+# round), while a run outside a loop is called once a call of the code
+# around it, which may stop first, as that permutation run does.
 _HOT = 300
 _HOT_LOOP = 80
 
@@ -495,6 +508,17 @@ def _plus(name, k):
     return f"{name} {'-' if k < 0 else '+'} {abs(k)}" if k else name
 
 
+def _span(base, accesses):
+    """(base, lo, hi): the bytes base + lo up to base + hi cover accesses."""
+    return base, min(x for _, x, _ in accesses), max(x + n for _, x, n in accesses)
+
+
+def _overlaps(pairs):
+    """One test per pair of spans (_span) that they overlap."""
+    return [f"{lo2 - hi1} < {b1} - {b2} < {hi2 - lo1}"
+            for (b1, lo1, hi1), (b2, lo2, hi2) in pairs]
+
+
 def _compile(entries, jumps=None, categories=()):
     """The compiled function of a straight-line run: its unfused entries
     (a key of Translations.runs) as plain Python over registers held in
@@ -518,7 +542,14 @@ def _compile(entries, jumps=None, categories=()):
     a guard fails or the budget is spent, with every register back in its
     own local at the back edge and on the way out. It points pc at the
     target or the failed segment, adds the counts of what retired, by
-    `categories`, and returns how many instructions that was."""
+    `categories`, and returns how many instructions that was.
+    A loop promotes each base register that no entry writes and whose
+    accesses are all ld or sd (scalar replacement, Callahan, Carr and
+    Kennedy, PLDI 1990): one guard before the first trip covers their
+    accesses and, if any stores, each pair of their spans, or run returns
+    0; each 8-byte cell is read once into a local c{base}_{i}, which a
+    load copies and a store assigns; every other guard also tests its
+    span against theirs; and the stored cells go back however it leaves."""
     names = {}      # register -> the local holding it, once written
     def reg(n):
         return names.get(n, f"x{n}") if n else "0"
@@ -548,19 +579,27 @@ def _compile(entries, jumps=None, categories=()):
 
     env, ops, views = {"_run": _run, "E": entries}, {}, set()
     lines, written, live = [], set(), set()
+    by_base = {}
+    for e in entries:
+        if e and e[0] >= _LOAD:
+            by_base.setdefault(e[3], []).append((e[0], e[4], e[5] + 1))
+    writes = {n for e in entries if e for n in _writes(e)}
+    promoted = {s: a for s, a in by_base.items()
+                if jumps and s not in writes and all(n == 8 for *_, n in a)}
+    cells = {(s, x): f"c{s}_{i}" for s, a in promoted.items()
+             for i, x in enumerate(sorted({x for _, x, _ in a}))}
+    fixed = [_span(reg(s), a) for s, a in promoted.items()]
     starts = _segments(entries)
     for start, stop in zip(starts, starts[1:] + [len(entries)]):
         bases, facts = {}, {}
         for e in entries[start:stop]:
-            if e and e[0] >= _LOAD:
+            if e and e[0] >= _LOAD and e[3] not in promoted:
                 bases.setdefault(e[3], []).append((e[0], e[4], e[5] + 1))
         tests = [_guard(reg(s), accesses) for s, accesses in bases.items()]
+        spans = [_span(reg(s), a) for s, a in bases.items()]
         if any(kind == _STORE for accesses in bases.values() for kind, _, _ in accesses):
-            spans = [(reg(s), min(x for _, x, _ in a), max(x + n for _, x, n in a))
-                     for s, a in bases.items()]
-            tests += [f"{lo2 - hi1} < {b1} - {b2} < {hi2 - lo1}"
-                      for i, (b1, lo1, hi1) in enumerate(spans)
-                      for b2, lo2, hi2 in spans[i + 1:]]
+            tests += _overlaps(combinations(spans, 2))
+        tests += _overlaps(product(spans, fixed))
         if tests:
             lines.append(f"if {' or '.join(tests)}:")
             if jumps:
@@ -592,7 +631,12 @@ def _compile(entries, jumps=None, categories=()):
                 continue
             live.update(n for n in _reads(e) if n not in written)
             kind, op, d, s, x, align, mask, _ = e
-            if kind >= _LOAD:
+            if kind >= _LOAD and s in promoted:
+                if kind == _STORE:
+                    lines.append(f"{cells[s, x]} = {reg(d)}")
+                elif d:
+                    lines.append(f"{target(d)} = {cells[s, x]}")
+            elif kind >= _LOAD:
                 w = align.bit_length()
                 index = _plus(f"b{s}_{w}" if w else reg(s), x >> w)
                 views.add(op)
@@ -620,9 +664,21 @@ def _compile(entries, jumps=None, categories=()):
     if jumps:
         # every register the loop writes has a local before the first trip
         live |= written
-        lines = [f"trips = budget // {len(entries)} if budget < inf else budget",
+        entry = []
+        if promoted:
+            views.add(3)
+            tests = [_guard(reg(s), a) for s, a in promoted.items()]
+            if any(kind == _STORE for a in promoted.values() for kind, _, _ in a):
+                tests += _overlaps(combinations(fixed, 2))
+            entry = [f"if {' or '.join(tests)}:", "    return 0",
+                     *[f"b{s}_3 = {reg(s)} >> 3" for s in promoted],
+                     *[f"{c} = V3[{_plus(f'b{s}_3', x >> 3)}]" for (s, x), c in cells.items()]]
+        stored = {(e[3], e[4]) for e in entries if e and e[0] == _STORE and e[3] in promoted}
+        lines = [*entry, f"trips = budget // {len(entries)} if budget < inf else budget",
                  "t = pc = m.pc", "n = done = 0", "while n < trips:",
                  *[f"    {line}" for line in lines],
+                 *[f"V3[{_plus(f'b{s}_3', x >> 3)}] = {c}"
+                   for (s, x), c in cells.items() if (s, x) in stored],
                  *[f"r[{n}] = x{n}" for n in sorted(written)], "m.pc = pc",
                  "C = m.stats._counts", "for c in P[:done]:", "    C[c] += 1",
                  *[f"C[{c}] += n * {k}" for c, k in Counter(categories).items()],

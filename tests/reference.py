@@ -4,9 +4,10 @@ It is written from the RISC-V unprivileged spec (20191213: RV32I/RV64I
 base, chapters 2 and 5) and shares no code with shatrv: it decodes each
 word's fields itself and runs one instruction at a time over a bytearray.
 It covers the register and immediate ALU ops with their W forms, lui,
-auipc, every load and store, the branches, jal, jalr and the exit
-hypercall (ecall with a7 = 0). CSR ops, shatr and the other hypercalls
-are not modelled.
+auipc, every load and store, the branches, jal, jalr and the hypercalls
+(ecall, selected by a7): 0 exits with status a0, 1 and 2 begin and end
+region a0, and 3 emits the a1 bytes at address a0. CSR ops and shatr are
+not modelled.
 
 It follows the machine's conventions where the spec leaves a choice:
 code sits at CODE_BASE and only the loaded code can be fetched; a load
@@ -15,7 +16,10 @@ must not overlap the code; a jump to a misaligned target retires and
 the fetch at the target faults. A faulting instruction retires nothing
 and leaves pc on itself. The counts follow the machine's categories:
 ALU ops, lui and auipc are int_alu, loads mem_read, stores mem_write,
-branches and jumps branch, ecall other.
+branches and jumps branch, ecall other. Each region counts, per
+category, the instructions that retire while it is open, which are never
+ecalls, so its "other" stays 0; beginning an open region, ending a closed
+one, an emit past the end of memory and an unknown hypercall fault.
 """
 
 CODE_BASE = 0x1000
@@ -102,6 +106,9 @@ class Reference:
         self.halted = False
         self.exit_status = None
         self.counts = dict.fromkeys(CATEGORIES, 0)
+        self.regions = {}       # region id -> per-category counts
+        self.open = set()
+        self.emitted = []
 
     def _address(self, base, offset, size, store):
         addr = (base + offset) & M64
@@ -151,9 +158,7 @@ class Reference:
             value, category = pc + 4, "branch"
             next_pc = (a + sx(word >> 20, 12)) & ~1
         elif word == 0x73:
-            if x[17]:
-                raise NotImplementedError(f"hypercall {x[17]} at pc={pc:#x}")
-            self.halted, self.exit_status = True, x[10]
+            self._hypercall(x[17], x[10], x[11])
             category = "other"
         else:
             raise Fault("DecodeError", pc)
@@ -161,6 +166,22 @@ class Reference:
             x[rd] = value & M64
         self.pc = next_pc & M64
         self.counts[category] += 1
+        if category != "other":
+            for rid in self.open:
+                self.regions[rid][category] += 1
+
+    def _hypercall(self, call, a0, a1):
+        if call == 0:
+            self.halted, self.exit_status = True, a0
+        elif call == 1 and a0 not in self.open:
+            self.open.add(a0)
+            self.regions.setdefault(a0, dict.fromkeys(CATEGORIES, 0))
+        elif call == 2 and a0 in self.open:
+            self.open.remove(a0)
+        elif call == 3 and a0 + a1 <= len(self.mem):
+            self.emitted.append(bytes(self.mem[a0:a0 + a1]))
+        else:
+            raise Fault("HypercallFault", self.pc)
 
     def run(self, budget=None):
         """Step until the guest exits or `budget` instructions retired."""

@@ -6,7 +6,12 @@ with every loop and run compiled on its first call, against the
 reference interpreter in reference.py; budgets that end at every
 instruction of a compiled trip, loops whose guard fails on a late trip,
 back edges on a forwarded value and each branch as an exit and as a back
-edge, against step(); and which loops run whole.
+edge, against step(); loops whose bases stay put, so that their cells
+live in locals, against both (stores reloaded across trips, aliased
+bases, a walking base that reaches the cells, exits after dirty stores,
+budgets ending on every trip and bases over the code or past the end of
+memory); how often a compiled trip of sw-mem's round touches memory;
+and which loops run whole.
 Hypothesis runs derandomized, so the suite is reproducible."""
 
 import importlib.util
@@ -179,9 +184,9 @@ def _loops(draw):
     return code, regs
 
 
-def _outcome_of_run(m):
+def _outcome_of_run(m, budget=None):
     try:
-        m.run()
+        m.run(budget)
     except EmulatorError as e:
         return type(e).__name__, m.pc
     return "exit", m.pc
@@ -457,3 +462,182 @@ def test_every_driver_loop_and_the_sw_mem_round_run_whole():
     m.regs[10] = len(message)
     assert m.run() == 0
     assert sorted(map(len, shared.loops)) == [3, 3, 6, 7, 8, 8, 461]
+
+
+# -- promoted bases against the reference and stepping ------------------------
+
+# a loop body that reaches memory only with ld and sd through x5 and x7,
+# which it never writes, so the compiled tier keeps the cells they reach
+# in locals; the cells carry values from trip to trip. x9 counts trips to
+# x8. A second pass of the loop then runs with x5 = x12, unless x12
+# already is x5, so that a loop compiled in the first pass meets x12 at
+# its entry guard.
+_KEEP = [_enc("ld", rd=18, rs1=5), _enc("addi", rd=18, rs1=18, imm=3),
+         _enc("sd", rs1=5, rs2=18), _enc("ld", rd=19, rs1=5, imm=8),
+         _enc("xor", rd=19, rs1=19, rs2=18), _enc("sd", rs1=7, rs2=19, imm=16),
+         _enc("ld", rd=20, rs1=7, imm=16), _enc("sd", rs1=5, rs2=20, imm=8)]
+# reads only through x5
+_READ = [_enc("ld", rd=18, rs1=5), _enc("ld", rd=19, rs1=5, imm=8),
+         _enc("xor", rd=19, rs1=19, rs2=18), _enc("sd", rs1=7, rs2=19),
+         _enc("ld", rd=20, rs1=7), _enc("add", rd=22, rs1=22, rs2=20)]
+# x6 walks by 8 a trip, from 99 words below x5: on trip 100 it stores into,
+# or loads from, x5's cells
+_WALK_STORE = [_enc("sd", rs1=6, rs2=19), _enc("addi", rd=6, rs1=6, imm=8)]
+_WALK_LOAD = [_enc("ld", rd=21, rs1=6), _enc("add", rd=22, rs1=22, rs2=21),
+              _enc("addi", rd=6, rs1=6, imm=8)]
+
+
+def _promoting(pieces):
+    """The two-pass program of a loop of pieces: words, or exits (branch,
+    rs1, rs2) to past its back edge."""
+    body = pieces + [_enc("addi", rd=9, rs1=9, imm=1)]
+    words = [_enc(p[0], rs1=p[1], rs2=p[2], imm=4 * (len(body) + 1 - i))
+             if isinstance(p, tuple) else p for i, p in enumerate(body)]
+    return b"".join(words + [
+        _enc("bne", rs1=9, rs2=8, imm=-4 * len(body)),
+        _enc("beq", rs1=5, rs2=12, imm=16), _enc("addi", rd=5, rs1=12),
+        _enc("addi", rd=9), _enc("jal", rd=0, imm=-4 * (len(body) + 4)),
+        _enc("addi", rd=17), _enc("ecall")])
+
+
+_PROMOTED = DATA + 1024
+_PROMOTING = {
+    "store-and-reload": (_KEEP, {}),
+    "aliased-bases": (_KEEP, {7: _PROMOTED - 16}),
+    "walk-stores-into-the-cells": (_KEEP + _WALK_STORE, {6: _PROMOTED - 8 * 99}),
+    "walk-loads-from-the-cells": (_KEEP + _WALK_LOAD, {6: _PROMOTED - 8 * 99}),
+    "exit-at-the-top": ([("beq", 9, 11)] + _KEEP, {11: 100}),
+    "exit-in-the-middle": (_KEEP[:3] + [("beq", 9, 11)] + _KEEP[3:], {11: 100}),
+    "second-pass-stores-into-the-code": (_KEEP, {12: CODE_BASE + 8}),
+    "second-pass-past-the-end": (_KEEP, {12: MEMORY_SIZE - 8}),
+    "second-pass-reads-the-code": (_READ, {12: CODE_BASE}),
+}
+
+
+def _promoting_case(case):
+    pieces, regs = _PROMOTING[case]
+    regs = {5: _PROMOTED, 7: _PROMOTED + 256, 8: 130, 11: M64, 12: _PROMOTED, **regs}
+    return _promoting(pieces), regs
+
+
+def _state(m):
+    return m.pc, m.regs, m.stats.counts, bytes(m.memory)
+
+
+def _reference_state(ref):
+    counts = {**dict.fromkeys(isa.CATEGORIES, 0), **ref.counts}
+    return ref.pc, ref.x, counts, bytes(ref.mem)
+
+
+def _outcome_of_steps(m):
+    try:
+        while not m.halted:
+            m.step()
+    except EmulatorError as e:
+        return type(e).__name__, m.pc
+    return "exit", m.pc
+
+
+def _compiled_with(hot, drive, m):
+    """drive(m) at the thresholds hot, and the functions _compile made
+    meanwhile."""
+    made = []
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+    real = emulator._compile
+    with _thresholds(hot), mock.patch.object(emulator, "_compile", spy):
+        return drive(m), made
+
+
+def _cells(made):
+    """The promoted base registers of every compiled loop in made."""
+    return {int(name[1:name.index("_")]) for run in made
+            for name in run.__code__.co_varnames if name[0] == "c" and "_" in name}
+
+
+@THRESHOLDS
+@pytest.mark.parametrize("case", _PROMOTING)
+def test_promoted_cells_run_like_the_reference_and_steps(hot, case):
+    code, regs = _promoting_case(case)
+    ref = _reference(code, regs)
+    expected = _outcome_of_reference(ref)
+    stepped = _machine(code, regs)
+    assert _outcome_of_steps(stepped) == expected
+    ran = _machine(code, regs)
+    outcome, made = _compiled_with(hot, _outcome_of_run, ran)
+    assert outcome == expected
+    assert _state(ran) == _state(stepped) == _reference_state(ref)
+    assert _cells(made) == {5, 7}
+
+
+@THRESHOLDS
+def test_a_budget_ending_on_any_trip_of_promoted_cells_stops_where_steps_stop(hot):
+    code, regs = _promoting_case("store-and-reload")
+    length = len(_KEEP) + 2
+    ref, stepped, done, made = _reference(code, regs), _machine(code, regs), 0, []
+    # a budget ending at a different instruction of every trip
+    for budget in [length * trip + trip % length + 1 for trip in range(130)]:
+        ref.run(budget - done)
+        while done < budget:
+            stepped.step()
+            done += 1
+        ran = _machine(code, regs)
+        outcome, calls = _compiled_with(hot, lambda m: _outcome_of_run(m, budget), ran)
+        made += calls
+        assert outcome == ("BudgetExceeded", stepped.pc)
+        assert _state(ran) == _state(stepped) == _reference_state(ref), budget
+    assert _cells(made) == {5, 7}
+
+
+class _Counting:
+    """A view of memory that tallies its reads and writes."""
+
+    def __init__(self, view, tally):
+        self.view, self.tally = view, tally
+
+    def __len__(self):
+        return len(self.view)
+
+    def __getitem__(self, index):
+        self.tally[0] += 1
+        return self.view[index]
+
+    def __setitem__(self, index, value):
+        self.tally[1] += 1
+        self.view[index] = value
+
+
+def test_a_compiled_trip_of_the_sw_mem_round_reads_memory_once_and_writes_none():
+    # sw-mem's round keeps the state, column and lane buffers in cells: a
+    # trip reads only its round constant, and the call writes the cells
+    # back once, however many trips it runs
+    image = generate_kernel("sw-mem", "sha3-256")
+    first = []
+    def spy(*args):
+        run = real(*args)
+        def capture(m, budget):
+            if not first:
+                first.append((run, m.pc, list(m.regs), bytes(m.memory)))
+            return run(m, budget)
+        return capture if len(args[0]) == 461 else run
+    real = emulator._compile
+    m = Machine(memory_size=1 << 21)
+    m.load_program(image)
+    with _thresholds((1, 1)), mock.patch.object(emulator, "_compile", spy):
+        m.run()
+    run, pc, regs, memory = first[0]
+
+    def tally(trips):
+        m = Machine(memory_size=1 << 21)
+        m.load_program(image)
+        m.memory[:] = memory
+        m.regs[:], m.pc = regs, pc
+        tally = [0, 0]
+        m._views = tuple(_Counting(view, tally) for view in m._views)
+        assert run(m, 461 * trips) == 461 * trips
+        return tally
+
+    (reads, writes), (reads_5, writes_5) = tally(1), tally(5)
+    assert (reads_5 - reads, writes_5 - writes) == (4, 0)
+    assert reads - 1 == writes == 25 + 5 + 25
