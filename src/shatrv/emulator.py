@@ -27,8 +27,10 @@ instruction and the ones after it; a CostModel prices the counts outside
 the machine. Regions are read off the counts (ExecutionStats) and never count
 hypercall ecalls. A Translations cache, which machines may share, maps each
 word to its closure or entry, each (code bytes, unit attached) to its
-blocks, which never change, each distinct run to the one executor every
-block holding it shares, and each loop (Machine._loop) to its executor.
+table of blocks by pc, each (pc, code bytes from pc on, unit attached) to
+the one block, which never changes, that every code sharing them runs
+there, each distinct run to the one executor every block holding it
+shares, and each loop (Machine._loop) to its executor.
 An executor fuses its run once, interprets it, and from its _HOT-th call
 runs the unfused run compiled to one Python function over registers in
 locals. A loop compiles on its _HOT_LOOP-th trip to one function that
@@ -319,43 +321,40 @@ def _memory_fault(m, pc, kind, size, addr):
     return MemoryFault(f"{why} at {addr:#x} (pc={pc:#x})")
 
 
-def _fused(a, b, c):
-    """The one entry that does the work of the entries a, b, c, or None.
-    Two RV64I idioms fuse:
+def _fuse(entries):
+    """entries with each fusable triple replaced by its fused entry and two
+    empty ones, so every instruction keeps its slot. Two RV64I idioms fuse:
       srli T, A, k; slli A, A, 64-k; or A, A, T    (rotate A left by 64-k)
         -> (_ROT, None, T, A, k, 64-k, 0, 0)
       xori T, N1, -1; and T, T, N2; xor D, D, T    (D ^= ~N1 & N2)
         -> (_ANDN, None, T, N1, N2, D, 0, 0)
     Each needs T != A (T != N2), as the fused entry reads its sources
-    before it writes; an x0 write has an empty entry, so never fuses."""
-    if not (a and b and c):
-        return None
-    if (a[:2] == (_IMM, operator.rshift) and b[:2] == (_IMM, operator.lshift)
-            and c[:2] == (_REG, operator.or_)):
-        t, src, k = a[2], a[3], a[4]
-        if (t != src and 0 < k < 64 and b[2] == b[3] == c[2] == c[3] == src
-                and b[4] == 64 - k and c[4] == t):
-            return (_ROT, None, t, src, k, 64 - k, 0, 0)
-    elif (a[:2] == (_IMM, operator.xor) and a[4] == _M64
-            and b[:2] == (_REG, operator.and_) and c[:2] == (_REG, operator.xor)):
-        t, n2, d = a[2], b[4], c[2]
-        if b[2] == b[3] == t != n2 and c[3] == d and c[4] == t:
-            return (_ANDN, None, t, a[3], n2, d, 0, 0)
-    return None
-
-
-def _fuse(entries):
-    """entries with each fusable triple replaced by its fused entry and two
-    empty ones, so every instruction keeps its slot."""
+    before it writes; an x0 write has an empty entry, so never fuses. One
+    pass from the left: a triple that fuses is skipped whole."""
     out = list(entries)
-    i = 0
-    while i + 2 < len(out):
-        f = _fused(*out[i:i + 3])
-        if f is None:
-            i += 1
-        else:
-            out[i:i + 3] = f, (), ()
-            i += 3
+    i, last = 0, len(out) - 2
+    while i < last:
+        a = out[i]
+        if a and a[0] == _IMM:
+            op, t, src, k = a[1], a[2], a[3], a[4]
+            b, c = out[i + 1], out[i + 2]
+            if (op is operator.rshift and t != src and 0 < k < 64
+                    and b and b[0] == _IMM and b[1] is operator.lshift
+                    and b[2] == b[3] == src and b[4] == 64 - k
+                    and c and c[0] == _REG and c[1] is operator.or_
+                    and c[2] == c[3] == src and c[4] == t):
+                out[i:i + 3] = (_ROT, None, t, src, k, 64 - k, 0, 0), (), ()
+                i += 3
+                continue
+            if (op is operator.xor and k == _M64
+                    and b and b[0] == _REG and b[1] is operator.and_
+                    and b[2] == b[3] == t != b[4]
+                    and c and c[0] == _REG and c[1] is operator.xor
+                    and c[2] == c[3] and c[4] == t):
+                out[i:i + 3] = (_ANDN, None, t, src, b[4], c[2], 0, 0), (), ()
+                i += 3
+                continue
+        i += 1
     return out
 
 
@@ -808,17 +807,21 @@ class Translations:
     maps to its (closure or None, category index, straight-line entry or
     None, instruction or None), with a closure or an entry, and for a
     branch or jal its decoded instruction; every (code bytes, unit
-    attached) to its table of blocks by entry pc; every straight-line run,
-    by its unfused entries, to the one executor that all blocks holding it
-    share (_executor); and every loop, by its words, to its one executor,
-    which any code may share as a loop's jumps are pc-relative.
-    Nothing here holds a machine, so any machine whose key matches may
-    run it."""
+    attached) to its table of blocks by entry pc, which dispatch reads;
+    every (pc, the code bytes from pc to the end of the code, unit
+    attached) to the block translated there (suffixes), which every
+    table whose code has those bytes from pc on holds, as a block is
+    made only of them; every straight-line run, by its unfused entries,
+    to the one executor that all blocks holding it share (_executor);
+    and every loop, by its words, to its one executor, which any code
+    may share as a loop's jumps are pc-relative. Nothing here holds a
+    machine, so any machine whose key matches may run it."""
 
     def __init__(self):
         self.words = {}
         self.runs = {}
         self.loops = {}
+        self.suffixes = {}
         self._tables = {}
 
     def run(self, entries):
@@ -1071,8 +1074,9 @@ class Machine:
         builds none. A halted machine raises EmulatorError."""
         if self.halted:
             raise EmulatorError("machine is halted")
-        blocks = self._translations.blocks(self._code,
-                                           self.round_unit is not None)
+        attached = self.round_unit is not None
+        blocks = self._translations.blocks(self._code, attached)
+        suffixes = self._translations.suffixes
         counts = self.stats._counts
         stepping = budget <= 1
         while budget > 0 and not self.halted:
@@ -1083,7 +1087,12 @@ class Machine:
             else:
                 block = blocks.get(start)
                 if block is None:
-                    block = blocks[start] = self._translate(start)
+                    # a code with the same bytes from here on may have made it
+                    key = start, self._code[start - CODE_BASE:], attached
+                    block = suffixes.get(key)
+                    if block is None:
+                        block = suffixes[key] = self._translate(start)
+                    blocks[start] = block
                 if block.length > budget:
                     stepping = True
                     continue

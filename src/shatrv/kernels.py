@@ -29,8 +29,9 @@ one row.
 
 Strategies share the driver and variants share the routine after the
 permute label.  Permute may clobber every register, so the driver keeps its
-loop state in scratch spill slots.  generate_kernel assembles the driver per
-variant and the pc-relative routine once per routines dict a caller passes.
+loop state in scratch spill slots.  generate_kernel assembles each variant's
+driver and each strategy's pc-relative routine once per routines dict a
+caller passes.
 """
 
 from collections import namedtuple
@@ -341,12 +342,18 @@ def kernel_source(strategy, variant):
 
 def generate_kernel(strategy, variant, routines=None):
     """Assemble one hashing kernel: the variant's driver, then the routine.
-    Pass one routines dict for all the variants built: each strategy's
-    routine is assembled into it once, and only its labels move."""
-    driver = assemble(_source(strategy, variant, ["permute:"]))
+    Pass one routines dict for all the kernels built: each variant's driver
+    and each strategy's routine is assembled into it once, under its name
+    (no strategy is named like a variant), and only the routine's labels
+    move."""
+    select([strategy])
+    keccak.sponge_params(variant)   # both names are checked before any lookup
     routines = {} if routines is None else routines
+    if variant not in routines:
+        routines[variant] = assemble(_source(strategy, variant, ["permute:"]))
     if strategy not in routines:
         routines[strategy] = assemble("\n".join(_routine(STRATEGY_TABLE[strategy])))
-    body, shift = routines[strategy], len(driver.code)
-    return AssembledProgram(driver.code + body.code, driver.data_segments, {
+    driver, body = routines[variant], routines[strategy]
+    shift = len(driver.code)
+    return AssembledProgram(driver.code + body.code, list(driver.data_segments), {
         **driver.symbols, **{k: a + shift for k, a in body.symbols.items()}})

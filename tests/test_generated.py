@@ -7,11 +7,13 @@ against the composed step maps, step() against run() on every
 strategy's kernel, on faulting programs, on faults and budget stops
 inside an open region and on drawn rotate and and-not triples and their
 near misses between region markers at drawn places (run() fuses the
-triples, step() never does), one executor per distinct run shared by
-every variant's kernel and blocks that never change as their runs
-compile, machines sharing one translation cache against machines with a
-private one, cost models sharing one cache without translating again,
-cycles against their closed form in the counts, every load and store against a reference model,
+triples, step() never does), hand-built near misses that must not fuse,
+one executor per distinct run shared by every variant's kernel and
+blocks that never change as their runs compile, machines sharing one
+translation cache that every strategy's kernel filled against machines
+with a private one, cost models sharing one cache without translating
+again, cycles against their closed form in the counts, every load and
+store against a reference model,
 the compiled tier (every straight-line run compiled on its first call)
 against the interpreter and stepping, with base registers drawn to fail
 each segment's guard in turn, every ALU instruction against a table
@@ -21,6 +23,7 @@ Hypothesis runs derandomized, so the suite is reproducible."""
 
 import importlib.util
 import itertools
+import operator
 from unittest import mock
 
 import pytest
@@ -445,8 +448,12 @@ def test_a_budget_stop_inside_a_region_reads_what_steps_read(budget):
 @generated(4)
 @given(message=st.binary(max_size=300))
 def test_a_filled_cache_runs_like_a_private_one(strategy, message):
+    # every strategy's kernel, this one's among them, fills the cache on
+    # another message; test_sharing.py runs each of the 12 kernels on a
+    # cache that only the other 11 filled
     shared = Translations()
-    _ran(_loaded(strategy, translations=shared))
+    for other in STRATEGIES:
+        _ran(_loaded(other, translations=shared))
     assert _ran(_loaded(strategy, message, translations=shared)) \
         == _ran(_loaded(strategy, message))
 
@@ -592,10 +599,30 @@ _BETWEEN = st.one_of(
 )
 
 
+# near misses no drawn triple is: a rotate or an and-not whose middle or
+# last op is another, and each idiom with T == A (T == N2)
+_NEAR_MISSES = [
+    _enc("srli", rd=6, rs1=7, imm=9) + _enc("srai", rd=7, rs1=7, imm=55)
+    + _enc("or", rd=7, rs1=7, rs2=6),
+    _enc("srli", rd=6, rs1=7, imm=9) + _enc("slli", rd=7, rs1=7, imm=55)
+    + _enc("xor", rd=7, rs1=7, rs2=6),
+    _enc("srli", rd=7, rs1=7, imm=9) + _enc("slli", rd=7, rs1=7, imm=55)
+    + _enc("or", rd=7, rs1=7, rs2=7),
+    _enc("xori", rd=6, rs1=7, imm=-1) + _enc("or", rd=6, rs1=6, rs2=8)
+    + _enc("xor", rd=9, rs1=9, rs2=6),
+    _enc("xori", rd=6, rs1=7, imm=-1) + _enc("and", rd=6, rs1=6, rs2=8)
+    + _enc("or", rd=9, rs1=9, rs2=6),
+    _enc("xori", rd=6, rs1=7, imm=-1) + _enc("and", rd=6, rs1=6, rs2=6)
+    + _enc("xor", rd=9, rs1=9, rs2=6),
+]
+
+
 @generated(300)
 @given(pieces=st.lists(st.one_of(_rotates(), _and_nots(), _BETWEEN), max_size=12),
        values=st.lists(st.integers(0, M64), min_size=4, max_size=4),
        marks=st.lists(st.integers(0, 12), min_size=2, max_size=2))
+@example(pieces=_NEAR_MISSES, values=[3, 1 << 63 | 5, M64, 1 << 40], marks=[0, 6])
+@example(pieces=_NEAR_MISSES[::-1], values=[M64, 7, 1 << 63, 12345], marks=[2, 3])
 def test_fused_idioms_run_like_steps(pieces, values, marks):
     # region 1 holds the pieces; region 2 begins and ends at drawn places
     # among them, where its ecalls split runs and triples
@@ -621,6 +648,38 @@ def test_fused_idioms_run_like_steps(pieces, values, marks):
     ran = machine()
     ran.run()
     assert _observed(ran) + (ran.memory,) == _observed(stepped) + (stepped.memory,)
+
+
+_ROTATE = (emulator._IMM, operator.rshift, 6, 7, 9, 0, 0, 0), \
+    (emulator._IMM, operator.lshift, 7, 7, 55, 0, 0, 0), \
+    (emulator._REG, operator.or_, 7, 7, 6, 0, 0, 0)
+_AND_NOT = (emulator._IMM, operator.xor, 6, 7, M64, 0, 0, 0), \
+    (emulator._REG, operator.and_, 6, 6, 8, 0, 0, 0), \
+    (emulator._REG, operator.xor, 9, 9, 6, 0, 0, 0)
+
+
+def _with(triple, i, **fields):
+    """triple with entry i's named fields replaced."""
+    names = ("kind", "op", "d", "s", "x")
+    e = list(triple[i])
+    for name, value in fields.items():
+        e[names.index(name)] = value
+    return triple[:i] + (tuple(e),) + triple[i + 1:]
+
+
+@pytest.mark.parametrize("entries", [
+    _with(_with(_ROTATE, 0, d=7), 2, x=7), _with(_with(_ROTATE, 0, x=0), 1, x=64),
+    _with(_ROTATE, 1, op=operator.rshift), _with(_ROTATE, 2, op=operator.xor),
+    _with(_ROTATE, 2, x=7), _with(_AND_NOT, 1, x=6), _with(_AND_NOT, 0, x=M64 - 1),
+    _with(_AND_NOT, 1, op=operator.or_), _with(_AND_NOT, 2, op=operator.and_),
+    _with(_AND_NOT, 2, s=8), _ROTATE[:2] + ((),), ((),) + _AND_NOT[1:],
+], ids=["T=A", "k=0", "middle-srli", "last-xor", "or-A-A", "T=N2",
+        "xori-not-minus-1", "middle-or", "last-and", "xor-D-other", "empty-last", "empty-first"])
+def test_a_near_miss_does_not_fuse(entries):
+    # each is an idiom with one of its conditions broken; the idioms fuse
+    assert emulator._fuse(entries) == list(entries)
+    assert emulator._fuse(_ROTATE) == [(emulator._ROT, None, 6, 7, 9, 55, 0, 0), (), ()]
+    assert emulator._fuse(_AND_NOT) == [(emulator._ANDN, None, 6, 7, 8, 9, 0, 0), (), ()]
 
 
 def test_every_variant_shares_the_fused_entries_of_one_cache():

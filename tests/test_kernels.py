@@ -209,8 +209,8 @@ class TestGeneratorSurface:
 
 
 class TestComposedKernel:
-    """generate_kernel assembles each variant's driver and joins it to the
-    strategy's routine, assembled once into the routines dict it is given."""
+    """generate_kernel joins a variant's driver to a strategy's routine,
+    each assembled once into the routines dict it is given."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -236,9 +236,11 @@ class TestComposedKernel:
         return [c.args[0].startswith("permute:") for c in counted.call_args_list]
 
     def test_one_bench_call_assembles_each_routine_once(self):
+        # and each variant's driver once, whatever strategy it is joined to:
+        # 7 assemble calls for the 12 kernels
         is_routine = self._counted_bench()
         assert sum(is_routine) == len(STRATEGIES)
-        assert is_routine.count(False) == len(STRATEGIES) * len(VARIANTS)
+        assert is_routine.count(False) == len(VARIANTS)
 
     def test_every_bench_call_assembles_the_same(self):
         # the routines live as long as one bench call, so a second call in

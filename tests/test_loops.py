@@ -34,6 +34,11 @@ DATA = 0x8000
 M64 = (1 << 64) - 1
 # what both machines hold around DATA before a loop runs
 FILL = bytes(i * 7 % 251 for i in range(4352))
+# every run and every stepping here stops at this many instructions, far
+# past the longest program (the drawn loops retire at most 2,863, the
+# sw-mem kernel on a 200-byte message 23,251), so a loop whose exit breaks
+# fails its test instead of hanging the suite
+BUDGET = 100_000
 
 
 def _shipped():
@@ -184,7 +189,7 @@ def _loops(draw):
     return code, regs
 
 
-def _outcome_of_run(m, budget=None):
+def _outcome_of_run(m, budget=BUDGET):
     try:
         m.run(budget)
     except EmulatorError as e:
@@ -194,9 +199,11 @@ def _outcome_of_run(m, budget=None):
 
 def _outcome_of_reference(ref):
     try:
-        ref.run()
+        ref.run(BUDGET)
     except Fault as f:
         return f.kind, f.pc
+    # Reference.run returns when the budget is spent, too
+    assert ref.halted, f"the reference ran {BUDGET} instructions without an exit"
     return "exit", ref.pc
 
 
@@ -291,8 +298,16 @@ def _fault(m, drive):
     return type(e.value), str(e.value), _observed(m)
 
 
-def _step_forever(m):
-    while True:
+def _step_until_halt(m):
+    for _ in range(BUDGET):
+        if m.halted:
+            return
+        m.step()
+    assert m.halted, f"no exit in {BUDGET} steps"
+
+
+def _step_until_fault(m):
+    for _ in range(BUDGET):
         m.step()
 
 
@@ -319,10 +334,10 @@ def test_a_loop_that_faults_on_a_late_trip_ends_like_steps(hot, walk):
                             _enc("addi", rd=17), _enc("ecall")])
     if regs[5] is None:     # 99 trips clear of the code, the 100th stores into it
         regs = {5: (CODE_BASE + len(code) + 7) // 8 * 8 + 8 * 99}
-    stepped = _fault(_machine(code, regs), _step_forever)
+    stepped = _fault(_machine(code, regs), _step_until_fault)
     with _thresholds(hot), \
             mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
-        ran = _fault(_machine(code, regs), Machine.run)
+        ran = _fault(_machine(code, regs), lambda m: m.run(BUDGET))
     assert ran == stepped
     assert stepped[0] is MemoryFault
     assert stepped[2][2]["branch"] == 99
@@ -373,8 +388,7 @@ def test_a_compiled_loop_leaves_where_steps_leave(hot, case):
     regs = {5: DATA, 6: DATA + 2048, 19: other}
     stepped = _machine(code, regs)
     stepped.memory[DATA:DATA + 800] = table
-    while not stepped.halted:
-        stepped.step()
+    _step_until_halt(stepped)
     with _thresholds(hot), \
             mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
         ran = _machine(code, regs)
@@ -395,12 +409,11 @@ def test_a_loop_whose_guard_never_passes_stays_with_its_blocks():
                      _enc("addi", rd=17), _enc("ecall")])
     regs = {5: DATA + 2, 8: 100}
     stepped = _machine(code, regs)
-    while not stepped.halted:
-        stepped.step()
+    _step_until_halt(stepped)
     shared = Translations()
     with _thresholds((1, 1)):
         ran = _machine(code, regs, shared)
-        ran.run()
+        ran.run(BUDGET)
     assert _observed(ran) == _observed(stepped)
     assert shared.blocks(ran._code, False)[CODE_BASE].loop is None
     assert not shared.loops
@@ -460,7 +473,7 @@ def test_every_driver_loop_and_the_sw_mem_round_run_whole():
     message = bytes(range(200))
     m.memory[MESSAGE_ADDR:MESSAGE_ADDR + len(message)] = message
     m.regs[10] = len(message)
-    assert m.run() == 0
+    assert m.run(BUDGET) == 0
     assert sorted(map(len, shared.loops)) == [3, 3, 6, 7, 8, 8, 461]
 
 
@@ -531,8 +544,7 @@ def _reference_state(ref):
 
 def _outcome_of_steps(m):
     try:
-        while not m.halted:
-            m.step()
+        _step_until_halt(m)
     except EmulatorError as e:
         return type(e).__name__, m.pc
     return "exit", m.pc
@@ -625,7 +637,7 @@ def test_a_compiled_trip_of_the_sw_mem_round_reads_memory_once_and_writes_none()
     m = Machine(memory_size=1 << 21)
     m.load_program(image)
     with _thresholds((1, 1)), mock.patch.object(emulator, "_compile", spy):
-        m.run()
+        m.run(BUDGET)
     run, pc, regs, memory = first[0]
 
     def tally(trips):
