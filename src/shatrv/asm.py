@@ -102,7 +102,7 @@ def _split_statement(line):
     if len(parts) == 1:
         return parts[0], []
     ops = [p.strip() for p in parts[1].split(",")]
-    if any(not p for p in ops):
+    if "" in ops:
         raise ValueError("empty operand")
     return parts[0], ops
 
@@ -129,32 +129,36 @@ _PRINT = {
 }
 
 
-def _syntax(name, unknown="unknown mnemonic"):
-    try:
-        return isa.FORMATS[isa.INSTRUCTIONS[name][0]].slots
-    except KeyError:
-        raise ValueError(f"{unknown} {name!r}") from None
+# each operand slot of an isa.Format syntax as (the index of its field in
+# isa.encode's rd, rs1, rs2, imm, csr; its parser): offset(reg) sets imm and rs1
+_SLOTS = {
+    "rd": (0, _parse_reg), "rs1": (1, _parse_reg), "rs2": (2, _parse_reg),
+    "imm": (3, _parse_int), "imm20": (3, _parse_int), "csr": (4, _parse_int),
+    "imm(rs1)": (None, _parse_mem), "target": (3, None),
+}
+_OPERANDS = {name: tuple(_SLOTS[slot] for slot in isa.FORMATS[fmt].slots)
+             for name, (fmt, _) in isa.INSTRUCTIONS.items()}
 
 
 def _encode_statement(name, ops, addr, symbols):
-    """Encode one parsed instruction at a known address. Labels in branch
-    and jal operands resolve through symbols; raises ValueError on any
-    malformed operand, the leftmost first."""
-    syntax = _syntax(name)
-    _arity(name, ops, len(syntax))
-    fields = {}
-    for slot, tok in zip(syntax, ops):
-        if slot == "imm(rs1)":
-            fields["imm"], fields["rs1"] = _parse_mem(tok)
-        elif slot == "target":
-            fields["imm"] = _target_offset(tok, addr, symbols)
-        elif slot == "csr":
-            fields["csr"] = _parse_int(tok)
-        elif slot.startswith("imm"):
-            fields["imm"] = _parse_int(tok)
+    """Encode one parsed instruction at addr, resolving branch and jal labels
+    through symbols, or give None for a branch or jal if symbols is None.
+    Raises ValueError on any malformed operand, the leftmost first."""
+    slots = _OPERANDS.get(name)
+    if slots is None:
+        raise ValueError(f"unknown mnemonic {name!r}")
+    _arity(name, ops, len(slots))
+    fields = [0, 0, 0, 0, None]
+    for (index, parse), tok in zip(slots, ops):
+        if index is None:
+            fields[3], fields[1] = parse(tok)
+        elif parse is not None:
+            fields[index] = parse(tok)
+        elif symbols is None:
+            return None
         else:
-            fields[slot] = _parse_reg(tok)
-    return isa.encode(name, **fields)
+            fields[3] = _target_offset(tok, addr, symbols)
+    return isa.encode(name, *fields)
 
 
 def _rewrite_pseudo(name, ops):
@@ -222,11 +226,10 @@ def _statement_words(text):
         return _li_words(ops)
     name, ops = _rewrite_pseudo(name, ops)
     try:
-        if "target" not in _syntax(name):
-            return (_encode_statement(name, ops, 0, {}),)
+        word = _encode_statement(name, ops, 0, None)
     except ValueError:
-        pass
-    return None
+        return None
+    return None if word is None else (word,)
 
 
 _NOP_WORD = 0x00000013
@@ -380,8 +383,10 @@ def encode_instruction(text):
 def format_instruction(inst):
     """Render a decoded instruction in the canonical text the assembler
     accepts. Branch and jump targets come out as numeric offsets."""
-    syntax = _syntax(inst.mnemonic, "no canonical form for")
-    ops = ", ".join(_PRINT[slot].format(inst) for slot in syntax)
+    row = isa.INSTRUCTIONS.get(inst.mnemonic)
+    if row is None:
+        raise ValueError(f"no canonical form for {inst.mnemonic!r}")
+    ops = ", ".join(_PRINT[slot].format(inst) for slot in isa.FORMATS[row[0]].slots)
     return f"{inst.mnemonic} {ops}" if ops else inst.mnemonic
 
 

@@ -365,7 +365,7 @@ def _run(entries):
     whose entry is copied to hold its offset. A register xor gets its own
     kind here, _XOR, which needs no call; other ALU entries are shared."""
     body = tuple([e[:-1] + (4 * i,) if e[0] >= _LOAD
-                  else (_XOR, *e[1:]) if e[:2] == (_REG, operator.xor) else e
+                  else (_XOR, *e[1:]) if e[0] == _REG and e[1] is operator.xor else e
                   for i, e in enumerate(entries) if e])
     def ex(m, body=body, length=4 * len(entries)):
         r = m.regs
@@ -803,19 +803,20 @@ def _block(executors, categories, loop=None):
 
 class Translations:
     """Translation cache for machines that run the same code, such as the
-    machines of one benchmark run. Every (instruction word, unit attached)
-    maps to its (closure or None, category index, straight-line entry or
-    None, instruction or None), with a closure or an entry, and for a
-    branch or jal its decoded instruction; every (code bytes, unit
-    attached) to its table of blocks by entry pc, which dispatch reads;
-    every (pc, the code bytes from pc to the end of the code, unit
-    attached) to the block translated there (suffixes), which every
-    table whose code has those bytes from pc on holds, as a block is
-    made only of them; every straight-line run, by its unfused entries,
-    to the one executor that all blocks holding it share (_executor);
-    and every loop, by its words, to its one executor, which any code
-    may share as a loop's jumps are pc-relative. Nothing here holds a
-    machine, so any machine whose key matches may run it."""
+    machines of one benchmark run. Every instruction word, with bit 32 set
+    if a unit is attached (an int key hashes faster than a pair), maps to
+    its (closure or None, category index, straight-line entry or None,
+    instruction or None), with a closure or an entry, and for a branch or
+    jal its decoded instruction; every (code bytes, unit attached) to its
+    table of blocks by entry pc, which dispatch reads; every (pc, the code
+    bytes from pc to the end of the code, unit attached) to the block
+    translated there (suffixes), which every table whose code has those
+    bytes from pc on holds, as a block is made only of them; every
+    straight-line run, by its unfused entries, to the one executor that
+    all blocks holding it share (_executor); and every loop, by its words,
+    to its one executor, which any code may share as a loop's jumps are
+    pc-relative. Nothing here holds a machine, so any machine whose key
+    matches may run it."""
 
     def __init__(self):
         self.words = {}
@@ -946,7 +947,7 @@ class Machine:
         word = self._words[(pc - CODE_BASE) >> 2]
         attached = self.round_unit is not None
         words = self._translations.words
-        cached = words.get((word, attached))
+        cached = words.get(word | attached << 32)
         if cached is None:
             try:
                 inst = self.decode(word)
@@ -954,8 +955,8 @@ class Machine:
                 ex = _closure(inst, attached) if entry is None else None
             except (DecodeError, CsrFault) as e:
                 raise type(e)(f"at pc={pc:#x}: {e}") from None
-            jump = inst if inst.mnemonic in ("jal", *_BRANCH_COND) else None
-            cached = words[word, attached] = (
+            jump = inst if inst.category == BRANCH and inst.mnemonic != "jalr" else None
+            cached = words[word | attached << 32] = (
                 ex, CATEGORY_INDEX[inst.category], entry, jump)
         return cached
 
@@ -969,28 +970,28 @@ class Machine:
         A block ends before the target of its own backward branch or jal,
         so that every trip of a loop starts at its header, whose block
         holds the loop's executor (_loop)."""
-        words, attached = self._translations.words, self.round_unit is not None
-        code, i = self._words, (pc - CODE_BASE) >> 2
-        cats, entries, closures = [], [], {}
-        cached = self._build(pc)
-        while True:
-            ex, cat, entry, jump = cached
-            if ex is not None:
-                closures[len(cats)] = ex
-            cats.append(cat)
-            entries.append(entry)
-            i += 1
-            if cat in _ENDS_BLOCK or i == len(code):
-                break
-            try:
-                cached = words.get((code[i], attached)) or self._build(CODE_BASE + 4 * i)
-            except (CsrFault, DecodeError):
-                break
-        n = len(cats)
+        words, unit = self._translations.words, (self.round_unit is not None) << 32
+        code, first = self._words, (pc - CODE_BASE) >> 2
+        ex, cat, entry, jump = self._build(pc)
+        cats, entries, closures = [cat], [entry], {0: ex} if ex else {}
+        if cat not in _ENDS_BLOCK:
+            for i in range(first + 1, len(code)):
+                try:
+                    cached = words.get(code[i] | unit) or self._build(CODE_BASE + 4 * i)
+                except (CsrFault, DecodeError):
+                    break
+                ex, cat, entry, jump = cached
+                if ex is not None:
+                    closures[len(cats)] = ex
+                cats.append(cat)
+                entries.append(entry)
+                if cat in _ENDS_BLOCK:
+                    break
+        n, entries = len(cats), tuple(entries)
         if jump is not None and -4 * (n - 1) < jump.imm <= 0 and not jump.imm & 3:
             n += (jump.imm >> 2) - 1
         bounds = sorted({0, n, *[c + k for c in closures for k in (0, 1) if c < n]})
-        return _block([closures.get(a) or self._translations.run(tuple(entries[a:b]))
+        return _block([closures.get(a) or self._translations.run(entries[a:b])
                        for a, b in zip(bounds, bounds[1:])], cats[:n],
                       self._loop(pc) if jump is not None and n == len(cats) else None)
 
@@ -1002,12 +1003,12 @@ class Machine:
         access offset is a multiple of its size, as no guard (_guard) passes
         one that is not. Loops of the same words share one executor
         (_executor)."""
-        words, attached = self._translations.words, self.round_unit is not None
+        words, unit = self._translations.words, (self.round_unit is not None) << 32
         code, first = self._words, (pc - CODE_BASE) >> 2
         entries, cats, jumps = [], [], {}
         try:
             for k, word in enumerate(code[first:]):
-                _, cat, entry, jump = words.get((word, attached)) or self._build(pc + 4 * k)
+                _, cat, entry, jump = words.get(word | unit) or self._build(pc + 4 * k)
                 entries.append(entry or ())
                 cats.append(cat)
                 if entry is None:

@@ -47,8 +47,8 @@ class DecodeError(EmulatorError):
     """Word does not encode a supported instruction."""
 
 
-@dataclass(frozen=True)
-class DecodedInstruction:
+class DecodedInstruction(NamedTuple):
+    """A decoded word: a tuple, so immutable, equal and hashing by its fields."""
     raw: int
     mnemonic: str
     category: str
@@ -235,34 +235,43 @@ def decode(word):
         raise DecodeError(f"unsupported opcode {opcode:#04x}: {word:#010x}")
     mnemonic, category, registers, unpack, csr = row
     r = word & registers
-    return DecodedInstruction(
+    # tuple.__new__ skips the NamedTuple's own __new__, a Python call
+    return tuple.__new__(DecodedInstruction, (
         word, mnemonic, category, r >> 7 & 0x1F, r >> 15 & 0x1F, r >> 20,
-        unpack(word) if unpack else 0, word >> 20 if csr else None)
+        unpack(word) if unpack else 0, word >> 20 if csr else None))
+
+
+# mnemonic -> (match word, register fields, csr in bits 20..31, _Immediate or None)
+_ENCODE = {name: (match, f.registers, f.csr, f.immediate and _IMMEDIATES[f.immediate])
+           for name, (fmt, match) in INSTRUCTIONS.items() for f in (FORMATS[fmt],)}
 
 
 def encode(mnemonic, rd=0, rs1=0, rs2=0, imm=0, csr=None):
     """Encode one instruction to its 32-bit word. Raises ValueError on any
     out-of-range field, and on a field that is not an int (a bool is not)."""
-    for name, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2), ("imm", imm),
-                    ("csr", 0 if csr is None else csr)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name} must be an int, got {v!r}")
-    for reg, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
-        if not 0 <= v <= 31:
-            raise ValueError(f"{reg} out of range: {v}")
-    if mnemonic not in INSTRUCTIONS:
-        raise ValueError(f"unknown mnemonic: {mnemonic}")
-    fmt, word = INSTRUCTIONS[mnemonic]
-    f = FORMATS[fmt]
-    if f.csr:
+    if not (type(rd) is type(rs1) is type(rs2) is type(imm) is int
+            and (csr is None or type(csr) is int)
+            and 0 <= rd <= 31 and 0 <= rs1 <= 31 and 0 <= rs2 <= 31
+            and mnemonic in _ENCODE):
+        # the first field that fails, in this order, raises; int subclasses pass
+        for name, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2), ("imm", imm),
+                        ("csr", 0 if csr is None else csr)):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"{name} must be an int, got {v!r}")
+        for reg, v in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
+            if not 0 <= v <= 31:
+                raise ValueError(f"{reg} out of range: {v}")
+        if mnemonic not in INSTRUCTIONS:
+            raise ValueError(f"unknown mnemonic: {mnemonic}")
+    word, registers, has_csr, spec = _ENCODE[mnemonic]
+    if has_csr:
         if csr is None or not 0 <= csr <= 0xFFF:
             raise ValueError(f"bad csr address: {csr}")
         word |= csr << 20
-    if f.immediate:
-        spec = _IMMEDIATES[f.immediate]
+    if spec:
         if not spec.lo <= imm <= spec.hi:
             raise ValueError(spec.out_of_range.format(imm))
         if spec.even and imm & 1:
             raise ValueError(f"imm must be even: {imm}")
         word |= spec.pack(imm)
-    return word | ((rd << 7) | (rs1 << 15) | (rs2 << 20)) & f.registers
+    return word | ((rd << 7) | (rs1 << 15) | (rs2 << 20)) & registers

@@ -1,4 +1,5 @@
-"""Generated and differential checks: decode over arbitrary words, the
+"""Generated and differential checks: decode over arbitrary words, each
+result an immutable value, and over values that are not words, the
 round-unit slot's decode contract, the instruction table against the
 spec's field layouts (no two rows overlap; encode, decode, print and
 parse make a fixed point at every field's extremes; one step past a range
@@ -62,6 +63,31 @@ def test_isa_decode_returns_or_raises_decode_error(word):
     except DecodeError:
         return
     assert inst.raw == word
+    # a value: equal to and hashing like a second decode, built again from
+    # its fields, and immutable
+    again = isa.decode(word)
+    assert again == inst and hash(again) == hash(inst)
+    fields = {f: getattr(inst, f) for f in ("rd", "rs1", "rs2", "imm", "csr")}
+    assert isa.DecodedInstruction(word, inst.mnemonic, inst.category, **fields) == inst
+    with pytest.raises(AttributeError):
+        inst.rd = inst.rd ^ 1
+    with pytest.raises(AttributeError):
+        inst.note = "x"
+    assert inst == again
+
+
+_not_words = st.one_of(
+    st.booleans(), st.none(), st.floats(), st.text(max_size=4), st.binary(max_size=4),
+    st.integers(max_value=-1), st.integers(min_value=1 << 32),
+    st.integers(0, (1 << 32) - 1).map(lambda w: [w]),
+)
+
+
+@generated(500)
+@given(_not_words)
+def test_isa_decode_refuses_what_is_not_a_word_with_decode_error(value):
+    with pytest.raises(DecodeError):
+        isa.decode(value)
 
 
 _custom0_words = st.one_of(
@@ -179,6 +205,52 @@ def _rows_with_fields(draw):
 @given(_rows_with_fields())
 def test_drawn_fields_are_a_fixed_point(row):
     _fixed_point(*row)
+
+
+# other spellings the assembler accepts: any run of blanks after the
+# mnemonic and around commas, a register's ABI name, an integer in hex or
+# with an underscore between its digits
+_ABI = ("zero ra sp gp tp t0 t1 t2 s0 s1 a0 a1 a2 a3 a4 a5 a6 a7 "
+        "s2 s3 s4 s5 s6 s7 s8 s9 s10 s11 t3 t4 t5 t6").split()
+_BLANKS = st.sampled_from([" ", "\t", "   ", " \t "])
+
+
+def _numerals(v):
+    digits = str(abs(v))
+    sign = "-" if v < 0 else ""
+    return [str(v), hex(v)] + ([sign + digits[0] + "_" + digits[1:]] if len(digits) > 1 else [])
+
+
+@st.composite
+def _spelled(draw, name, fields):
+    """A source statement of name with these fields, spelled at random."""
+    def reg(n):
+        return draw(st.sampled_from([f"x{n}", _ABI[n]] + (["fp"] if n == 8 else [])))
+
+    def num(v):
+        return draw(st.sampled_from(_numerals(v)))
+
+    ops = []
+    for slot in isa.FORMATS[isa.INSTRUCTIONS[name][0]].slots:
+        if slot == "imm(rs1)":
+            blank = draw(st.sampled_from(["", " "]))
+            ops.append(f"{num(fields['imm'])}{blank}({reg(fields['rs1'])})")
+        elif slot in ("rd", "rs1", "rs2"):
+            ops.append(reg(fields[slot]))
+        else:   # imm, imm20, csr or a target's offset
+            ops.append(num(fields["csr" if slot == "csr" else "imm"]))
+    comma = draw(st.sampled_from([", ", ",", " ,\t"]))
+    return name + (draw(_BLANKS) + comma.join(ops) if ops else "")
+
+
+@generated(1000)
+@given(st.data())
+def test_every_spelling_of_a_statement_encodes_like_isa_encode(data):
+    name, fields = data.draw(_rows_with_fields())
+    text = data.draw(_spelled(name, fields))
+    word = isa.encode(name, **fields)
+    assert asm.encode_instruction(text) == word, text
+    assert assemble(text + "\n").code == word.to_bytes(4, "little"), text
 
 
 def _rejected(name, field, value):
@@ -1266,14 +1338,18 @@ def _named(*formats):
                                   if fmt in formats))
 
 
+def _spellings(lo, hi):
+    return st.integers(lo, hi).flatmap(lambda v: st.sampled_from(_numerals(v)))
+
+
 def _statements(targets, jal_targets):
     return st.one_of(
         _fmt("{} {}, {}, {}", _named("R"), _REGS, _REGS, _REGS),
-        _fmt("{} {}, {}, {}", _named("I"), _REGS, _REGS, st.integers(-2048, 2047)),
+        _fmt("{} {}, {}, {}", _named("I"), _REGS, _REGS, _spellings(-2048, 2047)),
         _fmt("{} {}, {}, {}", _named("shift6"), _REGS, _REGS, st.integers(0, 63)),
         _fmt("{} {}, {}, {}", _named("shift5"), _REGS, _REGS, st.integers(0, 31)),
         _fmt("{} {}, {}({})", _named("load", "store"),
-             _REGS, st.integers(-2048, 2047), _REGS),
+             _REGS, _spellings(-2048, 2047), _REGS),
         _fmt("li {}, {}", _REGS, st.integers(-(1 << 63), (1 << 64) - 1).flatmap(
             lambda v: st.sampled_from([str(v), hex(v)]))),
         st.sampled_from(["nop", "ret", "ecall"]),
@@ -1294,7 +1370,8 @@ _any_statement = _statements(
 @st.composite
 def _programs(draw):
     lines = draw(st.lists(_any_statement, min_size=1, max_size=30))
-    lines = [line + draw(st.sampled_from(["", "  # note"])) for line in lines]
+    lines = [line.replace(" ", draw(_BLANKS), 1) + draw(st.sampled_from(["", "  # note"]))
+             for line in lines]
     for label in _LABELS:
         at = draw(st.integers(0, len(lines)))
         lines[at:at] = [f"{label}:"] if draw(st.booleans()) else [f"{label}: nop"]
@@ -1322,7 +1399,11 @@ _misuses = st.one_of(
     _fmt("{0} x5, x6, 7|{0} x5, x6, {1}", _named("I"),
          st.one_of(st.integers(2048, 1 << 40), st.integers(-(1 << 40), -2049))),
     _fmt("{0} x5, x6, x7|{0} x5, {1}, x7", _named("R"),
-         st.sampled_from(["x32", "x99", "q7", "a8", "X5"])),
+         st.sampled_from(["x32", "x99", "q7", "a8", "X5", "x05", "Zero"])),
+    _fmt("{0}\tx5, x6, 7|{0}\tx5, x6, {1}", _named("I"),
+         st.sampled_from(["0x800", "-0x801", "1__0", "_10", "10_", "0x"])),
+    _fmt("{0} x5, 8(x6)|{0} x5, {1}", _named("load", "store"),
+         st.sampled_from(["8( x6 )", "(x6)", "8(x6 )", "8(X6)", "8(x32)"])),
     _fmt("{0} x5, x6, x7|{0} {1}", _named("R"),
          st.sampled_from(["", "x5", "x5, x6", "x5, x6, x7, x8"])),
     _fmt("{0} x5, x6, 7|{0} {1}", _named("I"),
@@ -1379,6 +1460,15 @@ def test_a_failure_is_never_memoised(prefix, misuse, shift):
     ("beq x1, x2, nowhere\naddi x3, x3, 4096\n", "line 1: unknown label 'nowhere'"),
     ("add x1, x2\naddi x1, x1, 1, 2\n", "line 1: add expects 3 operand(s), got 2"),
     ("add x1, x2, , x3\naddi x1, x1, 99999\n", "line 1: empty operand"),
+    # spellings the assembler refuses
+    ("add x5, X5, x7\n", "line 1: unknown register 'X5'"),
+    ("add x5, x05, x7\n", "line 1: unknown register 'x05'"),
+    ("add x5, x6, x32\n", "line 1: unknown register 'x32'"),
+    ("ld x5, 8( x6 )\n", "line 1: expected offset(reg), got '8( x6 )'"),
+    ("sd x5, (x6)\n", "line 1: expected offset(reg), got '(x6)'"),
+    ("addi\tx5, x6, 0x800\n", "line 1: imm out of range [-2048, 2047]: 2048"),
+    ("addi   x5, x6, -0x801\n", "line 1: imm out of range [-2048, 2047]: -2049"),
+    ("addi x5, x6, 1__0\n", "line 1: expected an integer, got '1__0'"),
 ])
 def test_the_reported_error_does_not_depend_on_the_memo(source, message):
     asm._statement_words.cache_clear()

@@ -9,8 +9,8 @@ two hand-built pairs of programs against the reference interpreter in
 reference.py, one pair whose loop headers hold the same words but whose
 loops differ, which must not share, and one that differs only before its
 loop, which must; and, in one bench call over the 12 kernels, that each
-distinct block is translated once and each driver and routine assembled
-once.
+distinct block is translated once, each driver and routine assembled
+once, and as many words decoded and statements encoded as before.
 Hypothesis runs derandomized, so the suite is reproducible."""
 
 import importlib.util
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from reference import CATEGORIES, Reference
-from shatrv import bench, emulator, isa, kernels
+from shatrv import asm, bench, emulator, isa, kernels
 from shatrv.asm import assemble
 from shatrv.bench import run_benchmark
 from shatrv.cavp import CavpVector, CavpVectorSet
@@ -176,8 +176,8 @@ def test_programs_that_differ_only_before_a_pc_share_its_blocks(hot):
 def test_one_bench_call_translates_each_block_and_assembles_each_piece_once():
     sets = [CavpVectorSet(v, "inline", [CavpVector(0, b"", sha3_digest(b"", v))])
             for v in VARIANTS]
-    caches, keys, lengths = [], [], []
-    translate = Machine._translate
+    caches, keys, lengths, decoded = [], [], [], []
+    translate, decode = Machine._translate, Machine.decode
 
     class Spy(Translations):
         def __init__(self):
@@ -190,8 +190,14 @@ def test_one_bench_call_translates_each_block_and_assembles_each_piece_once():
         lengths.append(block.length)
         return block
 
+    def decoding(self, word):
+        decoded.append((word, self.round_unit is not None))
+        return decode(self, word)
+
+    asm._statement_words.cache_clear()
     with mock.patch.object(bench, "Translations", Spy), \
             mock.patch.object(Machine, "_translate", counted), \
+            mock.patch.object(Machine, "decode", decoding), \
             mock.patch.object(kernels, "assemble", wraps=assemble) as assembled:
         report = run_benchmark(sets)
     assert all(o.status == "pass" for o in report.outcomes)
@@ -202,6 +208,11 @@ def test_one_bench_call_translates_each_block_and_assembles_each_piece_once():
     assert lengths.count(5601) == 1
     # four drivers and three routines
     assert assembled.call_count == len(VARIANTS) + len(STRATEGIES)
+    # the front end's amount of work, pinned as literals so that a faster
+    # front end cannot skip any: each (word, unit attached) the cache lacks
+    # decoded once, each distinct statement encoded once
+    assert len(decoded) == len(set(decoded)) == 2218
+    assert asm._statement_words.cache_info().misses == 2178
     # every routine block is one object, in each of its strategy's kernels
     for strategy in STRATEGIES:
         images = [_KERNELS[strategy, v] for v in VARIANTS]
