@@ -34,19 +34,20 @@ shares, and each loop (Machine._loop) to its executor.
 An executor fuses its run once, interprets it, and from its _HOT-th call
 runs the unfused run compiled to one Python function over registers in
 locals. A loop compiles on its _HOT_LOOP-th trip to one function that
-runs whole trips until a branch leaves it or the budget is spent (one of
-3 to 8 instructions compiles in 0.2-0.4 ms and breaks even after 200-450
-trips). Each segment of a compiled run or trip opens with one guard per
-base register that proves no access in it can fault: the base is aligned
-to its largest access and inside memory; where the segment stores, the
-guard also proves the spans of its bases disjoint. Inside a segment a
-load of bytes it has loaded or stored at that width reads the local that
-holds them. A loop keeps each 8-byte cell it reaches with ld and sd
-through a base register it never writes in a local for the whole call,
-behind one guard before the first trip, and writes the stored cells back
-on every way out. A failed guard hands the rest of a run to the
-interpreter, and the rest of a loop to the blocks, which alone raise
-faults.
+runs whole trips until a branch leaves it or the budget is spent. A run
+whose periods repeat under a register renaming, as sw-regopt's 24 rounds
+do, compiles rolled to a loop over one period (_period). Each segment of
+a compiled run or trip opens with one guard per base register that
+proves no access in it can fault: the base is aligned to its largest
+access and inside memory; where the segment stores, the guard also
+proves the spans of its bases disjoint. Inside a segment a load of
+bytes it has loaded or stored at that width reads the local that holds
+them. A loop keeps each 8-byte cell it reaches with ld and sd through a
+base register it never writes in a local for the whole call, behind one
+guard before the first trip, and writes the stored cells back on every
+way out. A failed guard hands the rest of a run to the interpreter, with
+a rolled run's registers renamed back, and the rest of a loop to the
+blocks, which alone raise faults.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -420,22 +421,23 @@ def _run(entries):
 
 
 # A straight-line run is compiled on its _HOT-th call, a loop on its
-# _HOT_LOOP-th trip. Each breaks even after its compile time over the time
-# a compiled call or trip saves, measured on a 2-vCPU Xeon with Python
+# _HOT_LOOP-th trip, and a run that rolls up on either, a period counting
+# as a trip. Each breaks even after its compile time over the time a
+# compiled call or trip saves, measured on a 2-vCPU Xeon with Python
 # 3.11. sw-mem's round loop, 460 entries and a bne, compiles with its
 # state in promoted cells in 4.7-6.6 ms and runs a trip in 8.4-10.7 us,
 # not 78-86 us, even after 60-100 trips, which sets _HOT_LOOP. The
 # driver's loops of 3 to 8 instructions compile in 0.2-0.4 ms and save
 # 0.85-1.3 us a trip, even after 200-450 trips, and each, shared by every
 # kernel of a bench call, runs 2,000-7,800 trips in one short-burst call.
-# sw-regopt's 5,600-entry permutation run compiles in 84-91 ms and then
-# runs a call in 0.66-0.73 ms, slower than the 0.46-0.48 ms _run takes
-# with its fused and _XOR entries; it runs at most 239 times in one
-# `shatrv bench` call (the bundled vectors), below _HOT, so it stays cold.
-# Loop-ness, not size, picks the threshold, as a compile pays only if
-# enough calls follow it: a hot loop runs many trips an entry (24 for the
-# round), while a run outside a loop is called once a call of the code
-# around it, which may stop first, as that permutation run does.
+# sw-regopt's 5,600-entry permutation run rolls up as 24 periods of 231:
+# checking and compiling it takes 4.6-5.5 ms, and a call then takes
+# 0.21-0.23 ms, not the 0.41-0.44 ms _run takes, so it compiles on its 4th call
+# (96 periods) and pays back within about 25 calls. Unrolled it took 84-91
+# ms to compile and ran slower than _run. Loop-ness, not size, picks the
+# threshold, as a compile pays only if enough calls follow it: a hot loop
+# runs many trips an entry (24 for the round), while a run outside a loop
+# is called once a call of the code around it, which may stop first.
 _HOT = 300
 _HOT_LOOP = 80
 
@@ -518,7 +520,93 @@ def _overlaps(pairs):
             for (b1, lo1, hi1), (b2, lo2, hi2) in pairs]
 
 
-def _compile(entries, jumps=None, categories=()):
+# opcode -> (the register fields, the fields a period must repeat) of its
+# word: an access's offset is in neither, as it may step
+_R, _I, _S, _U = 0x01FF8F80, 0x000F8F80, 0x01FF8000, 0x00000F80
+_FIELDS = {0x33: (_R, ~_R), 0x3B: (_R, ~_R), 0x13: (_I, ~_I), 0x1B: (_I, ~_I),
+           0x03: (_I, 0x707F), 0x23: (_S, 0x707F), 0x37: (_U, ~_U)}
+# per field set, per byte of a word, its byte of that mask by the word's low
+# byte (an opcode and rd's low bit); other opcodes must repeat whole
+_MASKS = [[bytearray(b"\0\xff"[f:f + 1] * 256) for j in range(4)] for f in (0, 1)]
+for _op, _masks in _FIELDS.items():
+    for _f, _j in product((0, 1), range(4)):
+        _MASKS[_f][_j][_op] = _MASKS[_f][_j][_op | 0x80] = _masks[_f] >> 8 * _j & 0xFF
+
+
+def _agree(d, c):
+    """[s, e): the 32-bit lanes of d around lane c that are 0."""
+    above = d >> 32 * c
+    return ((d & ((1 << 32 * c) - 1)).bit_length() + 31) // 32, \
+        c + ((above & -above).bit_length() - 1) // 32
+
+
+def _period(entries, code):
+    """How the straight-line run of these entries, whose words are the
+    bytes code, rolls up, or None: (P, R, K, sigma, steps) when after P
+    entries come K >= 2 periods of R, each the one before with every
+    register n renamed sigma[n], a bijection of 0..31 fixing x0, and the
+    offset of the access at index j of a period stepped by steps.get(j, 0),
+    a multiple of its size. The words are compared as bytes and big ints,
+    each as its fields other than registers and offsets and as its rd, rs1
+    and rs2, 0 where the format has none, and a 0 byte, so that a sigma
+    that moves x0 matches nothing. A candidate R is the distance to the
+    next copy of the fields around the run's middle; sigma is read off the
+    two periods in the middle of where those fields repeat, so a register
+    it renames must appear in each period; the periods are where the fields
+    and the renamed registers both repeat. The first candidate that rolls
+    more than half the run, else the one that rolls the most, wins."""
+    n = len(entries)
+    masks = []
+    for tables in _MASKS:
+        buf = bytearray(len(code))
+        for j in range(4):
+            buf[j::4] = code[0::4].translate(tables[j])
+        masks.append(int.from_bytes(buf, "little"))
+    word = int.from_bytes(code, "little")
+    fields, regs = word & masks[1], word & masks[0]
+    # rd, rs1 and rs2 of each word in its bytes 0, 1 and 2
+    regs = (regs >> 7 & int.from_bytes(b"\x1f\x1f\0\0" * n, "little")
+            | regs >> 4 & int.from_bytes(b"\0\0\x1f\0" * n, "little"))
+    names = regs.to_bytes(len(code), "little")
+    mid, best = n // 2, None
+    text = fields.to_bytes(len(code), "little")
+    pattern, p = text[4 * mid:4 * (mid + 1 + n // 16)], 4 * mid
+    while best is None or 2 * best[1] * best[2] <= n:
+        p = text.find(pattern, p + 1)
+        R = p // 4 - mid
+        if p < 0 or 2 * R > n:
+            break
+        if p % 4:
+            continue
+        same = fields ^ fields >> 32 * R
+        s, e = _agree(same, mid)
+        if e - s < R:
+            continue
+        c = s + (e - s - R) // (2 * R) * R
+        sigma = dict(zip(names[4 * c:4 * (c + R)], names[4 * (c + R):4 * (c + 2 * R)]))
+        if len(set(sigma.values())) < len(sigma):
+            continue
+        free = iter(sorted(set(range(32)) - set(sigma.values())))
+        sigma = [sigma[r] if r in sigma else next(free) for r in range(32)]
+        renamed = int.from_bytes(names.translate(bytes(sigma) + bytes(range(32, 256))), "little")
+        s, e = _agree(same | renamed ^ regs >> 32 * R, c)
+        K, steps = (e + R - s) // R, {}
+        for j in range(R if K > 1 else 0):
+            if entries[s + j] and entries[s + j][0] >= _LOAD:
+                xs = [entries[s + k * R + j][4] for k in range(K)]
+                step = xs[1] - xs[0]
+                if step % (entries[s + j][5] + 1) or any(
+                        x != xs[0] + k * step for k, x in enumerate(xs)):
+                    break
+                if step:
+                    steps[j] = step
+        else:
+            if K > 1 and (best is None or K * R > best[1] * best[2]):
+                best = s, R, K, sigma, steps
+    return best
+
+
+def _compile(entries, jumps=None, categories=(), roll=None):
     """The compiled function of a straight-line run: its unfused entries
     (a key of Translations.runs) as plain Python over registers held in
     locals, x0 read as 0. The run is cut into segments (_segments); each
@@ -548,15 +636,29 @@ def _compile(entries, jumps=None, categories=()):
     accesses and, if any stores, each pair of their spans, or run returns
     0; each 8-byte cell is read once into a local c{base}_{i}, which a
     load copies and a store assigns; every other guard also tests its
-    span against theirs; and the stored cells go back however it leaves."""
+    span against theirs; and the stored cells go back however it leaves.
+    Given `roll`, a straight-line run's (P, R, K, sigma, steps) from
+    _period, the function loads every register into its local, runs the
+    prefix, then `for k in range(K)` over the first period, each stepped
+    access indexed by k and each period a new segment, renaming every
+    local n to hold the value of local sigma[n] at the end of a period,
+    and then the suffix. A guard that fails in period k writes back the
+    local of n as register sigma**k(n) and hands back to _run there."""
     names = {}      # register -> the local holding it, once written
     def reg(n):
         return names.get(n, f"x{n}") if n else "0"
 
-    def home():
-        # the line that moves each renamed register back to its own local
-        moved = {f"x{n}": v for n, v in names.items() if v != f"x{n}"}
+    def home(perm=range(32)):
+        # the line that moves the value of register perm[n], by default n
+        # itself, into each register n's own local
+        moved = {f"x{n}": reg(perm[n]) for n in range(1, 32) if reg(perm[n]) != f"x{n}"}
         return [f"{', '.join(moved)} = {', '.join(moved.values())}"] if moved else []
+
+    def store():
+        # the lines that write back every register a run has written
+        if roll:
+            return [f"r[1:] = {', '.join(map(reg, range(1, 32)))},"]
+        return [f"r[{n}] = {reg(n)}" for n in sorted(written)]
 
     def leave(offset, done):
         # a loop's way out, to its first pc + offset, `done` instructions
@@ -578,88 +680,131 @@ def _compile(entries, jumps=None, categories=()):
 
     env, ops, views = {"_run": _run, "E": entries}, {}, set()
     lines, written, live = [], set(), set()
+    P, R, K, sigma, steps = roll or (0, 0, 1, None, {})
+    body, cut, stride = entries, (0, len(entries)), {P + j: x for j, x in steps.items()}
+    if roll:
+        # the prefix, one period for every period and the suffix, with every
+        # register in a local; in period k register j is in the local of
+        # back[k][j], so home(back[K]) undoes the renaming
+        body = entries[:P + R] + entries[P + K * R:]
+        cut, back, inverse = (0, P, P + R, len(body)), [tuple(range(32))], sorted(
+            range(32), key=sigma.__getitem__)
+        for _ in range(K):
+            back.append(tuple(map(inverse.__getitem__, back[-1])))
+        env["T"] = back
     by_base = {}
-    for e in entries:
+    for e in body:
         if e and e[0] >= _LOAD:
             by_base.setdefault(e[3], []).append((e[0], e[4], e[5] + 1))
-    writes = {n for e in entries if e for n in _writes(e)}
+    writes = {n for e in body if e for n in _writes(e)}
     promoted = {s: a for s, a in by_base.items()
                 if jumps and s not in writes and all(n == 8 for *_, n in a)}
     cells = {(s, x): f"c{s}_{i}" for s, a in promoted.items()
              for i, x in enumerate(sorted({x for _, x, _ in a}))}
     fixed = [_span(reg(s), a) for s, a in promoted.items()]
-    starts = _segments(entries)
-    for start, stop in zip(starts, starts[1:] + [len(entries)]):
-        bases, facts = {}, {}
-        for e in entries[start:stop]:
-            if e and e[0] >= _LOAD and e[3] not in promoted:
-                bases.setdefault(e[3], []).append((e[0], e[4], e[5] + 1))
-        tests = [_guard(reg(s), accesses) for s, accesses in bases.items()]
-        spans = [_span(reg(s), a) for s, a in bases.items()]
-        if any(kind == _STORE for accesses in bases.values() for kind, _, _ in accesses):
-            tests += _overlaps(combinations(spans, 2))
-        tests += _overlaps(product(spans, fixed))
-        if tests:
-            lines.append(f"if {' or '.join(tests)}:")
-            if jumps:
-                lines += leave(4 * start, start)
-            else:
-                lines += [f"    r[{n}] = {reg(n)}" for n in sorted(written)]
-                if start:
-                    lines.append(f"    m.pc += {4 * start}")
-                lines.append(f"    return _run(E[{start}:])(m)")
-            lines += [f"b{s}_{w} = {reg(s)} >> {w}"
-                      for s, accesses in bases.items()
-                      for w in sorted({n.bit_length() - 1 for _, _, n in accesses}) if w]
-        for i, e in enumerate(entries[start:stop], start):
-            if jumps and i in jumps:
-                name, rs1, rs2, offset = jumps[i]
-                live.update(n for n in (rs1, rs2) if n not in written)
-                if i + 1 < len(entries):
-                    taken = _TAKEN[name].format(reg(rs1), reg(rs2), S=1 << 63)
-                    lines += [f"if {taken}:", *leave(offset, i + 1)]
+    for part, (lo, hi) in enumerate(zip(cut, cut[1:])):
+        if part == 1:
+            # every period starts with each register in its own local
+            lines += home()
+            names.clear()
+            first = len(lines)
+        starts = [lo + i for i in _segments(body[lo:hi])]
+        for start, stop in zip(starts, starts[1:] + [hi]):
+            bases, facts = {}, {}
+            for i, e in enumerate(body[start:stop], start):
+                if e and e[0] >= _LOAD and e[3] not in promoted:
+                    # a stepped access from its first offset to its last
+                    bases.setdefault(e[3], []).extend(
+                        (e[0], x, e[5] + 1) for x in {e[4], e[4] + (K - 1) * stride.get(i, 0)})
+            tests = [_guard(reg(s), accesses) for s, accesses in bases.items()]
+            spans = [_span(reg(s), a) for s, a in bases.items()]
+            if any(kind == _STORE for accesses in bases.values() for kind, _, _ in accesses):
+                tests += _overlaps(combinations(spans, 2))
+            tests += _overlaps(product(spans, fixed))
+            if tests:
+                lines.append(f"if {' or '.join(tests)}:")
+                if jumps:
+                    lines += leave(4 * start, start)
+                else:
+                    if part == 1:
+                        at = f"{start} + {R} * k"
+                        lines.append(f"    r[:] = map(({', '.join(map(reg, range(32)))})"
+                                     ".__getitem__, T[k])")
+                    else:
+                        at = start + (K - 1) * R if part else start
+                        lines += [f"    {line}" for line in store()]
+                    lines += [f"    m.pc += 4 * ({at})", f"    return _run(E[{at}:])(m)"]
+                lines += [f"b{s}_{w} = {reg(s)} >> {w}"
+                          for s, accesses in bases.items()
+                          for w in sorted({n.bit_length() - 1 for _, _, n in accesses}) if w]
+            for i, e in enumerate(body[start:stop], start):
+                if jumps and i in jumps:
+                    name, rs1, rs2, offset = jumps[i]
+                    live.update(n for n in (rs1, rs2) if n not in written)
+                    if i + 1 < len(entries):
+                        taken = _TAKEN[name].format(reg(rs1), reg(rs2), S=1 << 63)
+                        lines += [f"if {taken}:", *leave(offset, i + 1)]
+                        continue
+                    # the back edge tests after the moves, each register in its own local
+                    lines += home() + ["n += 1"]
+                    names.clear()
+                    if name != "jal":
+                        taken = _TAKEN[name].format(reg(rs1), reg(rs2), S=1 << 63)
+                        lines += [f"if not ({taken}):",
+                                  f"    pc = {_plus('t', 4 * len(entries))}", "    break"]
+                if not e:
                     continue
-                # the back edge tests after the moves, each register in its own local
-                lines += home() + ["n += 1"]
-                names.clear()
-                if name != "jal":
-                    taken = _TAKEN[name].format(reg(rs1), reg(rs2), S=1 << 63)
-                    lines += [f"if not ({taken}):",
-                              f"    pc = {_plus('t', 4 * len(entries))}", "    break"]
-            if not e:
-                continue
-            live.update(n for n in _reads(e) if n not in written)
-            kind, op, d, s, x, align, mask, _ = e
-            if kind >= _LOAD and s in promoted:
-                if kind == _STORE:
-                    lines.append(f"{cells[s, x]} = {reg(d)}")
-                elif d:
-                    lines.append(f"{target(d)} = {cells[s, x]}")
-            elif kind >= _LOAD:
-                w = align.bit_length()
-                index = _plus(f"b{s}_{w}" if w else reg(s), x >> w)
-                views.add(op)
-                if kind == _STORE:
-                    facts = {k: v for k, v in facts.items() if k[0] != s
-                             or k[1] + _VIEWS[k[2]][1] <= x or x + align < k[1]}
-                    value = reg(d) if mask == _M64 else f"v{len(lines)}"
-                    lines.append(f"V{op}[{index}] = {value}" + (
-                        f" = {reg(d)} & {mask}" if mask != _M64 else ""))
-                    facts[s, x, op] = value
-                elif d and (s, x, op) in facts:
-                    names[abs(d)] = facts[s, x, op]
-                elif d:
-                    value = f"V{op}[{index}]" + (f" & {_M64}" if d < 0 else "")
-                    lines.append(f"{target(abs(d))} = {value}")
-                    facts[s, x, op] = reg(abs(d))
-            else:
-                b = reg(x) if kind == _REG else str(x)
-                template = _EXPR.get(op)
-                if template is None:
-                    template = ops.setdefault(op, f"f{len(ops)}") + "({}, {}) & {M}"
-                value = template.format(reg(s), b, M=_M64)
-                lines.append(f"{target(d)} = {value}")
-            written.update(n for n in _writes(e) if n)
+                live.update(n for n in _reads(e) if n not in written)
+                kind, op, d, s, x, align, mask, _ = e
+                if kind >= _LOAD and s in promoted:
+                    if kind == _STORE:
+                        lines.append(f"{cells[s, x]} = {reg(d)}")
+                    elif d:
+                        lines.append(f"{target(d)} = {cells[s, x]}")
+                elif kind >= _LOAD:
+                    w = align.bit_length()
+                    index = _plus(f"b{s}_{w}" if w else reg(s), x >> w)
+                    step = stride.get(i)
+                    if step:    # a stepped access is neither forwarded nor a fact
+                        index += f" + {step >> w} * k"
+                    views.add(op)
+                    if kind == _STORE:
+                        facts = {k: v for k, v in facts.items() if k[0] != s or not step
+                                 and (k[1] + _VIEWS[k[2]][1] <= x or x + align < k[1])}
+                        value = reg(d) if mask == _M64 else f"v{len(lines)}"
+                        lines.append(f"V{op}[{index}] = {value}" + (
+                            f" = {reg(d)} & {mask}" if mask != _M64 else ""))
+                        if not step:
+                            facts[s, x, op] = value
+                    elif d and not step and (s, x, op) in facts:
+                        names[abs(d)] = facts[s, x, op]
+                    elif d:
+                        value = f"V{op}[{index}]" + (f" & {_M64}" if d < 0 else "")
+                        lines.append(f"{target(abs(d))} = {value}")
+                        if not step:
+                            facts[s, x, op] = reg(abs(d))
+                elif kind == _IMM and op is operator.add and not (s and x):
+                    # a copy renames, a constant is its value
+                    if s:
+                        names[d] = reg(s)
+                    else:
+                        lines.append(f"{target(d)} = {x}")
+                else:
+                    b = reg(x) if kind == _REG else str(x)
+                    template = _EXPR.get(op)
+                    if template is None:
+                        template = ops.setdefault(op, f"f{len(ops)}") + "({}, {}) & {M}"
+                    value = template.format(reg(s), b, M=_M64)
+                    lines.append(f"{target(d)} = {value}")
+                written.update(n for n in _writes(e) if n)
+        if part == 1:
+            # each register n's local goes on to hold register sigma[n]'s, the
+            # register that the next period uses in its place
+            lines += home(sigma)
+            names.clear()
+            lines[first:] = [f"for k in range({K}):",
+                             *[f"    {line}" for line in lines[first:] or ["pass"]],
+                             *home(back[K])]
     if jumps:
         # every register the loop writes has a local before the first trip
         live |= written
@@ -684,9 +829,9 @@ def _compile(entries, jumps=None, categories=()):
                  f"return n * {len(entries)} + done"]
         env.update(inf=math.inf, P=categories)
     else:
-        lines += [f"r[{n}] = {reg(n)}" for n in sorted(written)]
-        lines.append(f"m.pc += {4 * len(entries)}")
-    prologue = ["r = m.regs"] + [f"x{n} = r[{n}]" for n in sorted(live - {0})]
+        lines += [*store(), f"m.pc += {4 * len(entries)}"]
+    prologue = ["r = m.regs"] + ([f"{', '.join(f'x{n}' for n in range(1, 32))}, = r[1:]"] if roll
+                                 else [f"x{n} = r[{n}]" for n in sorted(live - {0})])
     if views:
         prologue += ["V = m._views", "top = len(V[0])", "end = m._code_end"]
         prologue += [f"V{v} = V[{v}]" for v in sorted(views)]
@@ -697,23 +842,29 @@ def _compile(entries, jumps=None, categories=()):
     return env["run"]
 
 
-def _executor(run, jumps=None, categories=()):
+def _executor(run, jumps=None, categories=(), words=None):
     """The one executor of a straight-line run, given by its unfused
-    entries: it fuses them once and interprets them (_run) until its
-    _HOT-th call, which compiles the unfused entries (_compile); every
-    later call runs the compiled function. Given the jumps and categories
-    of a loop (Machine._loop), it is the loop's executor, which _execute
-    calls with the budget left at each dispatch of the loop's header; it
-    retires nothing, and returns 0, until its _HOT_LOOP-th call."""
+    entries and the words of one code that holds them: it fuses them once
+    and interprets them (_run) until its _HOT-th call, which compiles the
+    unfused entries (_compile); every later call runs the compiled
+    function. Its second call (or first, if _HOT is 1) checks whether the
+    run rolls up (_period); one that does counts each period as a trip and
+    compiles rolled by its _HOT_LOOP-th trip. Given the jumps and
+    categories of a loop (Machine._loop), it is the loop's executor, which
+    _execute calls with the budget left at each dispatch of the loop's
+    header; it retires nothing, and returns 0, until its _HOT_LOOP-th call."""
     cold = None if jumps else _run(_fuse(run))
-    calls, compiled = 0, None
+    calls, compiled, roll = 0, None, None
     def ex(m, budget=None):
-        nonlocal calls, compiled
+        nonlocal calls, compiled, roll
         if compiled is None:
             calls += 1
-            if calls < (_HOT_LOOP if jumps else _HOT):
+            if roll is None and words is not None and calls >= min(2, _HOT):
+                roll = _period(run, bytes(words)) or ()
+            if (calls < _HOT_LOOP if jumps
+                    else calls < _HOT and calls * (roll[2] if roll else 0) < _HOT_LOOP):
                 return cold(m) if cold else 0
-            compiled = _compile(run, jumps, categories)
+            compiled = _compile(run, jumps, categories, roll)
         return compiled(m, budget)
     return ex
 
@@ -825,10 +976,11 @@ class Translations:
         self.suffixes = {}
         self._tables = {}
 
-    def run(self, entries):
-        """The executor of the straight-line run of these unfused entries."""
+    def run(self, entries, words=None):
+        """The executor of the straight-line run of these unfused entries,
+        whose words, if given, the executor checks for periods (_period)."""
         runs = self.runs
-        return runs.get(entries) or runs.setdefault(entries, _executor(entries))
+        return runs.get(entries) or runs.setdefault(entries, _executor(entries, words=words))
 
     def blocks(self, code, attached):
         """The table of blocks, by entry pc, for this key."""
@@ -991,7 +1143,8 @@ class Machine:
         if jump is not None and -4 * (n - 1) < jump.imm <= 0 and not jump.imm & 3:
             n += (jump.imm >> 2) - 1
         bounds = sorted({0, n, *[c + k for c in closures for k in (0, 1) if c < n]})
-        return _block([closures.get(a) or self._translations.run(entries[a:b])
+        return _block([closures.get(a) or self._translations.run(
+                           entries[a:b], code[first + a:first + b])
                        for a, b in zip(bounds, bounds[1:])], cats[:n],
                       self._loop(pc) if jump is not None and n == len(cats) else None)
 

@@ -1192,11 +1192,12 @@ def shipped_thresholds(monkeypatch):
         monkeypatch.setattr(emulator, name, getattr(shipped, name))
 
 
-def test_a_bundled_bench_compiles_the_round_and_not_the_permutation(
+def test_a_bundled_bench_compiles_the_round_and_the_rolled_permutation(
         shipped_thresholds):
-    # sw-regopt's 5,600-entry straight-line permutation runs fewer times
-    # than _HOT in one bundled bench call; sw-mem's round loop, 460
-    # entries and its bne, reaches _HOT_LOOP and compiles whole
+    # sw-mem's round loop, 460 entries and its bne, reaches _HOT_LOOP and
+    # compiles whole; sw-regopt's 5,600-entry straight-line permutation
+    # rolls up as 27 + 24 x 231 + 29 and compiles on its fourth call, one
+    # 231-entry period for all 24 rounds, and no run compiles unrolled
     sets = [load_bundled(v, c) for v in keccak.VARIANTS for c in BUNDLED_CLASSES]
     # stop at the first run that does not pass, within a budget from the
     # count law (ROADMAP): a kernel retires A + B*(n // r) + 7*(n % r) for
@@ -1213,9 +1214,13 @@ def test_a_bundled_bench_compiles_the_round_and_not_the_permutation(
     with mock.patch.object(bench, "_run_one", passing), \
             mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
         run_benchmark(sets, budget=budget)
-    lengths = [len(args[0]) for args, _ in compile_.call_args_list]
-    loops = [len(args[0]) for args, _ in compile_.call_args_list if args[1] is not None]
-    assert 461 in loops and max(lengths) < 5600
+    calls = [c.args for c in compile_.call_args_list]
+    loops = [len(entries) for entries, jumps, *_ in calls if jumps is not None]
+    rolled = [(len(entries), roll[:3]) for entries, _, _, roll in calls if roll]
+    unrolled = [len(entries) for entries, jumps, _, roll in calls if jumps is None and not roll]
+    assert 461 in loops
+    assert (5600, (27, 231, 24)) in rolled
+    assert max(unrolled) < 5600
 
 
 # -- ALU executors against the spec -----------------------------------------
