@@ -1,8 +1,10 @@
 """Benchmark harness: runs known-answer vectors through the guest
 kernels, checks digests, and aggregates instruction statistics; each
-outcome's cycles are its machine's counts priced by the call's CostModel.
-A speedup is a baseline's cycles over a round-unit strategy's, in one
-variant and class; kernels.STRATEGY_TABLE says which strategy is which.
+outcome's cycles are its machine's counts priced by the call's CostModel,
+and a group's are its outcomes' summed counts priced the same way. A
+speedup (speedups) is a baseline's cycles over a round-unit strategy's,
+in one variant and class; kernels.STRATEGY_TABLE says which strategy is
+which.
 
 Every vector runs on a fresh machine per strategy; the machines of one
 run_benchmark call share one translation cache, so each kernel is
@@ -32,7 +34,7 @@ from .shatr import attach
 
 __all__ = [
     "BenchGroup", "BenchReport", "VectorOutcome", "emit_report",
-    "run_benchmark", "vector_class",
+    "run_benchmark", "speedups", "vector_class",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -149,10 +151,9 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                     kernels[key], strategy, vector, memory_size, budget,
                     translations)
                 stats = m.stats
-                vector_cycles = cost_model.cycles(stats.counts)
                 outcomes.append(VectorOutcome(
                     vs.variant, strategy, msg_class, index, vector.length_bits,
-                    status, detail, stats.total_retired, vector_cycles))
+                    status, detail, stats.total_retired, cost_model.cycles(stats.counts)))
                 g = groups.setdefault(
                     (vs.variant, strategy, msg_class),
                     BenchGroup(vs.variant, strategy, msg_class))
@@ -161,31 +162,37 @@ def run_benchmark(vector_sets, strategies=STRATEGIES, cost_model=None, *,
                 g.failed += status == "fail"
                 g.errors += status == "error"
                 g.total_retired += stats.total_retired
-                g.total_cycles += vector_cycles
                 for cat, n in stats.counts.items():
                     g.counts[cat] += n
                 g.region_entries += stats.region_entry_count.get(PERMUTE_REGION, 0)
                 for cat, n in stats.regions.get(PERMUTE_REGION, {}).items():
                     g.region_counts[cat] += n
 
+    # cycles are linear in the counts, so a group's are its counts priced
+    for g in groups.values():
+        g.total_cycles = cost_model.cycles(g.counts)
+
     def order(x):   # a group or an outcome
         return x.variant, strategies.index(x.strategy), BUNDLED_CLASSES.index(x.msg_class)
 
     sorted_groups = sorted(groups.values(), key=order)
     outcomes.sort(key=lambda o: (*order(o), o.index))
+    return BenchReport(cost_model=asdict(cost_model), groups=sorted_groups,
+                       speedups=speedups(sorted_groups, strategies), outcomes=outcomes)
 
+
+def speedups(groups, strategies):
+    """{"variant", "class", "baseline", "speedup"} per group of a round-unit
+    strategy with cycles and per baseline in `strategies` with cycles in
+    its variant and class: the baseline's cycles over the group's."""
     baselines = [s for s in strategies if not STRATEGY_TABLE[s].round_unit]
-    cycles = {(g.variant, g.msg_class, g.strategy): g.total_cycles
-              for g in sorted_groups}
-    speedups = [
+    cycles = {(g.variant, g.msg_class, g.strategy): g.total_cycles for g in groups}
+    return [
         {"variant": g.variant, "class": g.msg_class, "baseline": baseline,
          "speedup": round(other / g.total_cycles, 3)}
-        for g in sorted_groups if g.total_cycles and g.strategy not in baselines
+        for g in groups if g.total_cycles and STRATEGY_TABLE[g.strategy].round_unit
         for baseline in baselines
         if (other := cycles.get((g.variant, g.msg_class, baseline)))]
-
-    return BenchReport(cost_model=asdict(cost_model), groups=sorted_groups,
-                       speedups=speedups, outcomes=outcomes)
 
 
 def _group_dict(g):

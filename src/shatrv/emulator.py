@@ -31,23 +31,22 @@ table of blocks by pc, each (pc, code bytes from pc on, unit attached) to
 the one block, which never changes, that every code sharing them runs
 there, each distinct run to the one executor every block holding it
 shares, and each loop (Machine._loop) to its executor.
-An executor fuses its run once, interprets it, and from its _HOT-th call
-runs the unfused run compiled to one Python function over registers in
-locals. A loop compiles on its _HOT_LOOP-th trip to one function that
-runs whole trips until a branch leaves it or the budget is spent. A run
-whose periods repeat under a register renaming, as sw-regopt's 24 rounds
-do, compiles rolled to a loop over one period (_period). Each segment of
-a compiled run or trip opens with one guard per base register that
-proves no access in it can fault: the base is aligned to its largest
-access and inside memory; where the segment stores, the guard also
-proves the spans of its bases disjoint. Inside a segment a load of
-bytes it has loaded or stored at that width reads the local that holds
-them. A loop keeps each 8-byte cell it reaches with ld and sd through a
-base register it never writes in a local for the whole call, behind one
-guard before the first trip, and writes the stored cells back on every
-way out. A failed guard hands the rest of a run to the interpreter, with
-a rolled run's registers renamed back, and the rest of a loop to the
-blocks, which alone raise faults.
+An executor fuses its run once and interprets it. Only code that repeats
+is compiled to Python over registers in locals: a loop, on its
+_HOT_LOOP-th trip, to one function that runs whole trips until a branch
+leaves it or the budget is spent, and a run whose periods repeat under a
+register renaming, as sw-regopt's 24 rounds do, to a loop over one period
+(_period). Each segment of a compiled run or trip opens with one guard
+per base register that proves no access in it can fault: the base is
+aligned to its largest access and inside memory; where the segment
+stores, the guard also proves the spans of its bases disjoint. Inside a
+segment a load of bytes it has loaded or stored at that width reads the
+local that holds them. A loop keeps each 8-byte cell it reaches with ld
+and sd through a base register it never writes in a local for the whole
+call, behind one guard before the first trip, and writes the stored
+cells back on every way out. A failed guard hands the rest of a run to
+the interpreter, with its registers renamed back, and the rest of a loop
+to the blocks, which alone raise faults.
 That is sound because guest code is fixed: instructions are fetched only
 from the loaded code, and a store that overlaps it raises MemoryFault.
 
@@ -420,25 +419,21 @@ def _run(entries):
     return ex
 
 
-# A straight-line run is compiled on its _HOT-th call, a loop on its
-# _HOT_LOOP-th trip, and a run that rolls up on either, a period counting
-# as a trip. Each breaks even after its compile time over the time a
-# compiled call or trip saves, measured on a 2-vCPU Xeon with Python
-# 3.11. sw-mem's round loop, 460 entries and a bne, compiles with its
-# state in promoted cells in 4.7-6.6 ms and runs a trip in 8.4-10.7 us,
-# not 78-86 us, even after 60-100 trips, which sets _HOT_LOOP. The
-# driver's loops of 3 to 8 instructions compile in 0.2-0.4 ms and save
-# 0.85-1.3 us a trip, even after 200-450 trips, and each, shared by every
-# kernel of a bench call, runs 2,000-7,800 trips in one short-burst call.
-# sw-regopt's 5,600-entry permutation run rolls up as 24 periods of 231:
-# checking and compiling it takes 4.6-5.5 ms, and a call then takes
-# 0.21-0.23 ms, not the 0.41-0.44 ms _run takes, so it compiles on its 4th call
-# (96 periods) and pays back within about 25 calls. Unrolled it took 84-91
-# ms to compile and ran slower than _run. Loop-ness, not size, picks the
-# threshold, as a compile pays only if enough calls follow it: a hot loop
-# runs many trips an entry (24 for the round), while a run outside a loop
-# is called once a call of the code around it, which may stop first.
-_HOT = 300
+# A loop is compiled on its _HOT_LOOP-th trip, and a run that rolls up on
+# its _HOT_LOOP-th period; a run that does not roll stays interpreted. Each
+# breaks even after its compile time over the time a compiled trip or
+# period saves, measured on a 2-vCPU Xeon with Python 3.11. sw-mem's round
+# loop, 460 entries and a bne, compiles with its state in promoted cells in
+# 4.7-6.6 ms and runs a trip in 8.4-10.7 us, not 78-86 us, even after
+# 60-100 trips, which sets _HOT_LOOP. The driver's loops of 3 to 8
+# instructions compile in 0.2-0.4 ms and save 0.85-1.3 us a trip, even
+# after 200-450 trips, and each, shared by every kernel of a bench call,
+# runs 2,000-7,800 trips in one short-burst call. sw-regopt's 5,600-entry
+# permutation run rolls up as 24 periods of 231: checking and compiling it
+# takes 4.6-5.5 ms, and a call then takes 0.21-0.23 ms, not the 0.41-0.44
+# ms _run takes, so it compiles on its 4th call (96 periods) and pays back
+# within about 25 calls. Unrolled it took 84-91 ms to compile and ran
+# slower than _run.
 _HOT_LOOP = 80
 
 # the expression of an op on 64-bit images that needs no call; M is the
@@ -606,21 +601,18 @@ def _period(entries, code):
     return best
 
 
-def _compile(entries, jumps=None, categories=(), roll=None):
-    """The compiled function of a straight-line run: its unfused entries
-    (a key of Translations.runs) as plain Python over registers held in
-    locals, x0 read as 0. The run is cut into segments (_segments); each
-    opens with one guard per base register (_guard) and, if it stores,
-    one test per pair of bases that their spans overlap, after which its
-    accesses are bare indexes into the views. Inside a segment a load of
-    a (base, offset, view) the segment has loaded, or stored at that
-    width, reads the local that holds the value, and a store forgets the
-    values of the bytes it overlaps; a value's local is never written
-    while a register or such a fact still holds it.
-    A failed guard writes the locals back, points pc at the segment and
-    runs _run of the rest of the run, which finishes it or raises what
-    step() would. Each call of the function otherwise does what a call of
-    _run(entries) does.
+def _compile(entries, jumps, categories, roll):
+    """The compiled function of a loop or of a straight-line run that rolls
+    up: its unfused entries (one trip of the loop, or a key of
+    Translations.runs) as plain Python over registers held in locals, x0
+    read as 0. The entries are cut into segments (_segments); each opens
+    with one guard per base register (_guard) and, if it stores, one test
+    per pair of bases that their spans overlap, after which its accesses
+    are bare indexes into the views. Inside a segment a load of a (base,
+    offset, view) the segment has loaded, or stored at that width, reads
+    the local that holds the value, and a store forgets the values of the
+    bytes it overlaps; a value's local is never written while a register
+    or such a fact still holds it.
     Given `jumps`, the entries are one trip of a loop (Machine._loop):
     jumps maps the index of each branch, whose entry is empty, to
     (mnemonic, rs1, rs2, target's offset from the loop's first pc), the
@@ -637,13 +629,15 @@ def _compile(entries, jumps=None, categories=(), roll=None):
     0; each 8-byte cell is read once into a local c{base}_{i}, which a
     load copies and a store assigns; every other guard also tests its
     span against theirs; and the stored cells go back however it leaves.
-    Given `roll`, a straight-line run's (P, R, K, sigma, steps) from
-    _period, the function loads every register into its local, runs the
-    prefix, then `for k in range(K)` over the first period, each stepped
-    access indexed by k and each period a new segment, renaming every
-    local n to hold the value of local sigma[n] at the end of a period,
-    and then the suffix. A guard that fails in period k writes back the
-    local of n as register sigma**k(n) and hands back to _run there."""
+    Otherwise `roll` is the run's (P, R, K, sigma, steps) from _period,
+    and a call does what _run(entries) does: it loads every register into
+    its local, runs the prefix, `for k in range(K)` over the first period
+    (each stepped access indexed by k, each period a new segment, every
+    local n renamed to hold local sigma[n]'s value at its end) and the
+    suffix, and writes every register back. A guard that fails in period
+    k writes the local of n back as register sigma**k(n), points pc at the
+    segment and hands the rest to _run, which finishes it or raises what
+    step() would."""
     names = {}      # register -> the local holding it, once written
     def reg(n):
         return names.get(n, f"x{n}") if n else "0"
@@ -653,12 +647,6 @@ def _compile(entries, jumps=None, categories=(), roll=None):
         # itself, into each register n's own local
         moved = {f"x{n}": reg(perm[n]) for n in range(1, 32) if reg(perm[n]) != f"x{n}"}
         return [f"{', '.join(moved)} = {', '.join(moved.values())}"] if moved else []
-
-    def store():
-        # the lines that write back every register a run has written
-        if roll:
-            return [f"r[1:] = {', '.join(map(reg, range(1, 32)))},"]
-        return [f"r[{n}] = {reg(n)}" for n in sorted(written)]
 
     def leave(offset, done):
         # a loop's way out, to its first pc + offset, `done` instructions
@@ -725,15 +713,12 @@ def _compile(entries, jumps=None, categories=(), roll=None):
                 lines.append(f"if {' or '.join(tests)}:")
                 if jumps:
                     lines += leave(4 * start, start)
-                else:
-                    if part == 1:
-                        at = f"{start} + {R} * k"
-                        lines.append(f"    r[:] = map(({', '.join(map(reg, range(32)))})"
-                                     ".__getitem__, T[k])")
-                    else:
-                        at = start + (K - 1) * R if part else start
-                        lines += [f"    {line}" for line in store()]
-                    lines += [f"    m.pc += 4 * ({at})", f"    return _run(E[{at}:])(m)"]
+                else:   # T[0], in the prefix or the suffix, renames nothing
+                    at = (f"{start} + {R} * k" if part == 1
+                          else start + (K - 1) * R if part else start)
+                    lines += [f"    r[:] = map(({', '.join(map(reg, range(32)))})"
+                              f".__getitem__, T[{'k' if part == 1 else 0}])",
+                              f"    m.pc += 4 * ({at})", f"    return _run(E[{at}:])(m)"]
                 lines += [f"b{s}_{w} = {reg(s)} >> {w}"
                           for s, accesses in bases.items()
                           for w in sorted({n.bit_length() - 1 for _, _, n in accesses}) if w]
@@ -829,7 +814,7 @@ def _compile(entries, jumps=None, categories=(), roll=None):
                  f"return n * {len(entries)} + done"]
         env.update(inf=math.inf, P=categories)
     else:
-        lines += [*store(), f"m.pc += {4 * len(entries)}"]
+        lines += [f"r[1:] = {', '.join(map(reg, range(1, 32)))},", f"m.pc += {4 * len(entries)}"]
     prologue = ["r = m.regs"] + ([f"{', '.join(f'x{n}' for n in range(1, 32))}, = r[1:]"] if roll
                                  else [f"x{n} = r[{n}]" for n in sorted(live - {0})])
     if views:
@@ -842,27 +827,26 @@ def _compile(entries, jumps=None, categories=(), roll=None):
     return env["run"]
 
 
-def _executor(run, jumps=None, categories=(), words=None):
+def _executor(run, words, jumps=None, categories=()):
     """The one executor of a straight-line run, given by its unfused
     entries and the words of one code that holds them: it fuses them once
-    and interprets them (_run) until its _HOT-th call, which compiles the
-    unfused entries (_compile); every later call runs the compiled
-    function. Its second call (or first, if _HOT is 1) checks whether the
-    run rolls up (_period); one that does counts each period as a trip and
-    compiles rolled by its _HOT_LOOP-th trip. Given the jumps and
-    categories of a loop (Machine._loop), it is the loop's executor, which
-    _execute calls with the budget left at each dispatch of the loop's
-    header; it retires nothing, and returns 0, until its _HOT_LOOP-th call."""
+    and interprets them (_run). Its second call (or first, if _HOT_LOOP is
+    1) checks whether the run rolls up (_period); one that does counts each
+    period as a trip and compiles rolled (_compile) by its _HOT_LOOP-th,
+    and one that does not stays interpreted. Given the jumps and
+    categories of a loop (Machine._loop) and no words, it is the loop's
+    executor, which _execute calls with the budget left at each dispatch
+    of the loop's header; it retires nothing, and returns 0, until its
+    _HOT_LOOP-th call compiles the loop."""
     cold = None if jumps else _run(_fuse(run))
     calls, compiled, roll = 0, None, None
     def ex(m, budget=None):
         nonlocal calls, compiled, roll
         if compiled is None:
             calls += 1
-            if roll is None and words is not None and calls >= min(2, _HOT):
+            if roll is None and not jumps and calls >= min(2, _HOT_LOOP):
                 roll = _period(run, bytes(words)) or ()
-            if (calls < _HOT_LOOP if jumps
-                    else calls < _HOT and calls * (roll[2] if roll else 0) < _HOT_LOOP):
+            if (calls if jumps else calls * roll[2] if roll else 0) < _HOT_LOOP:
                 return cold(m) if cold else 0
             compiled = _compile(run, jumps, categories, roll)
         return compiled(m, budget)
@@ -976,11 +960,11 @@ class Translations:
         self.suffixes = {}
         self._tables = {}
 
-    def run(self, entries, words=None):
+    def run(self, entries, words):
         """The executor of the straight-line run of these unfused entries,
-        whose words, if given, the executor checks for periods (_period)."""
+        whose words the executor checks for periods (_period)."""
         runs = self.runs
-        return runs.get(entries) or runs.setdefault(entries, _executor(entries, words=words))
+        return runs.get(entries) or runs.setdefault(entries, _executor(entries, words))
 
     def blocks(self, code, attached):
         """The table of blocks, by entry pc, for this key."""
@@ -1179,7 +1163,8 @@ class Machine:
                 or any(e and e[4] % (e[5] + 1) for e in entries)):
             return None
         key, loops = tuple(code[first:first + len(cats)]), self._translations.loops
-        return loops.get(key) or loops.setdefault(key, _executor(entries, jumps, tuple(cats)))
+        return loops.get(key) or loops.setdefault(
+            key, _executor(entries, None, jumps, tuple(cats)))
 
     # -- hypercalls --------------------------------------------------------
 

@@ -176,6 +176,21 @@ class TestRunBenchmark:
         assert g1.total_cycles == g0.total_cycles + 4 * mem_ops
         assert g1.total_retired == g0.total_retired
 
+    def test_a_group_s_cycles_are_the_sum_of_its_outcomes(self):
+        # a group prices its summed counts once; under a model that prices
+        # loads, stores and shatr apart, that must equal the sum of what
+        # its outcomes' own counts cost
+        report = run_benchmark([SMALL, make_set("sha3-512", [1, 72, 300])],
+                               cost_model=CostModel(extra_mem_access_cycles=2,
+                                                    shatr_cycles=4))
+        for g in report.groups:
+            key = g.variant, g.strategy, g.msg_class
+            mine = [o.cycles for o in report.outcomes
+                    if (o.variant, o.strategy, o.msg_class) == key]
+            assert len(mine) == g.vectors > 0
+            assert g.total_cycles == sum(mine) > g.total_retired
+        assert report.speedups == bench.speedups(report.groups, STRATEGIES)
+
 
 class TestStrategyTable:
     """Test-only rows: a strategy is one row of kernels.STRATEGY_TABLE, and

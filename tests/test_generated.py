@@ -15,14 +15,15 @@ translation cache that every strategy's kernel filled against machines
 with a private one, cost models sharing one cache without translating
 again, cycles against their closed form in the counts, every load and
 store against a reference model,
-the compiled tier (every straight-line run compiled on its first call)
+the compiled tier (every loop and every run that rolls up compiled on its
+first call, with each stretch of straight-line code written three times
+over so that it rolls, each copy adding what it writes into one register)
 against the interpreter and stepping, with base registers drawn to fail
 each segment's guard in turn, every ALU instruction against a table
 written from the RISC-V spec, and the assembler's statement memo against
 assembling without it.
 Hypothesis runs derandomized, so the suite is reproducible."""
 
-import importlib.util
 import itertools
 import operator
 from unittest import mock
@@ -40,6 +41,7 @@ from shatrv.emulator import (
 )
 from shatrv.kernels import MESSAGE_ADDR, STRATEGIES, generate_kernel
 from shatrv.shatr import attach
+from test_loops import SHIPPED
 
 MEM = 1 << 21
 M64 = (1 << 64) - 1
@@ -440,12 +442,42 @@ _cost_models = st.builds(CostModel, st.integers(0, 3), st.integers(0, 3),
                          st.integers(0, 5))
 
 
+# the opcodes of the instructions a straight-line run holds: loads, ALU
+# ops with an immediate or a register and their W forms, stores and lui
+_STRAIGHT = {0x03, 0x13, 0x1B, 0x23, 0x33, 0x3B, 0x37}
+
+
+def _rolled(code, periods):
+    """code with each stretch of straight-line words written `periods`
+    times over, so that each run of it rolls up (emulator._period) as that
+    many periods of itself. With more than one period, each copy ends by
+    adding every register the stretch writes into x26, so that a wrong
+    value in any period, not only the last, shows. No branch in code may
+    be taken, and code must not use x26."""
+    def copies(stretch):
+        written = {int.from_bytes(w, "little") >> 7 & 31 for w in stretch if w[0] & 0x7F != 0x23}
+        folds = [_enc("add", rd=26, rs1=26, rs2=r) for r in sorted(written - {0})]
+        return (stretch + folds * (periods > 1)) * periods
+
+    words, stretch = [], []
+    for i in range(0, len(code), 4):
+        word = code[i:i + 4]
+        if word[0] & 0x7F in _STRAIGHT:
+            stretch.append(word)
+        else:
+            words += copies(stretch) + [word]
+            stretch = []
+    return b"".join(words + copies(stretch))
+
+
 @generated(150)
 @given(before=st.lists(_SAFE, max_size=12), fault=_FAULTING,
        after=st.lists(_SAFE, max_size=3))
-def test_a_fault_inside_a_block_leaves_what_steps_leave(before, fault, after):
-    code = _PROLOGUE + b"".join(before) + fault + b"".join(after) \
-        + _enc("addi", rd=17) + _enc("ecall")
+def _faults_like_steps(periods, before, fault, after):
+    """A fault among safe instructions, each straight-line stretch of the
+    program written `periods` times over, run as stepping runs it."""
+    code = _rolled(_PROLOGUE + b"".join(before) + fault + b"".join(after)
+                   + _enc("addi", rd=17) + _enc("ecall"), periods)
 
     def machine():
         m = Machine(memory_size=_MEMORY_SIZE)
@@ -454,9 +486,21 @@ def test_a_fault_inside_a_block_leaves_what_steps_leave(before, fault, after):
         return m
 
     stepped = _fault(machine(), _step_forever)
-    assert _fault(machine(), Machine.run) == stepped
-    assert stepped[2][1] == CODE_BASE + len(_PROLOGUE) + len(b"".join(before))
+    with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        assert _fault(machine(), Machine.run) == stepped
+    # the fault is the first copy of its word after the prologue's ecall
+    words = [code[i:i + 4] for i in range(0, len(code), 4)]
+    assert stepped[2][1] == CODE_BASE + 4 * words.index(fault, words.index(_enc("ecall")) + 1)
     assert stepped[2][2][0] == 0
+    if 1 < periods >= emulator._HOT_LOOP:
+        # a straight-line fault's run rolls, and compiles on its first call
+        entry = emulator._entry(isa.decode(int.from_bytes(fault, "little")))
+        compiled = any(entry in c.args[0] for c in compile_.call_args_list)
+        assert compiled == (entry is not None)
+
+
+def test_a_fault_inside_a_block_leaves_what_steps_leave():
+    _faults_like_steps(1)
 
 
 def _mark(fn, rid):
@@ -695,16 +739,17 @@ _NEAR_MISSES = [
        marks=st.lists(st.integers(0, 12), min_size=2, max_size=2))
 @example(pieces=_NEAR_MISSES, values=[3, 1 << 63 | 5, M64, 1 << 40], marks=[0, 6])
 @example(pieces=_NEAR_MISSES[::-1], values=[M64, 7, 1 << 63, 12345], marks=[2, 3])
-def test_fused_idioms_run_like_steps(pieces, values, marks):
-    # region 1 holds the pieces; region 2 begins and ends at drawn places
-    # among them, where its ecalls split runs and triples
+def _fused_idioms_like_steps(periods, pieces, values, marks):
+    """Region 1 holds the pieces; region 2 begins and ends at drawn places
+    among them, where its ecalls split runs and triples. Each straight-line
+    stretch of the program is written `periods` times over."""
     begin, end = sorted(min(i, len(pieces)) for i in marks)
-    code = b"".join([
+    code = _rolled(b"".join([
         _BASE, _mark(1, 1),
         *pieces[:begin], _mark(1, 2), *pieces[begin:end], _mark(2, 2),
         *pieces[end:],
         _mark(2, 1), _EXIT,
-    ])
+    ]), periods)
 
     def machine():
         m = Machine(memory_size=_MEMORY_SIZE)
@@ -718,8 +763,17 @@ def test_fused_idioms_run_like_steps(pieces, values, marks):
     while not stepped.halted:
         stepped.step()
     ran = machine()
-    ran.run()
+    with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        ran.run()
     assert _observed(ran) + (ran.memory,) == _observed(stepped) + (stepped.memory,)
+    if 1 < periods >= emulator._HOT_LOOP:
+        # every run rolls, and compiles on its first call
+        runs = [c.args[0] for c in compile_.call_args_list]
+        assert len(runs) == len(set(runs)) and set(runs) == set(ran._translations.runs)
+
+
+def test_fused_idioms_run_like_steps():
+    _fused_idioms_like_steps(1)
 
 
 _ROTATE = (emulator._IMM, operator.rshift, 6, 7, 9, 0, 0, 0), \
@@ -797,15 +851,16 @@ ADDRESS_CLASSES = ("aligned", "misaligned", "last-slot", "straddles-end",
 _ACCESS_REGS = st.sampled_from([r for r in range(1, 32) if r != 17])
 
 
-def _reference_access(mnemonic, rd, rs1, rs2, imm, regs, memory, code_end):
-    """One load or store by the spec, with int.from_bytes/to_bytes; returns
-    the fault message, or None after updating regs and memory in place."""
+def _reference_access(mnemonic, rd, rs1, rs2, imm, regs, memory, code_end, pc):
+    """One load or store at pc by the spec, with int.from_bytes/to_bytes;
+    returns the fault message, or None after updating regs and memory in
+    place."""
     store = mnemonic in STORE_SPEC
     size, signed = (STORE_SPEC[mnemonic], False) if store \
         else LOAD_SPEC[mnemonic]
     kind = "store" if store else "load"
     addr = (regs[rs1] + imm) % (1 << 64)
-    where = f"at {addr:#x} (pc={CODE_BASE:#x})"
+    where = f"at {addr:#x} (pc={pc:#x})"
     if addr % size:
         return f"misaligned {size}-byte {kind} {where}"
     if addr + size > len(memory):
@@ -841,16 +896,16 @@ def _address(data, cls, size, memory_size, code_end):
     raise ValueError(cls)
 
 
-@pytest.mark.parametrize("cls", ADDRESS_CLASSES)
-@pytest.mark.parametrize("mnemonic", [*LOAD_SPEC, *STORE_SPEC])
 @generated(12)
 @given(data=st.data())
-def test_memory_access_matches_the_reference(mnemonic, cls, data):
+def _access_like_the_reference(periods, mnemonic, cls, data):
+    """`periods` copies of one drawn access, then the exit, against the
+    spec applied as often, up to its first fault."""
     store = mnemonic in STORE_SPEC
     size = STORE_SPEC[mnemonic] if store else LOAD_SPEC[mnemonic][0]
-    # 3 words of code end at CODE_BASE + 12, which is not 8-aligned, and
-    # memory may end right there
-    words = data.draw(st.sampled_from([2, 3]), label="code words")
+    # the accesses, the exit and 0 or 1 more words end the code 8-aligned
+    # or not, and memory may end right there
+    words = periods + data.draw(st.sampled_from([1, 2]), label="code words")
     code_end = CODE_BASE + 4 * words
     memory_size = code_end + data.draw(st.integers(0, 40), label="spare")
     rd = data.draw(st.one_of(st.just(0), _ACCESS_REGS), label="rd")
@@ -864,7 +919,7 @@ def test_memory_access_matches_the_reference(mnemonic, cls, data):
         access = _enc(mnemonic, rs1=rs1, rs2=rs2, imm=imm)
     else:
         access = _enc(mnemonic, rd=rd, rs1=rs1, imm=imm)
-    code = access + _enc("ecall") + _enc("addi", rd=0) * (words - 2)
+    code = access * periods + _enc("ecall") + _enc("addi", rd=0) * (words - periods - 1)
 
     m = Machine(memory_size=memory_size)
     m.memory[:] = bytes((151 * i + 7) & 0xFF for i in range(memory_size))
@@ -875,76 +930,103 @@ def test_memory_access_matches_the_reference(mnemonic, cls, data):
         m.regs[rs1] = (addr - imm) % (1 << 64)
     regs, memory = list(m.regs), bytearray(m.memory)
 
-    fault = _reference_access(mnemonic, rd, rs1, rs2, imm, regs, memory,
-                              code_end)
-    if fault is None:
-        m.run()
-        assert (m.pc, m.stats.total_retired) == (CODE_BASE + 8, 2)
-    else:
-        with pytest.raises(EmulatorError) as e:
+    for done in range(periods):
+        fault = _reference_access(mnemonic, rd, rs1, rs2, imm, regs, memory,
+                                  code_end, CODE_BASE + 4 * done)
+        if fault is not None:
+            break
+    with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        if fault is None:
             m.run()
-        assert (type(e.value), str(e.value)) == (MemoryFault, fault)
-        assert (m.pc, m.stats.total_retired) == (CODE_BASE, 0)
+            assert (m.pc, m.stats.total_retired) == (CODE_BASE + 4 * (periods + 1),
+                                                     periods + 1)
+        else:
+            with pytest.raises(EmulatorError) as e:
+                m.run()
+            assert (type(e.value), str(e.value)) == (MemoryFault, fault)
+            assert (m.pc, m.stats.total_retired) == (CODE_BASE + 4 * done, done)
     assert m.regs == regs
     assert m.memory == memory
+    if 1 < periods >= emulator._HOT_LOOP:
+        # the copies roll up, and compile on their first call
+        assert compile_.call_count == 1
+
+
+@pytest.mark.parametrize("cls", ADDRESS_CLASSES)
+@pytest.mark.parametrize("mnemonic", [*LOAD_SPEC, *STORE_SPEC])
+def test_memory_access_matches_the_reference(mnemonic, cls):
+    _access_like_the_reference(1, mnemonic, cls)
 
 
 # -- the compiled tier against the interpreter ------------------------------
 
 @pytest.fixture
 def compiled_tier(monkeypatch):
-    """Every straight-line run compiles on its first call, every loop on
-    its first trip."""
-    monkeypatch.setattr(emulator, "_HOT", 1)
+    """Every loop compiles on its first trip, and every run that rolls up
+    on its first call; yields a spy on _compile."""
     monkeypatch.setattr(emulator, "_HOT_LOOP", 1)
+    with mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+        yield compile_
 
 
 def test_step_until_halt_matches_a_compiled_run(compiled_tier, stepped):
     test_step_until_halt_matches_run(stepped)
+    assert compiled_tier.call_count >= 1
 
 
 def test_budget_stops_where_steps_reach_when_compiled(compiled_tier, stepped):
     test_budget_stops_where_steps_reach(stepped)
+    assert compiled_tier.call_count >= 1
 
 
 def test_a_fault_inside_a_compiled_block_leaves_what_steps_leave(compiled_tier):
-    test_a_fault_inside_a_block_leaves_what_steps_leave()
+    # three periods of each straight-line stretch: the fault's run rolls
+    _faults_like_steps(3)
 
 
 def test_fused_idioms_compiled_run_like_steps(compiled_tier):
-    test_fused_idioms_run_like_steps()
+    _fused_idioms_like_steps(3)
 
 
 def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
-    # every run and loop compiles once, on its first call, a run from the
-    # unfused run it is keyed by, and no block changes for it: each holds
-    # the tuple it was built with, with the same executors, and the same
-    # loop executor. A run in a loop's header block is called only while
-    # the loop is cold, so with the loop compiled on its first trip the
-    # runs that compile are those of the other blocks
-    built = []
-    block = emulator._block
+    # every loop, and every run that rolls up, compiles once, on its first
+    # call, a run from the unfused run it is keyed by, and no block
+    # changes for it: each holds the tuple it was built with, with the
+    # same executors, and the same loop executor. A run in a loop's header
+    # block is called only while the loop is cold, so with the loop
+    # compiled on its first trip the runs checked for periods are those of
+    # the other blocks, and those that roll compile: sw-regopt's
+    # permutation among them
+    built, rolls = [], {}
+    block, period = emulator._block, emulator._period
 
     def spy(executors, categories, loop=None):
         b = block(executors, categories, loop)
         built.append((b, b.executors, list(b.executors)))
         return b
 
+    def checked(entries, code):
+        rolls[entries] = period(entries, code)
+        return rolls[entries]
+
     shared = Translations()
     with mock.patch.object(emulator, "_block", spy), \
-            mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
-        first = _loaded("sw-mem", translations=shared)
+            mock.patch.object(emulator, "_period", checked):
+        first = _loaded("sw-regopt", translations=shared)
         assert first.run() == 0
         table = shared.blocks(first._code, False)
         before = {pc: (b.executors, b.loop) for pc, b in table.items()}
-        assert _loaded("sw-mem", translations=shared).run() == 0
-    runs = [args[0] for args, _ in compile_.call_args_list if args[1] is None]
-    loops = [args for args, _ in compile_.call_args_list if args[1] is not None]
+        assert _loaded("sw-regopt", translations=shared).run() == 0
+    calls = compiled_tier.call_args_list
+    runs = [args[0] for args, _ in calls if args[1] is None]
+    loops = [args for args, _ in calls if args[1] is not None]
     key = {ex: run for run, ex in shared.runs.items()}
     outside = {key[ex] for b in table.values() if b.loop is None
                for ex in b.executors if ex in key}
+    assert set(rolls) == outside
     assert len(set(runs)) == len(runs) > 0
-    assert set(runs) == outside
+    assert set(runs) == {run for run in outside if rolls[run]}
+    assert max(shared.runs, key=len) in runs
     assert all(type(run) is tuple for run in runs)
     assert len(loops) == len(shared.loops) > 0
     assert all(type(b.executors) is tuple for b in table.values())
@@ -957,7 +1039,8 @@ def test_blocks_keep_their_executors_when_runs_compile(compiled_tier):
 @pytest.mark.parametrize("cls", ADDRESS_CLASSES)
 @pytest.mark.parametrize("mnemonic", [*LOAD_SPEC, *STORE_SPEC])
 def test_compiled_memory_access_matches_the_reference(compiled_tier, mnemonic, cls):
-    test_memory_access_matches_the_reference(mnemonic, cls)
+    # three periods of the access, which roll up
+    _access_like_the_reference(3, mnemonic, cls)
 
 
 TABLE = 0x9000
@@ -1016,11 +1099,12 @@ _GUARD_ALU = st.sampled_from([
 def test_compiled_guards_hand_back_what_the_interpreter_does(
         pieces, nop_at, bases, table, values):
     # the run twice, each a block of its own, the second with one more
-    # empty slot: the same work, in functions that end at different pcs
+    # empty slot: the same work, in functions that end at different pcs;
+    # each run written three times over, so that it rolls up
     again = pieces[:nop_at] + [_NOP] + pieces[nop_at:]
     block_end = _enc("bne", rs1=0, rs2=0, imm=4)
-    code = b"".join([*pieces, block_end, *again, block_end,
-                     _enc("addi", rd=17), _enc("ecall")])
+    code = _rolled(b"".join([*pieces, block_end, *again, block_end,
+                             _enc("addi", rd=17), _enc("ecall")]), 3)
 
     def machine():
         m = Machine(memory_size=_MEMORY_SIZE)
@@ -1044,13 +1128,16 @@ def test_compiled_guards_hand_back_what_the_interpreter_does(
             m.step()
 
     stepped = outcome(machine(), steps)
-    with mock.patch.object(emulator, "_HOT", 1 << 62), \
+    with mock.patch.object(emulator, "_HOT_LOOP", 1 << 62), \
             mock.patch.object(emulator, "_compile", wraps=emulator._compile) as cold:
         assert outcome(machine(), Machine.run) == stepped
-    with mock.patch.object(emulator, "_HOT", 1), \
+    ran = machine()
+    with mock.patch.object(emulator, "_HOT_LOOP", 1), \
             mock.patch.object(emulator, "_compile", wraps=emulator._compile) as hot:
-        assert outcome(machine(), Machine.run) == stepped
+        assert outcome(ran, Machine.run) == stepped
+    # each block holds one run, which rolls and compiles before it runs
     assert hot.call_count >= 1
+    assert {c.args[0] for c in hot.call_args_list} == set(ran._translations.runs)
     assert cold.call_count == 0
 
 
@@ -1094,8 +1181,12 @@ def test_reloads_in_a_compiled_run_read_what_steps_read(compiled_tier, code, x6)
 
 
 def _reloads_read_what_steps_read(code, x6):
+    """code and the exit's first word written three times over, which roll
+    up, against stepping."""
+    code = _rolled(code + _EXIT, 3)
+
     def machine():
-        m = _region_machine(code + _EXIT)
+        m = _region_machine(code)
         m.memory[DATA:DATA + 16] = bytes(range(0x81, 0x91))
         m.regs[5:7] = DATA, x6
         m.regs[19] = 0xF0E1D2C3B4A59687
@@ -1128,7 +1219,7 @@ _FORWARDS = st.one_of(
 @generated(300)
 @given(pieces=st.lists(_FORWARDS, min_size=1, max_size=16))
 def test_drawn_reloads_in_a_compiled_run_read_what_steps_read(pieces):
-    with mock.patch.object(emulator, "_HOT", 1):
+    with mock.patch.object(emulator, "_HOT_LOOP", 1):
         _reloads_read_what_steps_read(b"".join(pieces), DATA)
 
 
@@ -1181,23 +1272,13 @@ def test_a_loop_that_starts_mid_block_runs_like_steps():
     assert ran.regs[9] == 7 * 200 * 201 // 2
 
 
-@pytest.fixture
-def shipped_thresholds(monkeypatch):
-    """_HOT and _HOT_LOOP as emulator.py sets them, where a caller has
-    forced them too: read off a fresh copy of the module."""
-    spec = importlib.util.find_spec("shatrv.emulator")
-    shipped = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(shipped)
-    for name in ("_HOT", "_HOT_LOOP"):
-        monkeypatch.setattr(emulator, name, getattr(shipped, name))
-
-
-def test_a_bundled_bench_compiles_the_round_and_the_rolled_permutation(
-        shipped_thresholds):
-    # sw-mem's round loop, 460 entries and its bne, reaches _HOT_LOOP and
-    # compiles whole; sw-regopt's 5,600-entry straight-line permutation
-    # rolls up as 27 + 24 x 231 + 29 and compiles on its fourth call, one
-    # 231-entry period for all 24 rounds, and no run compiles unrolled
+def test_a_bundled_bench_compiles_the_round_and_the_rolled_permutation():
+    # at the shipped threshold and with every loop and every run that rolls
+    # compiled on its first call: sw-mem's round loop, 460 entries and its
+    # bne, compiles whole; sw-regopt's 5,600-entry straight-line
+    # permutation rolls up as 27 + 24 x 231 + 29 and compiles rolled, one
+    # 231-entry period for all 24 rounds; and every compile is of a loop or
+    # a rolled run
     sets = [load_bundled(v, c) for v in keccak.VARIANTS for c in BUNDLED_CLASSES]
     # stop at the first run that does not pass, within a budget from the
     # count law (ROADMAP): a kernel retires A + B*(n // r) + 7*(n % r) for
@@ -1211,16 +1292,19 @@ def test_a_bundled_bench_compiles_the_round_and_the_rolled_permutation(
         assert status == "pass", detail
         return status, detail, m
 
-    with mock.patch.object(bench, "_run_one", passing), \
-            mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
-        run_benchmark(sets, budget=budget)
-    calls = [c.args for c in compile_.call_args_list]
-    loops = [len(entries) for entries, jumps, *_ in calls if jumps is not None]
-    rolled = [(len(entries), roll[:3]) for entries, _, _, roll in calls if roll]
-    unrolled = [len(entries) for entries, jumps, _, roll in calls if jumps is None and not roll]
-    assert 461 in loops
-    assert (5600, (27, 231, 24)) in rolled
-    assert max(unrolled) < 5600
+    for hot in (SHIPPED, 1):
+        with mock.patch.object(bench, "_run_one", passing), \
+                mock.patch.object(emulator, "_HOT_LOOP", hot), \
+                mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
+            run_benchmark(sets, budget=budget)
+        calls = [c.args for c in compile_.call_args_list]
+        loops = [len(entries) for entries, jumps, *_ in calls if jumps is not None]
+        rolled = [(len(entries), roll[:3]) for entries, _, _, roll in calls if roll]
+        unrolled = [len(entries) for entries, jumps, _, roll in calls
+                    if jumps is None and not roll]
+        assert 461 in loops, hot
+        assert (5600, (27, 231, 24)) in rolled, hot
+        assert unrolled == [], hot
 
 
 # -- ALU executors against the spec -----------------------------------------

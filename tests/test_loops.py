@@ -1,8 +1,8 @@
 """Whole loops in the compiled tier against an independent reference and
 against stepping: drawn one- and two-block loops, with exits at the top,
 middle and bottom, stores through aliased bases and back edges that may
-test a forwarded value, run by Machine.run at the shipped thresholds and
-with every loop and run compiled on its first call, against the
+test a forwarded value, run by Machine.run at the shipped threshold and
+with every loop compiled on its first trip, against the
 reference interpreter in reference.py; budgets that end at every
 instruction of a compiled trip, loops whose guard fails on a late trip,
 back edges on a forwarded value and each branch as an exit and as a back
@@ -42,20 +42,20 @@ BUDGET = 100_000
 
 
 def _shipped():
-    """_HOT and _HOT_LOOP as emulator.py sets them, where a caller has
-    forced them too: read off a fresh copy of the module."""
+    """_HOT_LOOP as emulator.py sets it, where a caller has forced it too:
+    read off a fresh copy of the module."""
     spec = importlib.util.find_spec("shatrv.emulator")
     fresh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fresh)
-    return fresh._HOT, fresh._HOT_LOOP
+    return fresh._HOT_LOOP
 
 
 SHIPPED = _shipped()
-THRESHOLDS = pytest.mark.parametrize("hot", [SHIPPED, (1, 1)], ids=["shipped", "forced"])
+THRESHOLDS = pytest.mark.parametrize("hot", [SHIPPED, 1], ids=["shipped", "forced"])
 
 
-def _thresholds(hot):
-    return mock.patch.multiple(emulator, _HOT=hot[0], _HOT_LOOP=hot[1])
+def _threshold(hot):
+    return mock.patch.object(emulator, "_HOT_LOOP", hot)
 
 
 def _enc(mnemonic, **fields):
@@ -86,7 +86,7 @@ def _reference(code, regs):
 _BASES = st.sampled_from([5, 6, 7])
 _VALUES = st.sampled_from([18, 19, 20])
 # offsets and steps mostly keep every access aligned, so that most loops
-# run long enough to compile at the shipped thresholds; a misaligned base
+# run long enough to compile at the shipped threshold; a misaligned base
 # or a step of 1 faults
 _OFFSETS = st.sampled_from([-16, -8, 0, 8, 16, 4])
 _ACCESS = st.one_of(
@@ -120,7 +120,7 @@ _FORWARD_FIELDS = st.tuples(st.sampled_from(["ld", "sd"]), _VALUES, _VALUES, _BA
 _FORWARD = _FORWARD_FIELDS.map(lambda fields: _forward(*fields))
 _PIECES = st.lists(st.one_of(_ACCESS, _ACCESS, _STEP, _ALU, _FORWARD), max_size=6)
 # an exit: a branch past the back edge, mostly on the trip count, so that
-# most loops run long enough to compile at the shipped thresholds
+# most loops run long enough to compile at the shipped threshold
 _TRIP_EXITS = st.builds(lambda name: (name, 9, 11), st.sampled_from(["beq", "bgeu"]))
 _VALUE_TESTS = st.builds(lambda name, a, b: (name, a, b),
                          st.sampled_from(["beq", "bne", "blt", "bge", "bltu", "bgeu"]),
@@ -215,7 +215,7 @@ def test_drawn_loops_run_like_the_reference(hot, loop):
     code, regs = loop
     ref = _reference(code, regs)
     expected = _outcome_of_reference(ref)
-    with _thresholds(hot):
+    with _threshold(hot):
         m = _machine(code, regs)
         assert _outcome_of_run(m) == expected
     assert m.regs == ref.x
@@ -275,20 +275,20 @@ def test_a_budget_ending_anywhere_in_a_compiled_trip_stops_where_steps_stop(hot,
     stepped = _machine(code, _LOOP_REGS)
     done = 0
     # every offset of trips 2, 3 and 90, 91 (the loop compiles on trip 1
-    # when forced, on trip 80 at the shipped thresholds)
+    # when forced, on trip 80 at the shipped threshold)
     budgets = [2 + length * trip + k for trip in (1, 2, 89, 90) for k in range(length)]
     for budget in budgets:
         while done < budget:
             stepped.step()
             done += 1
-        with _thresholds(hot), \
+        with _threshold(hot), \
                 mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
             ran = _machine(code, _LOOP_REGS)
             with pytest.raises(BudgetExceeded):
                 ran.run(max_instructions=budget)
         assert _observed(ran) == _observed(stepped), budget
         assert ran.stats.total_retired == budget
-        if budget > 2 + length * hot[1]:
+        if budget > 2 + length * hot:
             assert compile_.call_count >= 1
 
 
@@ -335,7 +335,7 @@ def test_a_loop_that_faults_on_a_late_trip_ends_like_steps(hot, walk):
     if regs[5] is None:     # 99 trips clear of the code, the 100th stores into it
         regs = {5: (CODE_BASE + len(code) + 7) // 8 * 8 + 8 * 99}
     stepped = _fault(_machine(code, regs), _step_until_fault)
-    with _thresholds(hot), \
+    with _threshold(hot), \
             mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
         ran = _fault(_machine(code, regs), lambda m: m.run(BUDGET))
     assert ran == stepped
@@ -389,7 +389,7 @@ def test_a_compiled_loop_leaves_where_steps_leave(hot, case):
     stepped = _machine(code, regs)
     stepped.memory[DATA:DATA + 800] = table
     _step_until_halt(stepped)
-    with _thresholds(hot), \
+    with _threshold(hot), \
             mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
         ran = _machine(code, regs)
         ran.memory[DATA:DATA + 800] = table
@@ -411,7 +411,7 @@ def test_a_loop_whose_guard_never_passes_stays_with_its_blocks():
     stepped = _machine(code, regs)
     _step_until_halt(stepped)
     shared = Translations()
-    with _thresholds((1, 1)):
+    with _threshold(1):
         ran = _machine(code, regs, shared)
         ran.run(BUDGET)
     assert _observed(ran) == _observed(stepped)
@@ -428,7 +428,7 @@ def _loops_of(source, attached):
         attach(m)
     m.load_program(assemble(source).code)
     m.regs[5:7] = DATA, DATA + 512
-    with _thresholds((1, 1)):
+    with _threshold(1):
         m.run(max_instructions=10_000)
     return sorted(len(words) for words in shared.loops)
 
@@ -551,14 +551,14 @@ def _outcome_of_steps(m):
 
 
 def _compiled_with(hot, drive, m):
-    """drive(m) at the thresholds hot, and the functions _compile made
+    """drive(m) at the threshold hot, and the functions _compile made
     meanwhile."""
     made = []
     def spy(*args):
         made.append(real(*args))
         return made[-1]
     real = emulator._compile
-    with _thresholds(hot), mock.patch.object(emulator, "_compile", spy):
+    with _threshold(hot), mock.patch.object(emulator, "_compile", spy):
         return drive(m), made
 
 
@@ -636,7 +636,7 @@ def test_a_compiled_trip_of_the_sw_mem_round_reads_memory_once_and_writes_none()
     real = emulator._compile
     m = Machine(memory_size=1 << 21)
     m.load_program(image)
-    with _thresholds((1, 1)), mock.patch.object(emulator, "_compile", spy):
+    with _threshold(1), mock.patch.object(emulator, "_compile", spy):
         m.run(BUDGET)
     run, pc, regs, memory = first[0]
 

@@ -1,5 +1,6 @@
 """tools/perf.py: the summary of alternating parent/change benchmark runs,
-on canned perfbench/run.py result lines."""
+on canned perfbench/run.py result lines, and the export of the change
+side from a throwaway repository."""
 
 import hashlib
 import importlib.util
@@ -129,3 +130,30 @@ def test_report_sha256_passes_the_flags_to_the_cli(monkeypatch, tmp_path):
         hashlib.sha256(b"--mem-latency 2 --shatr-cycles 4").hexdigest()
     assert [argv[1:4] for argv, _, _ in calls] == [["-m", "shatrv.cli", "bench"]] * 2
     assert {(cwd, path) for _, cwd, path in calls} == {(tmp_path, str(tmp_path / "src"))}
+
+
+def test_the_change_side_is_the_working_tree_without_what_git_ignores(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "change"
+    (repo / "src").mkdir(parents=True)
+    # .perfbench_out/ is left out even where git does not ignore it
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "src" / "kept.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("y = 2\n")
+
+    def git(*args):
+        perf._git("-c", "user.name=perf", "-c", "user.email=perf@example.com", *args,
+                  root=repo)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "src" / "kept.py").write_text("x = 3\n")         # an uncommitted edit
+    (repo / "gone.py").unlink()                               # deleted, not committed
+    (repo / "src" / "new.py").write_text("z = 4\n")          # untracked
+    (repo / "ignored.txt").write_text("left out\n")
+    (repo / ".perfbench_out").mkdir()
+    (repo / ".perfbench_out" / "run.json").write_text("{}\n")
+    perf.export_worktree(dest, root=repo)
+    assert sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file()) == [
+        ".gitignore", "src/kept.py", "src/new.py"]
+    assert (dest / "src" / "kept.py").read_text() == "x = 3\n"

@@ -2,7 +2,8 @@
 variant of sw-mem and sw-regopt hashes seeded messages of length 0, r-1,
 r and 3r-1 (r the rate in bytes) on the reference in reference.py, whose
 digests are checked against hashlib, and on Machine.run, at the shipped
-thresholds and with every run and loop compiled on its first call. The
+threshold and with every loop and every run that rolls compiled on its
+first call. The
 two must agree on the emitted bytes, per-category and region counts,
 registers, pc and memory. Each threshold setting shares one Translations
 over the four messages, so sw-mem's round loop compiles at the shipped
@@ -23,7 +24,7 @@ from shatrv import emulator
 from shatrv.emulator import Machine, Translations
 from shatrv.keccak import VARIANTS
 from shatrv.kernels import MESSAGE_ADDR, generate_kernel
-from test_loops import SHIPPED, _thresholds
+from test_loops import SHIPPED, _threshold
 
 MEMORY_SIZE = 1 << 21
 
@@ -68,9 +69,9 @@ def test_a_kernel_runs_like_the_reference(strategy, variant):
     expected = [_reference(image, message, rate) for message in messages]
     for message, (emitted, *_) in zip(messages, expected):
         assert emitted == [hashlib.new(variant.replace("-", "_"), message).digest()]
-    for hot in (SHIPPED, (1, 1)):
+    for hot in (SHIPPED, 1):
         shared = Translations()
-        with _thresholds(hot), \
+        with _threshold(hot), \
                 mock.patch.object(emulator, "_compile", wraps=emulator._compile) as compile_:
             for message, want in zip(messages, expected):
                 m = Machine(memory_size=MEMORY_SIZE, translations=shared)

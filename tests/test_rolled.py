@@ -5,15 +5,16 @@ renamed by a drawn permutation and one access's offset stepped, and holds
 ALU ops, the fused rotate and and-not idioms, and loads and stores at
 fixed offsets, and may walk a base register so that a guard fails in a
 middle period. A loop calls the run through jal and jalr, so the run is
-one executor called once a trip. Machine.run, at the shipped thresholds
-and with every run compiled on its first call, must end like the
-reference: registers, pc, memory, counts and the fault class and pc.
+one executor called once a trip. Machine.run, at the shipped threshold
+and with every run that rolls compiled on its first call, must end like
+the reference: registers, pc, memory, counts and the fault class and pc.
 Every shape _period returns is checked here, period by period, by a
 renaming of this file's own; near misses (a renaming that is not a
-bijection, one that moves x0, an offset that does not step evenly, a field
-changed in the last period) must not roll as drawn. A run built like
-sw-regopt's permutation rolls as 27 + 24 x 231 + 29. Hypothesis runs
-derandomized, so the suite is reproducible."""
+bijection, one that moves x0, an offset that does not step evenly, a
+field changed in the last period) must not roll as drawn, and a guard
+that fails in a middle period, the prefix or the suffix must hand back
+there. A run built like sw-regopt's permutation rolls as 27 + 24 x 231 +
+29. Hypothesis runs derandomized, so the suite is reproducible."""
 
 from unittest import mock
 
@@ -26,7 +27,7 @@ from shatrv.emulator import CODE_BASE, Machine, Translations
 from shatrv.kernels import generate_kernel
 from test_loops import (
     DATA, MEMORY_SIZE, SHIPPED, THRESHOLDS, _enc, _machine, _outcome_of_reference,
-    _outcome_of_run, _reference, _thresholds,
+    _outcome_of_run, _reference, _threshold,
 )
 
 # registers a period may rename; x5 and x6 are bases, x1 the return
@@ -175,7 +176,7 @@ def _check_roll(entries, shape):
 
 
 def _ends_like_the_reference(code, regs, hot):
-    """Run code on the reference and on Machine.run at thresholds hot, and
+    """Run code on the reference and on Machine.run at threshold hot, and
     compare; return the rolls that _compile was given."""
     ref = _reference(code, regs)
     expected = _outcome_of_reference(ref)
@@ -187,7 +188,7 @@ def _ends_like_the_reference(code, regs, hot):
             rolls.append(args[3])
         return real(*args)
 
-    with _thresholds(hot), mock.patch.object(emulator, "_compile", spy):
+    with _threshold(hot), mock.patch.object(emulator, "_compile", spy):
         m = _machine(code, regs)
         assert _outcome_of_run(m) == expected
     assert m.regs == ref.x
@@ -208,7 +209,7 @@ def test_drawn_rolled_runs_run_like_the_reference(hot, drawn):
     assert shape is not None and shape[1] * shape[2] >= R * K
     _check_roll(entries, shape)
     rolls, (end, _) = _ends_like_the_reference(code, regs, hot)
-    if end == "exit" or hot == (1, 1):
+    if end == "exit" or hot == 1:
         assert rolls == [shape]
 
 
@@ -233,11 +234,38 @@ def test_a_guard_that_fails_in_a_middle_period_hands_back_there():
         return real(entries)
 
     with mock.patch.object(emulator, "_run", spy):
-        rolls, end = _ends_like_the_reference(code, regs, (1, 1))
+        rolls, end = _ends_like_the_reference(code, regs, 1)
     assert end[0] == "exit"
     assert [r[:3] for r in rolls] == [(0, 5, 6)]
     # the first call hands back at the top of period 3, where x6 == x5
     assert len(run) - 5 * 3 in handed
+
+
+# a store through x7 and a load through x8, which alias: the segment
+# holding both hands back
+_ALIASED = [("sd", dict(rs2=20, rs1=7)), ("ld", dict(rd=21, rs1=8))]
+
+
+@pytest.mark.parametrize("where", ["prefix", "suffix"])
+def test_a_guard_that_fails_in_the_prefix_or_the_suffix_hands_back_there(where):
+    # five periods rename x18..x20 by sigma**5, which is not the identity,
+    # so the prefix hands back before any renaming and the suffix after
+    # the periods undo it
+    periods = _flat(_renamed(_WALK_INTO, {18: 19, 19: 20, 20: 18}, k) for k in range(5))
+    run = _ALIASED + periods if where == "prefix" else periods + _ALIASED
+    regs = {5: DATA, 6: DATA + 512, 7: DATA + 1024, 8: DATA + 1024, 18: 5, 19: 7, 20: 11}
+    handed = []
+    real = emulator._run
+
+    def spy(entries):
+        handed.append(len(entries))
+        return real(entries)
+
+    with mock.patch.object(emulator, "_run", spy):
+        rolls, end = _ends_like_the_reference(_program(run), regs, 1)
+    assert end[0] == "exit"
+    assert [r[:3] for r in rolls] == [(2 if where == "prefix" else 0, 5, 5)]
+    assert (len(run) if where == "prefix" else 2) in handed
 
 
 # near misses, each a prefix of four and three periods of _NEAR (the
@@ -265,7 +293,7 @@ def _near(case):
     return _PRE + _flat(periods)
 
 
-@pytest.mark.parametrize("hot", [SHIPPED, (1, 1)], ids=["shipped", "forced"])
+@pytest.mark.parametrize("hot", [SHIPPED, 1], ids=["shipped", "forced"])
 @pytest.mark.parametrize("case", ["not-a-bijection", "moves-x0", "uneven-step", "changed-last"])
 def test_a_near_miss_does_not_roll_as_drawn(case, hot):
     run = _near(case)

@@ -2,8 +2,8 @@
 block by its pc, the code bytes from that pc to the end of the code and
 whether a round unit is attached, so every program whose code from a pc
 on is the same runs the one block translated there. Checked at the
-shipped thresholds and with every run and loop compiled on its first
-call: each of the 12 kernels on a cache that every other kernel has
+shipped threshold and with every loop and every run that rolls compiled
+on its first call: each of the 12 kernels on a cache that every other kernel has
 filled against the same kernel on a private cache, on drawn messages;
 two hand-built pairs of programs against the reference interpreter in
 reference.py, one pair whose loop headers hold the same words but whose
@@ -13,14 +13,13 @@ distinct block is translated once, each driver and routine assembled
 once, and as many words decoded and statements encoded as before.
 Hypothesis runs derandomized, so the suite is reproducible."""
 
-import importlib.util
 from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from reference import CATEGORIES, Reference
-from shatrv import asm, bench, emulator, isa, kernels
+from shatrv import asm, bench, isa, kernels
 from shatrv.asm import assemble
 from shatrv.bench import run_benchmark
 from shatrv.cavp import CavpVector, CavpVectorSet
@@ -28,28 +27,12 @@ from shatrv.emulator import CODE_BASE, Machine, Translations
 from shatrv.keccak import VARIANTS, sha3_digest
 from shatrv.kernels import MESSAGE_ADDR, STRATEGIES, STRATEGY_TABLE, generate_kernel
 from shatrv.shatr import attach
+from test_loops import THRESHOLDS, _threshold
 
 MEMORY_SIZE = 1 << 21
 # well above the longest run here: a 300-byte message through sw-mem's
 # sha3-512 kernel retires 56,431 instructions
 BUDGET = 1_000_000
-
-
-def _shipped():
-    """_HOT and _HOT_LOOP as emulator.py sets them, where a caller has
-    forced them too: read off a fresh copy of the module."""
-    spec = importlib.util.find_spec("shatrv.emulator")
-    fresh = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fresh)
-    return fresh._HOT, fresh._HOT_LOOP
-
-
-SHIPPED = _shipped()
-THRESHOLDS = pytest.mark.parametrize("hot", [SHIPPED, (1, 1)], ids=["shipped", "forced"])
-
-
-def _thresholds(hot):
-    return mock.patch.multiple(emulator, _HOT=hot[0], _HOT_LOOP=hot[1])
 
 
 # -- every kernel on a cache the others filled --------------------------------
@@ -82,7 +65,7 @@ def _observed(m):
 def test_a_cache_every_other_kernel_filled_runs_a_kernel_like_a_private_one(
         hot, kernel, message):
     # the others run the same message, so they take the same driver paths
-    with _thresholds(hot):
+    with _threshold(hot):
         shared = Translations()
         for other in _KERNELS:
             if other != kernel:
@@ -131,7 +114,7 @@ def _run_in_turn(programs, hot):
         translated[-1].append(pc)
         return translate(self, pc)
 
-    with _thresholds(hot), mock.patch.object(Machine, "_translate", counted):
+    with _threshold(hot), mock.patch.object(Machine, "_translate", counted):
         for code in programs:
             translated.append([])
             m = Machine(memory_size=MEMORY_SIZE, translations=shared)

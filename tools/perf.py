@@ -5,10 +5,13 @@ Usage:
         [--workload NAME ...] [--pairs N] [--seconds S] [--seed-start K]
         [--trace 0|1]
 
-Run from anywhere inside a checkout.  The change is the working tree.
-The parent (default HEAD, so an uncommitted change against its base;
-pass HEAD~1 on a checked-out commit) is exported from the local
-repository with `git archive` into a temporary directory.
+Run from anywhere inside a checkout.  The parent (default HEAD, so an
+uncommitted change against its base; pass HEAD~1 on a checked-out
+commit) is exported from the local repository with `git archive` into
+a temporary directory.  The change is the working tree: its tracked
+files as they are on disk and its untracked files that git does not
+ignore, but not .perfbench_out/, copied into a sibling directory of the
+parent's, so that both sides run from the same kind of place.
 
 For each workload (default: those BENCHMARK.json lists), pair i runs
 `python3 perfbench/run.py --workload W --seed K+i --seconds S` once on
@@ -27,8 +30,8 @@ with the PRICED flags.
 src_lines gives each side's count of lines in the .py files under
 src/shatrv.
 
-Runs write only under each checkout's .perfbench_out/; nothing under
-perfbench/ is edited.  Temporary checkouts go under $TMPDIR.
+Runs write only under each exported checkout's .perfbench_out/; nothing
+under perfbench/ is edited.  Both checkouts go under $TMPDIR.
 """
 
 import argparse
@@ -37,6 +40,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,8 +57,8 @@ class PerfError(Exception):
     """An A/B run that cannot give a trustworthy result."""
 
 
-def _git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+def _git(*args, root=ROOT):
+    return subprocess.run(["git", *args], cwd=root, capture_output=True,
                           check=True).stdout
 
 
@@ -67,6 +71,19 @@ def export(rev, dest):
         else:
             tar.extractall(dest)
     return commit
+
+
+def export_worktree(dest, root=ROOT):
+    """Copy the working tree of the repository at root into dest: every
+    tracked file as it is on disk and every untracked file git does not
+    ignore, but nothing under .perfbench_out/."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root)
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        source, target = pathlib.Path(root) / name, pathlib.Path(dest) / name
+        if name.startswith(".perfbench_out/") or not source.exists():
+            continue    # run output, or a tracked file deleted on disk
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
 
 
 def _child_env():
@@ -193,7 +210,8 @@ def main(argv=None):
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": pathlib.Path(tmp) / "parent", "change": ROOT}
+        sides = {side: pathlib.Path(tmp) / side for side in ("parent", "change")}
+        export_worktree(sides["change"])
         result = {"parent": export(args.parent, sides["parent"]),
                   "change": "working tree of " + _git("rev-parse", "HEAD").decode().strip(),
                   "pairs": args.pairs, "seconds": args.seconds,
